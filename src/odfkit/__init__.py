@@ -34,11 +34,13 @@ from .interactions import (
     ResonanceSingularityError,
     force_magnitude,
     force_turnover_angle,
+    gamma_decay_lineshape,
     j_bar,
     loop_phases,
     precession_lineshape,
     ratio_curve,
     thermometry_lineshape,
+    thermometry_model,
 )
 from .simulate import (
     DriftModel,
@@ -50,7 +52,6 @@ from .simulate import (
     simulate_gamma_decay,
     simulate_path_noise,
     simulate_precession,
-    simulate_scan,
     simulate_thermometry,
 )
 from .fitting import (

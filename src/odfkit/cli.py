@@ -10,7 +10,6 @@ a JSON manifest sidecar recording the config digest and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .configio import ConfigError, Scenario, load_config
-from .constants import TWO_PI, newton_to_yn
+from .constants import TWO_PI
 from .core import OdfDrive, ThermalState, detuning
 from .fitting import (
     FitInputError,
@@ -45,48 +44,42 @@ from .simulate import (
     DriftModel,
     PathNoiseModel,
     ScanDataset,
+    _write_rows,
     simulate_angle_drift,
-    simulate_gamma_decay,
     simulate_path_noise,
     simulate_precession,
     simulate_thermometry,
 )
 
-_FMT = "{:.17e}"
+
+def _parse_fields(flag: str, spec: str, form: str, build):
+    """build(*fields) of a colon-separated argv value; errors name the flag."""
+    try:
+        return build(*spec.split(":"))
+    except (TypeError, ValueError) as err:  # TypeError: wrong number of fields
+        raise ConfigError(f"bad {flag} {spec!r}, expected {form}") from err
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    try:
-        start, stop, n = spec.split(":")
-        return np.linspace(float(start), float(stop), int(n))
-    except ValueError as err:
-        raise ConfigError(f"bad --grid {spec!r}, expected start:stop:n") from err
+    return _parse_fields("--grid", spec, "start:stop:n",
+                         lambda start, stop, n: np.linspace(float(start), float(stop), int(n)))
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_FMT.format(v) if isinstance(v, float) else v for v in row])
+def _emit(args, name, data, scn: Scenario, seed=None):
+    """Write <out>/<name>.csv and its manifest sidecar.
 
-
-def _emit(args, name, header, rows, scn: Scenario, seed=None):
+    data is a ScanDataset, whose metadata goes into the sidecar, or a
+    (header, rows) table.
+    """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
-    _write_csv(csv_path, header, rows)
-    write_manifest(out / f"{name}.manifest.json", name, scn.raw, seed)
-    print(f"wrote {csv_path}")
-
-
-def _emit_dataset(args, name, dataset: ScanDataset, scn: Scenario, seed=None):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{name}.csv"
-    dataset.to_csv(csv_path)
-    sidecar = dict(scn.raw)
-    sidecar["scan_meta"] = {k: v for k, v in dataset.meta.items()}
+    sidecar = scn.raw
+    if isinstance(data, ScanDataset):
+        data.to_csv(csv_path)
+        sidecar = dict(scn.raw, scan_meta=dict(data.meta))
+    else:
+        _write_rows(csv_path, *data)
     write_manifest(out / f"{name}.manifest.json", name, sidecar, seed)
     print(f"wrote {csv_path}")
 
@@ -166,7 +159,7 @@ def cmd_curves(args, scn: Scenario):
             s = force_magnitude(geom, scn.drive, scn.trap, state)
             jb = j_bar(s.f0, scn.trap, delta) if delta != 0 else float("nan")
             rows.append((float(theta_deg), n_bar, s.f0, jb))
-    _emit(args, "curves", ["theta_deg", "n_bar", "F0_N", "Jbar_rad_s"], rows, scn)
+    _emit(args, "curves", (["theta_deg", "n_bar", "F0_N", "Jbar_rad_s"], rows), scn)
     return 0
 
 
@@ -179,7 +172,7 @@ def cmd_ratio_scan(args, scn: Scenario):
             laser_wavelength=scn.beams.laser_wavelength,
         )
     ]
-    _emit(args, "ratio_scan", ["theta_deg", "F0_N", "Gamma_Hz", "ratio"], rows, scn)
+    _emit(args, "ratio_scan", (["theta_deg", "F0_N", "Gamma_Hz", "ratio"], rows), scn)
     return 0
 
 
@@ -192,7 +185,7 @@ def cmd_simulate(args, scn: Scenario):
         dataset = simulate_thermometry(
             scn.beams, scn.drive, scn.trap, scn.thermal,
             TWO_PI * grid_hz, shots=shots, seed=seed)
-        _emit_dataset(args, "thermometry", dataset, scn, seed)
+        _emit(args, "thermometry", dataset, scn, seed)
     elif args.model == "precession":
         grid = np.radians(_parse_grid(args.grid)) if args.grid else np.linspace(0, 2 * math.pi, 40)
         strengths = force_magnitude(scn.beams, scn.drive, scn.trap, scn.thermal)
@@ -201,15 +194,15 @@ def cmd_simulate(args, scn: Scenario):
         dataset = simulate_precession(
             strengths.j_bar, scn.drive.gamma, scn.drive.tau, grid,
             shots=shots, seed=seed)
-        _emit_dataset(args, "precession", dataset, scn, seed)
+        _emit(args, "precession", dataset, scn, seed)
     elif args.model == "drift":
         model = DriftModel(linear_rate=args.rate, rms_jitter=args.jitter, seed=seed)
         dataset = simulate_angle_drift(model, args.duration, args.dt)
-        _emit_dataset(args, "drift", dataset, scn, seed)
+        _emit(args, "drift", dataset, scn, seed)
     elif args.model == "pathnoise":
         model = PathNoiseModel(seed=seed)
         dataset = simulate_path_noise(model, args.duration, args.sample_rate)
-        _emit_dataset(args, "pathnoise", dataset, scn, seed)
+        _emit(args, "pathnoise", dataset, scn, seed)
     return 0
 
 
@@ -232,7 +225,8 @@ def cmd_fit(args, scn: Scenario):
 
 
 def cmd_optimize_angle(args, scn: Scenario):
-    lo_deg, hi_deg = (float(v) for v in args.window.split(":"))
+    lo_deg, hi_deg = _parse_fields("--window", args.window, "lo:hi",
+                                   lambda lo, hi: (float(lo), float(hi)))
     theta, ratio = optimize_theta(
         scn.trap, scn.drive, scn.thermal,
         constraints=(math.radians(lo_deg), math.radians(hi_deg)),
@@ -244,7 +238,7 @@ def cmd_optimize_angle(args, scn: Scenario):
     record = {
         "theta_deg": math.degrees(theta),
         "ratio_N_s": ratio,
-        "ratio_yN_per_Hz": newton_to_yn(ratio),
+        "ratio_yN_per_Hz": ratio * 1e24,
         "provenance": make_manifest("optimize-angle", scn.raw).__dict__,
     }
     print(json.dumps(record, indent=2))
@@ -267,7 +261,7 @@ def _reproduce_fig3c(args, scn: Scenario):
         grid = scn.trap.omega_com + TWO_PI * np.linspace(-3e3, 3e3, 30)
         dataset = simulate_thermometry(scn.beams, scn.drive, scn.trap, state,
                                        grid, shots=args.shots, seed=args.seed)
-        _emit_dataset(args, f"fig3c_{label}", dataset, scn, args.seed)
+        _emit(args, f"fig3c_{label}", dataset, scn, args.seed)
         result = fit_thermometry(dataset, scn.beams, scn.drive, scn.trap)
         fits[label] = _fit_result_json(result, {
             "omega_com": ("omega_com_hz", 1.0 / TWO_PI),
@@ -314,17 +308,17 @@ def _reproduce_fig4c(args, scn: Scenario):
             combined = weighted_f0(estimates)
             rows.append((label, theta_deg, combined.f0, scn.drive.gamma,
                          combined.f0 / scn.drive.gamma))
-    _emit(args, "fig4c", ["scenario", "theta_deg", "F0_N", "Gamma_Hz", "ratio"],
-          rows, scn, args.seed)
+    _emit(args, "fig4c", (["scenario", "theta_deg", "F0_N", "Gamma_Hz", "ratio"], rows),
+          scn, args.seed)
     return 0
 
 
 def _reproduce_fig5(args, scn: Scenario):
     drift = simulate_angle_drift(
         DriftModel(linear_rate=0.002, rms_jitter=5e-4, seed=args.seed), 6000.0, 10.0)
-    _emit_dataset(args, "fig5a_drift", drift, scn, args.seed)
+    _emit(args, "fig5a_drift", drift, scn, args.seed)
     noise = simulate_path_noise(PathNoiseModel(seed=args.seed), 200.0, 100.0)
-    _emit_dataset(args, "fig5b_pathnoise", noise, scn, args.seed)
+    _emit(args, "fig5b_pathnoise", noise, scn, args.seed)
     return 0
 
 

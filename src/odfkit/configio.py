@@ -24,10 +24,10 @@ class ConfigError(ValueError):
 
 
 _SCHEMA = {
-    "trap": {"ion_mass_amu", "omega_com_hz", "n_ions", "crystal_radius_m", "omega_rot_hz"},
+    "trap": {"ion_mass_amu", "omega_com_hz", "n_ions", "crystal_radius_m"},
     "drive": {"delta_ac_hz", "mu_hz", "tau_s", "gamma_per_s",
               "gamma_raman_per_s", "gamma_elastic_per_s"},
-    "beams": {"laser_wavelength_m", "theta_odf_deg", "theta_eit_deg", "tilt_error_deg"},
+    "beams": {"laser_wavelength_m", "theta_odf_deg", "tilt_error_deg"},
     "thermal": {"n_bar"},
     "mount": {"d_axial_m", "d_radial_m", "theta_min_deg", "theta_max_deg",
               "crossing_tolerance_m", "linear_travel_m"},
@@ -39,7 +39,6 @@ DEFAULT_CONFIG = {
         "omega_com_hz": 1.1e6,
         "n_ions": 125,
         "crystal_radius_m": 150e-6,
-        "omega_rot_hz": 180e3,
     },
     "drive": {
         "delta_ac_hz": 800.0,
@@ -50,7 +49,6 @@ DEFAULT_CONFIG = {
     "beams": {
         "laser_wavelength_m": 313.1e-9,
         "theta_odf_deg": 28.0,
-        "theta_eit_deg": 18.0,
         "tilt_error_deg": 0.0,
     },
     "thermal": {"n_bar": 1.27},
@@ -130,7 +128,6 @@ def build_scenario(merged: dict) -> Scenario:
         omega_com=TWO_PI * t["omega_com_hz"],
         n_ions=t["n_ions"],
         crystal_radius=t["crystal_radius_m"],
-        omega_rot=TWO_PI * t["omega_rot_hz"],
     )
     drive = OdfDrive(
         delta_ac=TWO_PI * d["delta_ac_hz"],
@@ -143,7 +140,6 @@ def build_scenario(merged: dict) -> Scenario:
     beams = BeamGeometry(
         theta_odf=math.radians(b["theta_odf_deg"]),
         laser_wavelength=b["laser_wavelength_m"],
-        theta_eit=math.radians(b["theta_eit_deg"]),
         tilt_error=math.radians(b["tilt_error_deg"]),
     )
     thermal = ThermalState(n_bar=merged["thermal"]["n_bar"])

@@ -1,8 +1,8 @@
-"""Physical constants (CODATA 2018) and the unit conversions used at I/O boundaries.
+"""Physical constants (CODATA 2018).
 
 Internally everything is SI base units with angular frequencies in rad/s.
-Files and the command line speak ordinary frequencies (Hz), degrees, and
-yoctonewtons; these helpers do the conversion in one place.
+Files and the command line speak ordinary frequencies (Hz), degrees and
+yoctonewtons; configio and cli convert at that boundary.
 """
 
 import math
@@ -13,38 +13,3 @@ ATOMIC_MASS_UNIT = 1.66053906660e-27  # kg
 BERYLLIUM_9_MASS = 9.012 * ATOMIC_MASS_UNIT  # kg, configurable per species
 
 TWO_PI = 2.0 * math.pi
-
-
-def hz_to_angular(f_hz):
-    """Ordinary frequency in Hz to angular frequency in rad/s."""
-    return TWO_PI * f_hz
-
-
-def angular_to_hz(omega):
-    """Angular frequency in rad/s to ordinary frequency in Hz."""
-    return omega / TWO_PI
-
-
-def khz_to_angular(f_khz):
-    return TWO_PI * 1e3 * f_khz
-
-
-def angular_to_khz(omega):
-    return omega / (TWO_PI * 1e3)
-
-
-def deg_to_rad(deg):
-    return math.radians(deg)
-
-
-def rad_to_deg(rad):
-    return math.degrees(rad)
-
-
-def yn_to_newton(f_yn):
-    """Yoctonewtons to newtons."""
-    return f_yn * 1e-24
-
-
-def newton_to_yn(f_n):
-    return f_n * 1e24

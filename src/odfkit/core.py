@@ -17,13 +17,12 @@ from .constants import BERYLLIUM_9_MASS, HBAR, TWO_PI
 
 @dataclass(frozen=True)
 class TrapIonConfig:
-    """Physical substrate: ion species, COM mode, crystal size and rotation."""
+    """Physical substrate: ion species, COM mode and crystal size."""
 
     ion_mass: float = BERYLLIUM_9_MASS  # kg
     omega_com: float = TWO_PI * 1.1e6  # rad/s
     n_ions: int = 125
     crystal_radius: float = 150e-6  # m
-    omega_rot: float = TWO_PI * 180e3  # rad/s, used only by stability probes
 
     def __post_init__(self):
         if self.ion_mass <= 0:

@@ -3,23 +3,30 @@
 The three measurement models (thermometry scan, tipping-angle precession,
 far-detuned decoherence decay) are wrapped as small estimator objects with
 the scikit-learn fit/predict/get_params surface, all driven by one damped
-Gauss-Newton engine with analytic Jacobians.  Parameter uncertainties come
-from the inverse normal equations at the optimum, optionally scaled by the
-reduced chi-square when it exceeds one (the conservative convention; both
-are reported).
+Gauss-Newton engine with analytic Jacobians; the models themselves live in
+`interactions`, shared with the simulators.  Parameter uncertainties come
+from the inverse normal equations at the optimum: FitResult.sigmas are
+always scaled by sqrt(chi2_reduced) when it exceeds one (the conservative
+convention), and FitResult.sigmas_unscaled hold the raw values.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR
+from .constants import HBAR, TWO_PI
 from .core import OdfDrive, ThermalState, TrapIonConfig
-from .geometry import BeamGeometry, delta_k
-from .interactions import _dq, _dr, _q, _r, force_magnitude
+from .geometry import BeamGeometry
+from .interactions import (
+    force_magnitude,
+    gamma_decay_lineshape,
+    precession_lineshape,
+    thermometry_model,
+)
 from .simulate import ScanDataset
 
 
@@ -30,8 +37,8 @@ class FitInputError(ValueError):
 @dataclass(frozen=True)
 class FitResult:
     params: dict  # name -> fitted value
-    sigmas: dict  # name -> 1-sigma uncertainty (chi2-scaled when enabled)
-    sigmas_unscaled: dict  # same, without the chi2 convention
+    sigmas: dict  # name -> 1-sigma uncertainty, times sqrt(chi2_reduced) when that exceeds 1
+    sigmas_unscaled: dict  # name -> 1-sigma uncertainty from the inverse normal equations
     chi2_reduced: float
     converged: bool
     iterations: int
@@ -114,12 +121,11 @@ def _damped_gauss_newton(
     return p, converged, it, jtj, cost, bound_active
 
 
-def _build_result(names, p, converged, it, jtj, cost, n_points, bound_active,
-                  scale_by_chi2, extra_flags=()):
+def _build_result(names, p, converged, it, jtj, cost, n_points, bound_active):
     k = len(names)
     dof = max(n_points - k, 1)
     chi2_red = 2.0 * cost / dof
-    flags = list(extra_flags)
+    flags = []
     diag = np.diag(jtj)
     identifiable = diag > 1e-12 * max(float(diag.max()), 1e-300)
     if not identifiable.all():
@@ -131,7 +137,7 @@ def _build_result(names, p, converged, it, jtj, cost, n_points, bound_active,
         cov = np.linalg.pinv(jtj)
     sig_raw = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     sig_raw = np.where(identifiable, sig_raw, np.inf)
-    scale = math.sqrt(chi2_red) if (scale_by_chi2 and chi2_red > 1.0) else 1.0
+    scale = math.sqrt(chi2_red) if chi2_red > 1.0 else 1.0
     if bound_active.any():
         flags.append("bound_active")
     return FitResult(
@@ -146,100 +152,91 @@ def _build_result(names, p, converged, it, jtj, cost, n_points, bound_active,
     )
 
 
-class ThermometryEstimator:
+class _Estimator:
+    """fit/predict/get_params skeleton shared by the measurement models.
+
+    A subclass names its fitted parameters, their lower bounds (or None)
+    and the fewest points it accepts, and defines predict(x, params),
+    jacobian(x, params) and _starts(x, y), the candidate initial points.
+    fit() starts the damped Gauss-Newton engine from the candidate with
+    the lowest cost.  The dataset abscissa times abscissa_scale is x.
+    """
+
+    names = ()
+    lower = None
+    min_points = 1
+    abscissa_scale = 1.0
+
+    def get_params(self):
+        """Constructor arguments by name, read from the __init__ signature."""
+        init = inspect.signature(type(self).__init__).parameters
+        return {name: getattr(self, name) for name in init if name != "self"}
+
+    def set_params(self, **params):
+        known = self.get_params()
+        for name, value in params.items():
+            if name not in known:
+                raise ValueError(f"unknown parameter {name!r}")
+            setattr(self, name, value)
+        return self
+
+    def _fitted(self):
+        if not hasattr(self, "result_"):
+            raise FitInputError("estimator is not fitted")
+        return tuple(self.result_.params[name] for name in self.names)
+
+    def fit(self, dataset: ScanDataset):
+        if len(dataset) < self.min_points:
+            raise FitInputError(f"need at least {self.min_points} points, got {len(dataset)}")
+        x = self.abscissa_scale * dataset.abscissa
+        y, sig = dataset.p_up, dataset.sigma
+
+        def cost_at(p):
+            res = (y - self.predict(x, p)) / sig
+            return float(res @ res)
+
+        start = min(self._starts(x, y), key=cost_at)
+        lower = None if self.lower is None else np.array(self.lower, float)
+        p, converged, it, jtj, cost, bounds = _damped_gauss_newton(
+            lambda p: self.predict(x, p),
+            lambda p: self.jacobian(x, p),
+            y, sig, start, lower=lower,
+        )
+        self.result_ = _build_result(self.names, p, converged, it, jtj, cost,
+                                     len(y), bounds)
+        return self
+
+
+class ThermometryEstimator(_Estimator):
     """Fit the spin-echo thermometry lineshape for (omega_com, n_bar).
 
     Gamma, the ion number, and the force-determining inputs (geometry and
-    |delta_ac|) are fixed externally; omega_com enters the model both
-    through the detuning and through the wavepacket size, and n_bar both
-    through the spin-motion dephasing and the Debye-Waller factor.
+    |delta_ac|) are fixed externally; see interactions.thermometry_model.
+    The dataset abscissa is mu/2pi in Hz; predict and jacobian take mu.
     """
 
+    names = ("omega_com", "n_bar")
+    lower = (0.0, 0.0)
+    min_points = 6  # enough to span the resonance
+    abscissa_scale = TWO_PI
+
     def __init__(self, geom: BeamGeometry, drive: OdfDrive, cfg: TrapIonConfig,
-                 init_omega_com=None, init_n_bar=5.0, scale_sigma_by_chi2=True):
+                 init_omega_com=None, init_n_bar=5.0):
         self.geom = geom
         self.drive = drive
         self.cfg = cfg
         self.init_omega_com = init_omega_com
         self.init_n_bar = init_n_bar
-        self.scale_sigma_by_chi2 = scale_sigma_by_chi2
-
-    def get_params(self, deep=True):
-        return {
-            "geom": self.geom,
-            "drive": self.drive,
-            "cfg": self.cfg,
-            "init_omega_com": self.init_omega_com,
-            "init_n_bar": self.init_n_bar,
-            "scale_sigma_by_chi2": self.scale_sigma_by_chi2,
-        }
-
-    def set_params(self, **params):
-        for name, value in params.items():
-            if name not in self.get_params():
-                raise ValueError(f"unknown parameter {name!r}")
-            setattr(self, name, value)
-        return self
-
-    # -- model ------------------------------------------------------------
-
-    def _pieces(self, mu, omega, n_bar):
-        """Model values and the intermediates needed for the Jacobian."""
-        dk = delta_k(self.geom)
-        m = self.cfg.ion_mass
-        tau = self.drive.tau
-        z0sq = HBAR / (2.0 * m * omega)
-        eta_sq = dk * dk * z0sq
-        e_dw = 0.5 * eta_sq * (2.0 * n_bar + 1.0)
-        w_dw = math.exp(-e_dw)
-        # drive scale f = F0 z0 / (2 hbar) = |delta_ac| dk z0 W / 2
-        f = abs(self.drive.delta_ac) * dk * math.sqrt(z0sq) * w_dw / 2.0
-        delta = mu - omega
-        s = delta * tau
-        q, dq, r, dr = _q(s), _dq(s), _r(s), _dr(s)
-        asq = f * f * delta * delta * tau ** 4 * q * q
-        j = f * f * tau ** 2 * r
-        return dk, tau, eta_sq, e_dw, f, delta, s, q, dq, r, dr, asq, j
 
     def predict(self, mu, params=None):
         omega, n_bar = params if params is not None else self._fitted()
-        *_, asq, j = self._pieces(np.asarray(mu, float), omega, n_bar)
-        n = self.cfg.n_ions
-        c_ss = np.cos(4.0 * j) ** (n - 1)
-        c_sm = np.exp(-2.0 * asq * (2.0 * n_bar + 1.0))
-        baseline = math.exp(-2.0 * self.drive.gamma * self.drive.tau)
-        return 0.5 * (1.0 - baseline * c_ss * c_sm)
+        return thermometry_model(mu, omega, n_bar, self.geom, self.drive, self.cfg)
 
     def jacobian(self, mu, params):
         """Analytic d P_up / d (omega_com, n_bar), shape (n, 2)."""
         omega, n_bar = params
-        mu = np.asarray(mu, float)
-        (dk, tau, eta_sq, e_dw, f, delta, s,
-         q, dq, r, dr, asq, j) = self._pieces(mu, omega, n_bar)
-        n = self.cfg.n_ions
-        # drive-scale sensitivities: f ~ W(omega, nbar) z0(omega)
-        f_w = f * (e_dw - 0.5) / omega
-        f_n = -eta_sq * f
-        # d s / d omega = -tau (through delta)
-        asq_w = 2.0 * f * f_w * delta ** 2 * tau ** 4 * q * q \
-            - f * f * tau ** 4 * (2.0 * delta * q * q + 2.0 * delta ** 2 * q * dq * tau)
-        asq_n = 2.0 * f * f_n * delta ** 2 * tau ** 4 * q * q
-        j_w = 2.0 * f * f_w * tau ** 2 * r - f * f * tau ** 3 * dr
-        j_n = 2.0 * f * f_n * tau ** 2 * r
-        cos4j = np.cos(4.0 * j)
-        c_ss = cos4j ** (n - 1)
-        c_sm = np.exp(-2.0 * asq * (2.0 * n_bar + 1.0))
-        dcss = -4.0 * (n - 1) * cos4j ** (n - 2) * np.sin(4.0 * j)
-        c_ss_w = dcss * j_w
-        c_ss_n = dcss * j_n
-        c_sm_w = c_sm * (-2.0 * (2.0 * n_bar + 1.0) * asq_w)
-        c_sm_n = c_sm * (-2.0 * (2.0 * n_bar + 1.0) * asq_n - 4.0 * asq)
-        baseline = math.exp(-2.0 * self.drive.gamma * self.drive.tau)
-        dp_w = -0.5 * baseline * (c_ss_w * c_sm + c_ss * c_sm_w)
-        dp_n = -0.5 * baseline * (c_ss_n * c_sm + c_ss * c_sm_n)
-        return np.column_stack([dp_w, dp_n])
-
-    # -- fitting ----------------------------------------------------------
+        return thermometry_model(mu, omega, n_bar, self.geom, self.drive, self.cfg,
+                                 jac=True)[1]
 
     def _starts(self, mu, p_up):
         """Cheap multi-start grid: resonance from the lobe centroid."""
@@ -253,65 +250,21 @@ class ThermometryEstimator:
         nbars = [self.init_n_bar, 1.0, 15.0]
         return [(w, n) for w in omegas for n in nbars]
 
-    def fit(self, dataset: ScanDataset):
-        if len(dataset) < 6:
-            raise FitInputError("need at least 6 points spanning the resonance")
-        mu = 2.0 * math.pi * dataset.abscissa  # abscissa is mu/2pi in Hz
-        y, sig = dataset.p_up, dataset.sigma
 
-        def cost_at(p):
-            res = (y - self.predict(mu, p)) / sig
-            return float(res @ res)
-
-        start = min(self._starts(mu, y), key=cost_at)
-        p, converged, it, jtj, cost, bounds = _damped_gauss_newton(
-            lambda p: self.predict(mu, p),
-            lambda p: self.jacobian(mu, p),
-            y, sig, start, lower=np.array([0.0, 0.0]),
-        )
-        self.result_ = _build_result(
-            ("omega_com", "n_bar"), p, converged, it, jtj, cost,
-            len(y), bounds, self.scale_sigma_by_chi2,
-        )
-        return self
-
-    def _fitted(self):
-        if not hasattr(self, "result_"):
-            raise FitInputError("estimator is not fitted")
-        return self.result_.params["omega_com"], self.result_.params["n_bar"]
-
-
-class PrecessionEstimator:
+class PrecessionEstimator(_Estimator):
     """Single-parameter fit of the mean-field precession lineshape for jbar."""
 
-    def __init__(self, gamma: float, tau: float, init_j_bar=None,
-                 scale_sigma_by_chi2=True):
+    names = ("j_bar",)
+    min_points = 2
+
+    def __init__(self, gamma: float, tau: float, init_j_bar=None):
         self.gamma = gamma
         self.tau = tau
         self.init_j_bar = init_j_bar
-        self.scale_sigma_by_chi2 = scale_sigma_by_chi2
-
-    def get_params(self, deep=True):
-        return {
-            "gamma": self.gamma,
-            "tau": self.tau,
-            "init_j_bar": self.init_j_bar,
-            "scale_sigma_by_chi2": self.scale_sigma_by_chi2,
-        }
-
-    def set_params(self, **params):
-        for name, value in params.items():
-            if name not in self.get_params():
-                raise ValueError(f"unknown parameter {name!r}")
-            setattr(self, name, value)
-        return self
 
     def predict(self, theta1, params=None):
         (j_bar,) = params if params is not None else self._fitted()
-        theta1 = np.asarray(theta1, float)
-        baseline = math.exp(-2.0 * self.gamma * self.tau)
-        return 0.5 * (1.0 + baseline * np.sin(theta1)
-                      * np.sin(4.0 * j_bar * self.tau * np.cos(theta1)))
+        return precession_lineshape(j_bar, self.gamma, self.tau, theta1)
 
     def jacobian(self, theta1, params):
         (j_bar,) = params
@@ -322,120 +275,64 @@ class PrecessionEstimator:
             * 4.0 * self.tau * np.cos(theta1)
         return dp[:, None]
 
-    def _initial_j(self, theta1, p_up):
-        """Slope of P_up near theta1 = 0: dP/dtheta1 -> 2 baseline jbar tau."""
-        mask = theta1 <= 0.5 * math.pi
-        if mask.sum() < 2:
-            mask = np.ones(len(theta1), bool)
-        slope = np.polyfit(theta1[mask], p_up[mask], 1)[0]
-        baseline = math.exp(-2.0 * self.gamma * self.tau)
-        return slope / (2.0 * baseline * self.tau)
-
-    def fit(self, dataset: ScanDataset):
-        theta1, y, sig = dataset.abscissa, dataset.p_up, dataset.sigma
-        if len(dataset) < 2:
-            raise FitInputError("need at least 2 points")
-        j0 = self.init_j_bar if self.init_j_bar is not None else self._initial_j(theta1, y)
-
-        def cost_at(p):
-            res = (y - self.predict(theta1, p)) / sig
-            return float(res @ res)
-
+    def _starts(self, theta1, p_up):
+        if self.init_j_bar is not None:
+            j0 = self.init_j_bar
+        else:
+            # slope of P_up near theta1 = 0: dP/dtheta1 -> 2 baseline jbar tau
+            mask = theta1 <= 0.5 * math.pi
+            if mask.sum() < 2:
+                mask = np.ones(len(theta1), bool)
+            slope = np.polyfit(theta1[mask], p_up[mask], 1)[0]
+            j0 = slope / (2.0 * math.exp(-2.0 * self.gamma * self.tau) * self.tau)
         # the sine argument wraps; probe a few scales around the slope init
-        start = min(([j0], [0.5 * j0], [2.0 * j0], [0.0]), key=cost_at)
-        p, converged, it, jtj, cost, bounds = _damped_gauss_newton(
-            lambda p: self.predict(theta1, p),
-            lambda p: self.jacobian(theta1, p),
-            y, sig, start,
-        )
-        self.result_ = _build_result(
-            ("j_bar",), p, converged, it, jtj, cost, len(y), bounds,
-            self.scale_sigma_by_chi2,
-        )
-        return self
-
-    def _fitted(self):
-        if not hasattr(self, "result_"):
-            raise FitInputError("estimator is not fitted")
-        return (self.result_.params["j_bar"],)
+        return ([j0], [0.5 * j0], [2.0 * j0], [0.0])
 
 
-class GammaDecayEstimator:
+class GammaDecayEstimator(_Estimator):
     """Fit the far-detuned decoherence decay P_up(tau) = (1 - e^{-2 Gamma tau}) / 2."""
 
-    def __init__(self, init_gamma=None, scale_sigma_by_chi2=True):
+    names = ("gamma",)
+    lower = (0.0,)
+    min_points = 2
+
+    def __init__(self, init_gamma=None):
         self.init_gamma = init_gamma
-        self.scale_sigma_by_chi2 = scale_sigma_by_chi2
-
-    def get_params(self, deep=True):
-        return {"init_gamma": self.init_gamma,
-                "scale_sigma_by_chi2": self.scale_sigma_by_chi2}
-
-    def set_params(self, **params):
-        for name, value in params.items():
-            if name not in self.get_params():
-                raise ValueError(f"unknown parameter {name!r}")
-            setattr(self, name, value)
-        return self
 
     def predict(self, tau, params=None):
         (gamma,) = params if params is not None else self._fitted()
-        return 0.5 * (1.0 - np.exp(-2.0 * gamma * np.asarray(tau, float)))
+        return gamma_decay_lineshape(gamma, tau)
 
     def jacobian(self, tau, params):
         (gamma,) = params
         tau = np.asarray(tau, float)
         return (tau * np.exp(-2.0 * gamma * tau))[:, None]
 
-    def fit(self, dataset: ScanDataset):
-        tau, y, sig = dataset.abscissa, dataset.p_up, dataset.sigma
+    def _starts(self, tau, p_up):
         if self.init_gamma is not None:
-            g0 = self.init_gamma
-        else:
-            # linearize: -ln(1 - 2 P) = 2 Gamma tau
-            z = -np.log(np.clip(1.0 - 2.0 * y, 1e-6, None))
-            g0 = max(float(np.polyfit(tau, z, 1)[0]) / 2.0, 0.0)
-        p, converged, it, jtj, cost, bounds = _damped_gauss_newton(
-            lambda p: self.predict(tau, p),
-            lambda p: self.jacobian(tau, p),
-            y, sig, [g0], lower=np.array([0.0]),
-        )
-        self.result_ = _build_result(
-            ("gamma",), p, converged, it, jtj, cost, len(y), bounds,
-            self.scale_sigma_by_chi2,
-        )
-        return self
-
-    def _fitted(self):
-        if not hasattr(self, "result_"):
-            raise FitInputError("estimator is not fitted")
-        return (self.result_.params["gamma"],)
+            return [(self.init_gamma,)]
+        # linearize: -ln(1 - 2 P) = 2 Gamma tau
+        z = -np.log(np.clip(1.0 - 2.0 * p_up, 1e-6, None))
+        return [(max(float(np.polyfit(tau, z, 1)[0]) / 2.0, 0.0),)]
 
 
 # -- functional wrappers ----------------------------------------------------
 
 
 def fit_thermometry(data: ScanDataset, geom: BeamGeometry, drive: OdfDrive,
-                    cfg: TrapIonConfig, init_omega_com=None, init_n_bar=5.0,
-                    scale_sigma_by_chi2=True) -> FitResult:
+                    cfg: TrapIonConfig, init_omega_com=None, init_n_bar=5.0) -> FitResult:
     est = ThermometryEstimator(geom, drive, cfg, init_omega_com=init_omega_com,
-                               init_n_bar=init_n_bar,
-                               scale_sigma_by_chi2=scale_sigma_by_chi2)
+                               init_n_bar=init_n_bar)
     return est.fit(data).result_
 
 
 def fit_precession(data: ScanDataset, gamma: float, tau: float,
-                   init_j_bar=None, scale_sigma_by_chi2=True) -> FitResult:
-    est = PrecessionEstimator(gamma, tau, init_j_bar=init_j_bar,
-                              scale_sigma_by_chi2=scale_sigma_by_chi2)
-    return est.fit(data).result_
+                   init_j_bar=None) -> FitResult:
+    return PrecessionEstimator(gamma, tau, init_j_bar=init_j_bar).fit(data).result_
 
 
-def fit_far_detuned_gamma(data: ScanDataset, init_gamma=None,
-                          scale_sigma_by_chi2=True) -> FitResult:
-    est = GammaDecayEstimator(init_gamma=init_gamma,
-                              scale_sigma_by_chi2=scale_sigma_by_chi2)
-    return est.fit(data).result_
+def fit_far_detuned_gamma(data: ScanDataset, init_gamma=None) -> FitResult:
+    return GammaDecayEstimator(init_gamma=init_gamma).fit(data).result_
 
 
 def f0_from_jbar(j_bar: float, sigma_j: float, cfg: TrapIonConfig,

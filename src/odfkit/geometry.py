@@ -36,7 +36,6 @@ class BeamGeometry:
 
     theta_odf: float  # rad, full separation angle of the two ODF beams
     laser_wavelength: float = 313.1e-9  # m
-    theta_eit: float = math.radians(18.0)  # rad, fixed per configuration
     tilt_error: float = 0.0  # rad, angle between delta_k and the rotation axis
 
     def __post_init__(self):

@@ -166,15 +166,53 @@ def loop_phases(
     return LoopPhases(alpha_total=complex(alpha_total), chi_arm=chi)
 
 
-def _lineshape_factors(f, delta, tau, n_ions, n_bar):
-    """C_ss and C_sm of the spin-echo sequence for drive scale f = F0 z0 / (2 hbar)."""
+def thermometry_model(mu, omega_com, n_bar, geom: BeamGeometry, drive: OdfDrive,
+                      cfg: TrapIonConfig, jac=False):
+    """Spin-echo thermometry P_up(mu) as a function of (omega_com, n_bar).
+
+    P_up = (1 - e^{-2 Gamma tau} C_ss C_sm) / 2 with
+    C_ss = cos(4 J)^(N-1), J the per-arm geometric phase, and
+    C_sm = exp(-2 |alpha_total|^2 (2 nbar + 1)).  omega_com enters through
+    the detuning and the wavepacket size z0, n_bar through C_sm and the
+    Debye-Waller factor.  With jac=True also returns the analytic
+    d P_up / d (omega_com, n_bar), shape (n, 2).
+    """
+    dk = delta_k(geom)
+    tau = drive.tau
+    z0sq = HBAR / (2.0 * cfg.ion_mass * omega_com)
+    eta_sq = dk * dk * z0sq
+    e_dw = 0.5 * eta_sq * (2.0 * n_bar + 1.0)
+    # drive scale f = F0 z0 / (2 hbar) = |delta_ac| dk z0 W / 2
+    f = abs(drive.delta_ac) * dk * math.sqrt(z0sq) * math.exp(-e_dw) / 2.0
+    delta = np.asarray(mu, dtype=float) - omega_com
     s = delta * tau
-    q = _q(s)
-    alpha_sq = f * f * delta * delta * tau ** 4 * q * q
-    j = f * f * tau ** 2 * _r(s)
-    c_ss = np.cos(4.0 * j) ** (n_ions - 1)
-    c_sm = np.exp(-2.0 * alpha_sq * (2.0 * n_bar + 1.0))
-    return c_ss, c_sm
+    q, r = _q(s), _r(s)
+    asq = f * f * delta * delta * tau ** 4 * q * q
+    j = f * f * tau ** 2 * r
+    n = cfg.n_ions
+    cos4j = np.cos(4.0 * j)
+    c_ss = cos4j ** (n - 1)
+    c_sm = np.exp(-2.0 * asq * (2.0 * n_bar + 1.0))
+    baseline = math.exp(-2.0 * drive.gamma * tau)
+    p_up = 0.5 * (1.0 - baseline * c_ss * c_sm)
+    if not jac:
+        return p_up
+    dq, dr = _dq(s), _dr(s)
+    # drive-scale sensitivities: f ~ W(omega, nbar) z0(omega)
+    f_w = f * (e_dw - 0.5) / omega_com
+    f_n = -eta_sq * f
+    # d s / d omega = -tau (through delta)
+    asq_w = 2.0 * f * f_w * delta ** 2 * tau ** 4 * q * q \
+        - f * f * tau ** 4 * (2.0 * delta * q * q + 2.0 * delta ** 2 * q * dq * tau)
+    asq_n = 2.0 * f * f_n * delta ** 2 * tau ** 4 * q * q
+    j_w = 2.0 * f * f_w * tau ** 2 * r - f * f * tau ** 3 * dr
+    j_n = 2.0 * f * f_n * tau ** 2 * r
+    dcss = -4.0 * (n - 1) * cos4j ** (n - 2) * np.sin(4.0 * j)
+    c_sm_w = c_sm * (-2.0 * (2.0 * n_bar + 1.0) * asq_w)
+    c_sm_n = c_sm * (-2.0 * (2.0 * n_bar + 1.0) * asq_n - 4.0 * asq)
+    dp_w = -0.5 * baseline * (dcss * j_w * c_sm + c_ss * c_sm_w)
+    dp_n = -0.5 * baseline * (dcss * j_n * c_sm + c_ss * c_sm_n)
+    return p_up, np.column_stack([dp_w, dp_n])
 
 
 def thermometry_lineshape(
@@ -186,18 +224,9 @@ def thermometry_lineshape(
 ) -> np.ndarray:
     """Bright-state population P_up(mu) of the spin-echo thermometry scan.
 
-    P_up = (1 - e^{-2 Gamma tau} C_ss C_sm) / 2 with
-    C_ss = cos(4 J)^(N-1), J the per-arm geometric phase, and
-    C_sm = exp(-2 |alpha_total|^2 (2 nbar + 1)).
+    thermometry_model at the configured omega_com and the state's n_bar.
     """
-    mu = np.asarray(mu_grid, dtype=float)
-    strengths = force_magnitude(geom, drive, cfg, state)
-    z0 = ground_state_extent(cfg)
-    f = strengths.f0 * z0 / (2.0 * HBAR)
-    delta = mu - cfg.omega_com
-    c_ss, c_sm = _lineshape_factors(f, delta, drive.tau, cfg.n_ions, state.n_bar)
-    baseline = math.exp(-2.0 * drive.gamma * drive.tau)
-    return 0.5 * (1.0 - baseline * c_ss * c_sm)
+    return thermometry_model(mu_grid, cfg.omega_com, state.n_bar, geom, drive, cfg)
 
 
 def precession_lineshape(j_bar: float, gamma: float, tau: float, theta1_grid) -> np.ndarray:
@@ -210,6 +239,11 @@ def precession_lineshape(j_bar: float, gamma: float, tau: float, theta1_grid) ->
     theta1 = np.asarray(theta1_grid, dtype=float)
     baseline = math.exp(-2.0 * gamma * tau)
     return 0.5 * (1.0 + baseline * np.sin(theta1) * np.sin(4.0 * j_bar * tau * np.cos(theta1)))
+
+
+def gamma_decay_lineshape(gamma: float, tau_grid) -> np.ndarray:
+    """Far-detuned decoherence decay P_up(tau) = (1 - e^{-2 Gamma tau}) / 2."""
+    return 0.5 * (1.0 - np.exp(-2.0 * gamma * np.asarray(tau_grid, dtype=float)))
 
 
 def ratio_curve(

@@ -13,14 +13,19 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.signal import lfilter
 
 from .core import OdfDrive, ThermalState, TrapIonConfig
 from .geometry import BeamGeometry
-from .interactions import loop_phases, precession_lineshape, thermometry_lineshape
+from .interactions import (
+    force_magnitude,
+    gamma_decay_lineshape,
+    loop_phases,
+    precession_lineshape,
+    thermometry_lineshape,
+)
 
 _PROBABILITY_KINDS = {"thermometry", "precession", "gamma"}
 
@@ -47,6 +52,9 @@ class ScanDataset:
         sigma = np.asarray(self.sigma, dtype=float)
         if not (len(abscissa) == len(p_up) == len(sigma)):
             raise ValueError("abscissa, p_up, sigma must have equal lengths")
+        for name, arr in (("abscissa", abscissa), ("p_up", p_up), ("sigma", sigma)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
         if self.meta.get("kind") in _PROBABILITY_KINDS:
             if np.any((p_up < 0) | (p_up > 1)):
                 raise ValueError("p_up must lie in [0, 1]")
@@ -68,24 +76,39 @@ class ScanDataset:
         else:
             header = ["t_s", "value"]
             cols = (self.abscissa, self.p_up)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in zip(*cols):
-                writer.writerow([f"{v:.17e}" for v in row])
+        _write_rows(path, header, zip(*cols))
 
     @classmethod
     def from_csv(cls, path, kind=None):
+        """Read a CSV written by to_csv; a malformed file is a ValueError naming it."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            rows = [[float(v) for v in row] for row in reader if row]
+            header = next(reader, None)
+            try:
+                rows = [[float(v) for v in row] for row in reader if row]
+            except ValueError as err:
+                raise ValueError(f"{path}: {err}") from None
+        if header is None or not rows:
+            raise ValueError(f"{path}: no data rows")
+        if len(header) < 2 or any(len(row) != len(header) for row in rows):
+            raise ValueError(f"{path}: every row must have as many fields as the header, "
+                             "at least 2")
         data = np.asarray(rows, dtype=float)
         meta = {"kind": kind, "source": str(path)} if kind else {"source": str(path)}
-        if len(header) >= 3:
-            return cls(abscissa=data[:, 0], p_up=data[:, 1], sigma=data[:, 2], meta=meta)
-        return cls(abscissa=data[:, 0], p_up=data[:, 1],
-                   sigma=np.zeros(len(data)), meta=meta)
+        sigma = data[:, 2] if len(header) >= 3 else np.zeros(len(data))
+        try:
+            return cls(abscissa=data[:, 0], p_up=data[:, 1], sigma=sigma, meta=meta)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
+
+
+def _write_rows(path, header, rows):
+    """The one CSV writer: header, then rows with floats as f"{v:.17e}"."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.17e}" if isinstance(v, float) else v for v in row])
 
 
 @dataclass(frozen=True)
@@ -192,25 +215,8 @@ def simulate_gamma_decay(
     if shots < 1:
         raise ValueError("shots must be >= 1")
     tau = np.asarray(tau_grid, dtype=float)
-    p_true = 0.5 * (1.0 - np.exp(-2.0 * gamma * tau))
+    p_true = gamma_decay_lineshape(gamma, tau)
     return _sample_scan(p_true, shots, seed, tau, "gamma", {"gamma": gamma})
-
-
-def simulate_scan(model: str, params: dict, grid, shots: int = 500, seed: int = 0) -> ScanDataset:
-    """Dispatch on model name; params carries the model's keyword objects."""
-    if model == "thermometry":
-        return simulate_thermometry(
-            params["geom"], params["drive"], params["cfg"], params["state"],
-            grid, shots=shots, seed=seed,
-        )
-    if model == "precession":
-        return simulate_precession(
-            params["j_bar"], params["gamma"], params["tau"],
-            grid, shots=shots, seed=seed,
-        )
-    if model == "gamma":
-        return simulate_gamma_decay(params["gamma"], grid, shots=shots, seed=seed)
-    raise ValueError(f"unknown scan model {model!r}")
 
 
 def simulate_angle_drift(model: DriftModel, duration: float, dt: float) -> ScanDataset:
@@ -238,11 +244,10 @@ def drift_probe_signal(
 
     Calibration model of the stability measurement: a tilt dtheta puts the
     in-plane component delta_k sin(dtheta) of the lattice on the rotating
-    crystal, driving the mode at omega_rot with effective force
-    F0 sin(dtheta); the probe sits at the lineshape peak delta = pi / tau.
+    crystal, modeled as an effective force F0 sin(dtheta) on the mode at
+    the probe detuning delta = pi / tau (the lineshape peak); the crystal
+    rotation frequency does not enter.
     """
-    from .interactions import force_magnitude
-
     strengths = force_magnitude(geom, drive, cfg, state)
     delta_probe = math.pi / drive.tau
     baseline = math.exp(-2.0 * drive.gamma * drive.tau)

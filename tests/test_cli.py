@@ -116,6 +116,23 @@ def test_fit_missing_file_is_input_error(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("text", [
+    "",
+    "abscissa,p_up,sigma\r\n",
+    "abscissa,p_up,sigma\r\n1,0.5,0.1\r\n2,0.5\r\n",
+    "abscissa,p_up,sigma\r\n1,0.5\r\n2,0.5\r\n",
+    "abscissa,p_up,sigma\r\n0.1,0.5,0.01\r\n0.2,nan,0.01\r\n0.3,0.5,0.01\r\n",
+], ids=["empty", "header-only", "ragged", "narrower-than-header", "nan"])
+def test_fit_malformed_csv_is_one_line_error(capsys, tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, "fit", "precession", "--data", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "data.csv" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_malformed_config_names_key(capsys, tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"drive": {"tau_ms": 0.5}}))
@@ -149,6 +166,13 @@ def test_optimize_angle_rejects_bad_window(capsys):
     code, _, err = run(capsys, "optimize-angle", "--window", "10:36")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("window", ["20", "12:20:36", "a:36"])
+def test_optimize_angle_unparsable_window_names_flag(capsys, window):
+    code, _, err = run(capsys, "optimize-angle", "--window", window)
+    assert code == 1
+    assert err.startswith("error: bad --window") and len(err.splitlines()) == 1
 
 
 def test_reproduce_fig1de(capsys, tmp_path):

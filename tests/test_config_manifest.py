@@ -59,6 +59,14 @@ def test_unknown_key_is_named(tmp_path):
     assert "ion_mass_kg" in str(err.value)
 
 
+@pytest.mark.parametrize("section,key", [("beams", "theta_eit_deg"), ("trap", "omega_rot_hz")])
+def test_removed_keys_are_rejected_by_name(tmp_path, section, key):
+    # both were parsed and never read; no compatibility path keeps them
+    path = write(tmp_path, {section: {key: 1.0}})
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+
+
 def test_unknown_section_rejected(tmp_path):
     path = write(tmp_path, {"lasers": {"power_w": 1.0}})
     with pytest.raises(ConfigError) as err:

@@ -19,6 +19,7 @@ from odfkit import (
     fit_precession,
     fit_thermometry,
     force_magnitude,
+    gamma_decay_lineshape,
     golden_section_max,
     j_bar,
     optimize_theta,
@@ -86,6 +87,28 @@ def test_gamma_jacobian_matches_fd():
     est = GammaDecayEstimator()
     grid = np.linspace(0.25e-3, 5e-3, 20)
     _check_jacobian(est, grid, (95.0,), rel_steps=(1e-6,))
+
+
+# -- one model shared by simulation and fitting ---------------------------------------
+
+
+@pytest.mark.parametrize("model", ["thermometry", "precession", "gamma"])
+def test_simulators_sample_the_fitted_model(model):
+    # the noiseless P_up the simulate_* functions sample is bit-identical to
+    # the estimator's prediction at the true parameters
+    if model == "thermometry":
+        n_bar = 10.7
+        truth = thermometry_lineshape(GEOM, DRIVE, CFG, ThermalState(n_bar), MU)
+        fitted = ThermometryEstimator(GEOM, DRIVE, CFG).predict(MU, (CFG.omega_com, n_bar))
+    elif model == "precession":
+        grid = np.linspace(0, 2 * math.pi, 40)
+        truth = precession_lineshape(1641.5, 100.0, 500e-6, grid)
+        fitted = PrecessionEstimator(gamma=100.0, tau=500e-6).predict(grid, (1641.5,))
+    else:
+        grid = np.linspace(0.25e-3, 5e-3, 20)
+        truth = gamma_decay_lineshape(95.0, grid)
+        fitted = GammaDecayEstimator().predict(grid, (95.0,))
+    assert np.array_equal(truth, fitted)
 
 
 # -- zero-noise round trips -----------------------------------------------------------
@@ -166,14 +189,6 @@ def test_fit_result_reports_both_sigma_conventions():
     # covariance is symmetric positive semidefinite
     assert np.allclose(result.covariance, result.covariance.T)
     assert np.all(np.linalg.eigvalsh(result.covariance) >= -1e-30)
-
-
-def test_chi2_scaling_flag():
-    ds = simulate_thermometry(GEOM, DRIVE, CFG, ThermalState(1.27), MU, shots=500, seed=2)
-    scaled = fit_thermometry(ds, GEOM, DRIVE, CFG, scale_sigma_by_chi2=True)
-    raw = fit_thermometry(ds, GEOM, DRIVE, CFG, scale_sigma_by_chi2=False)
-    assert raw.sigmas == raw.sigmas_unscaled
-    assert scaled.params == raw.params
 
 
 def test_thermometry_requires_six_points():

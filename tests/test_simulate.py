@@ -19,7 +19,6 @@ from odfkit import (
     simulate_gamma_decay,
     simulate_path_noise,
     simulate_precession,
-    simulate_scan,
     simulate_thermometry,
     thermometry_lineshape,
 )
@@ -45,6 +44,15 @@ def test_dataset_probability_invariants():
     with pytest.raises(ValueError):
         ScanDataset(abscissa=np.arange(2.0), p_up=np.array([0.5, 0.5]),
                     sigma=np.array([0.1, 0.0]), meta={"kind": "precession"})
+
+
+@pytest.mark.parametrize("kind", ["thermometry", "drift"])
+@pytest.mark.parametrize("field", ["abscissa", "p_up", "sigma"])
+def test_dataset_rejects_non_finite(kind, field):
+    arrays = {"abscissa": np.arange(2.0), "p_up": np.full(2, 0.5), "sigma": np.full(2, 0.1)}
+    arrays[field] = np.array([0.5, math.nan])
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ScanDataset(meta={"kind": kind}, **arrays)
 
 
 def test_dataset_time_series_allows_signed_values():
@@ -123,15 +131,6 @@ def test_wilson_sigma_floor():
     ds = simulate_gamma_decay(0.0, np.linspace(1e-4, 5e-3, 5), shots=200, seed=0)
     assert np.all(ds.p_up == 0.0)
     assert np.allclose(ds.sigma, 1.0 / (2 * 201.0))
-
-
-def test_simulate_scan_dispatch():
-    params = {"geom": GEOM, "drive": DRIVE, "cfg": CFG, "state": ThermalState(1.27)}
-    a = simulate_scan("thermometry", params, MU, shots=100, seed=3)
-    b = simulate_thermometry(GEOM, DRIVE, CFG, ThermalState(1.27), MU, shots=100, seed=3)
-    assert np.array_equal(a.p_up, b.p_up)
-    with pytest.raises(ValueError):
-        simulate_scan("interferometry", {}, MU)
 
 
 def test_shots_validation():
