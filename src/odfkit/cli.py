@@ -52,10 +52,10 @@ from .simulate import (
 )
 
 
-def _parse_fields(flag: str, spec: str, form: str, build):
-    """build(*fields) of a colon-separated argv value; errors name the flag."""
+def _parse_fields(flag: str, spec: str, form: str, build, sep=":"):
+    """build(*fields) of a sep-separated argv value; errors name the flag."""
     try:
-        return build(*spec.split(":"))
+        return build(*spec.split(sep))
     except (TypeError, ValueError) as err:  # TypeError: wrong number of fields
         raise ConfigError(f"bad {flag} {spec!r}, expected {form}") from err
 
@@ -109,7 +109,10 @@ def cmd_geom(args, scn: Scenario):
     if args.actuators:
         with open(args.actuators) as fh:
             doc = json.load(fh)
-        states = doc if isinstance(doc, list) else [doc, doc]
+        states = doc[:2] if isinstance(doc, list) else [doc]
+        if not states or not all(isinstance(s, dict) for s in states):
+            raise ConfigError(f"bad --actuators {args.actuators}: expected one or two "
+                              "poses, and each pose must be a JSON object")
         mirror = [
             ActuatorState(
                 rotary_angle=s.get("rotary_angle_deg", 0.0),
@@ -117,10 +120,10 @@ def cmd_geom(args, scn: Scenario):
                 tip=s.get("tip_deg", 0.0),
                 tilt=s.get("tilt_deg", 0.0),
             )
-            for s in states[:2]
+            for s in states
         ]
         try:
-            geom = angle_from_actuators(mirror[0], scn.mount, mirror[1])
+            geom = angle_from_actuators(mirror[0], scn.mount, mirror[-1])
             feasible = True
         except GeometryInfeasibleError as err:
             print(json.dumps({"feasible": False, "error": str(err)}, indent=2))
@@ -148,7 +151,8 @@ def cmd_geom(args, scn: Scenario):
 
 def cmd_curves(args, scn: Scenario):
     grid_deg = _parse_grid(args.grid or "1:40:80")
-    n_bars = [float(v) for v in (args.nbar or "0.1,1,10").split(",")]
+    n_bars = _parse_fields("--nbar", args.nbar or "0.1,1,10", "comma-separated numbers",
+                           lambda *fields: [float(v) for v in fields], sep=",")
     delta = detuning(scn.drive, scn.trap)
     rows = []
     for n_bar in n_bars:

@@ -280,8 +280,10 @@ class PrecessionEstimator(_Estimator):
             j0 = self.init_j_bar
         else:
             # slope of P_up near theta1 = 0: dP/dtheta1 -> 2 baseline jbar tau
+            if len(np.unique(theta1)) < 2:
+                raise FitInputError("need at least 2 distinct theta1 values")
             mask = theta1 <= 0.5 * math.pi
-            if mask.sum() < 2:
+            if len(np.unique(theta1[mask])) < 2:
                 mask = np.ones(len(theta1), bool)
             slope = np.polyfit(theta1[mask], p_up[mask], 1)[0]
             j0 = slope / (2.0 * math.exp(-2.0 * self.gamma * self.tau) * self.tau)

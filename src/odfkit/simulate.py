@@ -11,11 +11,11 @@ in-bore optics.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .core import OdfDrive, ThermalState, TrapIonConfig
 from .geometry import BeamGeometry
@@ -139,13 +139,6 @@ class PathNoiseModel:
             raise ValueError("amplitudes must be >= 0")
 
 
-def _point_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based per-point substream: Philox keyed by (seed, point index)."""
-    return np.random.Generator(
-        np.random.Philox(key=np.uint64(seed % 2 ** 64), counter=[0, 0, 0, index])
-    )
-
-
 def _binomial_sigma(p_hat: float, shots: int) -> float:
     """Standard error with a Wilson-interval floor at p_hat in {0, 1}."""
     if p_hat in (0.0, 1.0):
@@ -154,10 +147,22 @@ def _binomial_sigma(p_hat: float, shots: int) -> float:
 
 
 def _sample_scan(p_true, shots, seed, abscissa, kind, meta_extra):
+    """Draw point i from Philox keyed by seed at counter [0, 0, 0, i].
+
+    One bit generator serves the whole scan: before each draw it gets back
+    its fresh state (empty buffer) with the counter set to the point index,
+    which is the state of a new Philox(key=seed, counter=[0, 0, 0, i]).
+    """
+    bitgen = np.random.Philox(key=np.uint64(seed % 2 ** 64))
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    counter = state["state"]["counter"]
     p_hat = np.empty(len(p_true))
     sigma = np.empty(len(p_true))
     for i, p in enumerate(np.clip(p_true, 0.0, 1.0)):
-        counts = _point_rng(seed, i).binomial(shots, p)
+        counter[3] = i
+        bitgen.state = state
+        counts = rng.binomial(shots, p)
         p_hat[i] = counts / shots
         sigma[i] = _binomial_sigma(p_hat[i], shots)
     meta = {"kind": kind, "seed": seed, "shots": shots}
@@ -262,6 +267,13 @@ def drift_probe_signal(
     return ScanDataset(abscissa=drift.abscissa, p_up=p, sigma=np.zeros(len(p)), meta=meta)
 
 
+def _one_pole_lowpass(x, a):
+    """y[i] = (1 - a) x[i] + a y[i-1] with y[-1] = 0, in input order."""
+    b = 1.0 - a
+    return np.fromiter(itertools.accumulate((b * x).tolist(), lambda y, u: u + a * y),
+                       float, len(x))
+
+
 def simulate_path_noise(model: PathNoiseModel, duration: float, rate: float) -> ScanDataset:
     """Differential path-length series dl(t), meters, sampled at `rate`.
 
@@ -279,7 +291,7 @@ def simulate_path_noise(model: PathNoiseModel, duration: float, rate: float) -> 
     if model.slow_amplitude > 0:
         walk = np.cumsum(rng.standard_normal(n))
         a = math.exp(-2.0 * math.pi * model.slow_cutoff * dt)
-        slow = lfilter([1.0 - a], [1.0, -a], walk)  # one-pole IIR low-pass
+        slow = _one_pole_lowpass(walk, a)
         slow -= slow.mean()
         rms = math.sqrt(float(np.mean(slow * slow)))
         if rms > 0:

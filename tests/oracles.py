@@ -83,3 +83,22 @@ def grid_max(fun, lo, hi, n=10_000):
     ys = np.array([fun(x) for x in xs])
     i = int(np.argmax(ys))
     return float(xs[i]), float(ys[i])
+
+
+def one_pole_lowpass(x, a):
+    """y[i] = (1 - a) x[i] + a y[i-1], y[-1] = 0, as an explicit loop."""
+    y = np.empty(len(x))
+    prev = 0.0
+    for i, xi in enumerate(x):
+        prev = (1.0 - a) * float(xi) + a * prev
+        y[i] = prev
+    return y
+
+
+def per_point_binomial(p_true, shots, seed):
+    """Counts with a new Generator(Philox(key=seed, counter=[0, 0, 0, i])) per point."""
+    counts = np.empty(len(p_true), dtype=np.int64)
+    for i, p in enumerate(np.clip(p_true, 0.0, 1.0)):
+        bitgen = np.random.Philox(key=np.uint64(seed % 2 ** 64), counter=[0, 0, 0, i])
+        counts[i] = np.random.Generator(bitgen).binomial(shots, p)
+    return counts

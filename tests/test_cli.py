@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import odfkit
 from odfkit import ScanDataset, simulate_gamma_decay
 from odfkit.cli import main
 
@@ -43,6 +48,28 @@ def test_geom_actuator_pose(capsys, tmp_path):
     assert record["theta_deg"] == pytest.approx(28.0, abs=1e-6)
 
 
+def test_geom_one_pose_list_sets_both_mirrors(capsys, tmp_path):
+    pose = tmp_path / "pose.json"
+    results = []
+    for doc in ([{"rotary_angle_deg": 3.0}], {"rotary_angle_deg": 3.0}):
+        pose.write_text(json.dumps(doc))
+        results.append(run(capsys, "geom", "--actuators", str(pose)))
+    assert results[0][0] == 0
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("doc", [[1, 2], [], 5, [{}, "pose"]],
+                         ids=["numbers", "empty", "number", "string-pose"])
+def test_geom_actuators_not_poses_is_one_line_error(capsys, tmp_path, doc):
+    pose = tmp_path / "pose.json"
+    pose.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "geom", "--actuators", str(pose))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bad --actuators") and "JSON object" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_curves_writes_csv_and_manifest(capsys, tmp_path):
     code, _, _ = run(capsys, "curves", "--out", str(tmp_path),
                      "--grid", "10:30:5", "--nbar", "1.27")
@@ -52,6 +79,13 @@ def test_curves_writes_csv_and_manifest(capsys, tmp_path):
     assert len(lines) == 6
     manifest = json.loads((tmp_path / "curves.manifest.json").read_text())
     assert manifest["command"] == "curves"
+
+
+@pytest.mark.parametrize("nbar", ["x", "1,,2"])
+def test_curves_unparsable_nbar_names_flag(capsys, tmp_path, nbar):
+    code, _, err = run(capsys, "curves", "--out", str(tmp_path), "--nbar", nbar)
+    assert code == 1
+    assert err.startswith("error: bad --nbar") and len(err.splitlines()) == 1
 
 
 def test_ratio_scan_cold_ratio(capsys, tmp_path):
@@ -131,6 +165,29 @@ def test_fit_malformed_csv_is_one_line_error(capsys, tmp_path, text):
     assert out == ""
     assert err.startswith("error:") and "data.csv" in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("abscissa", [[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]])
+def test_fit_precession_single_abscissa_is_one_line_error(capfd, tmp_path, abscissa):
+    # capfd, not capsys: LAPACK writes its DLASCL lines to file descriptor 2
+    path = tmp_path / "data.csv"
+    path.write_text("abscissa,p_up,sigma\n"
+                    + "".join(f"{x},{p},0.01\n" for x, p in zip(abscissa, (0.1, 0.2, 0.15))))
+    code, out, err = run(capfd, "fit", "precession", "--data", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: need at least 2 distinct theta1 values\n"
+
+
+def test_fit_precession_repeated_small_abscissa_uses_all_points(capfd, tmp_path):
+    # the theta1 <= pi/2 points give no slope; the start falls back to all points
+    path = tmp_path / "data.csv"
+    path.write_text("abscissa,p_up,sigma\n0,0.1,0.01\n0,0.2,0.01\n3,0.15,0.01\n"
+                    "4,0.15,0.01\n")
+    code, out, err = run(capfd, "fit", "precession", "--data", str(path))
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["converged"] is True
 
 
 def test_malformed_config_names_key(capsys, tmp_path):
@@ -221,6 +278,14 @@ def test_every_subcommand_has_help(capsys, cmd):
     out = capsys.readouterr().out
     assert code == 0
     assert "usage" in out.lower()
+
+
+def test_cli_import_loads_no_scipy():
+    probe = "import sys, odfkit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(odfkit.__file__).parents[1])})
+    assert done.stdout.strip() == "[]"
 
 
 def test_unknown_subcommand_fails(capsys):

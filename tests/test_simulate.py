@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from odfkit import (
     BeamGeometry,
     DriftModel,
@@ -22,6 +23,7 @@ from odfkit import (
     simulate_thermometry,
     thermometry_lineshape,
 )
+from odfkit.simulate import _one_pole_lowpass, _sample_scan
 
 CFG = TrapIonConfig()
 GEOM = BeamGeometry(theta_odf=math.radians(28.0))
@@ -126,6 +128,16 @@ def test_sigma_coverage_over_1000_seeds():
     assert 0.60 <= hits / total <= 0.75
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 + 5])
+def test_sampler_matches_per_point_generators(seed):
+    # one Philox whose counter is reset per point draws what a new
+    # Philox(key=seed, counter=[0, 0, 0, i]) per point draws
+    p_true = np.concatenate([[0.0, 1.0, -0.1, 1.1, 0.5],
+                             np.random.default_rng(seed).random(3000)])
+    ds = _sample_scan(p_true, 300, seed, np.arange(len(p_true)), "precession", {})
+    assert np.array_equal(ds.p_up, oracles.per_point_binomial(p_true, 300, seed) / 300)
+
+
 def test_wilson_sigma_floor():
     # truth pinned at 0 still yields a usable positive sigma
     ds = simulate_gamma_decay(0.0, np.linspace(1e-4, 5e-3, 5), shots=200, seed=0)
@@ -212,6 +224,22 @@ def test_path_noise_spectral_split():
     freqs = np.fft.rfftfreq(len(series), d=1.0 / 100.0)
     below = spectrum[freqs <= model.slow_cutoff].sum()
     assert below / spectrum.sum() >= 0.80
+
+
+@pytest.mark.parametrize("n", [1, 2, 5000])
+def test_lowpass_matches_loop_oracle(n):
+    walk = np.cumsum(np.random.default_rng(n).standard_normal(n))
+    a = math.exp(-2.0 * math.pi * 0.1 / 100.0)
+    assert np.array_equal(_one_pole_lowpass(walk, a), oracles.one_pole_lowpass(walk, a))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lowpass_matches_scipy_lfilter(seed):
+    signal = pytest.importorskip("scipy.signal")
+    walk = np.cumsum(np.random.default_rng(seed).standard_normal(20_000))
+    a = math.exp(-2.0 * math.pi * 0.1 / 100.0)
+    expected = signal.lfilter([1.0 - a], [1.0, -a], walk)
+    assert np.array_equal(_one_pole_lowpass(walk, a), expected)
 
 
 def test_path_noise_validation():
