@@ -38,7 +38,6 @@ from .interactions import (
     j_bar,
     loop_phases,
     precession_lineshape,
-    ratio_curve,
     thermometry_lineshape,
     thermometry_model,
 )

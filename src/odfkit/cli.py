@@ -10,6 +10,7 @@ a JSON manifest sidecar recording the config digest and seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -19,7 +20,7 @@ import numpy as np
 
 from .configio import ConfigError, Scenario, load_config
 from .constants import TWO_PI
-from .core import OdfDrive, ThermalState, detuning
+from .core import OdfDrive, ThermalState
 from .fitting import (
     FitInputError,
     f0_from_jbar,
@@ -38,7 +39,7 @@ from .geometry import (
     effective_wavelength,
     misalignment_phase,
 )
-from .interactions import force_magnitude, j_bar, ratio_curve
+from .interactions import force_magnitude
 from .manifest import write_manifest
 from .simulate import (
     DriftModel,
@@ -82,6 +83,10 @@ def _emit(args, name, data, scn: Scenario, seed=None):
         _write_rows(csv_path, *data)
     write_manifest(out / f"{name}.manifest.json", name, sidecar, seed)
     print(f"wrote {csv_path}")
+
+
+# fitted thermometry parameters in the CLI's units: omega_com as Hz
+_THERMOMETRY_UNITS = {"omega_com": ("omega_com_hz", 1.0 / TWO_PI), "n_bar": ("n_bar", 1.0)}
 
 
 def _fit_result_json(result, unit_map=None):
@@ -151,31 +156,31 @@ def cmd_geom(args, scn: Scenario):
 
 def cmd_curves(args, scn: Scenario):
     grid_deg = _parse_grid(args.grid or "1:40:80")
-    n_bars = _parse_fields("--nbar", args.nbar or "0.1,1,10", "comma-separated numbers",
-                           lambda *fields: [float(v) for v in fields], sep=",")
-    delta = detuning(scn.drive, scn.trap)
+    states = _parse_fields("--nbar", args.nbar or "0.1,1,10",
+                           "comma-separated numbers >= 0",
+                           lambda *fields: [ThermalState(n_bar=float(v)) for v in fields],
+                           sep=",")
+    geom = BeamGeometry(theta_odf=np.radians(grid_deg),
+                        laser_wavelength=scn.beams.laser_wavelength)
     rows = []
-    for n_bar in n_bars:
-        state = ThermalState(n_bar=n_bar)
-        for theta_deg in grid_deg:
-            geom = BeamGeometry(theta_odf=math.radians(theta_deg),
-                                laser_wavelength=scn.beams.laser_wavelength)
-            s = force_magnitude(geom, scn.drive, scn.trap, state)
-            jb = j_bar(s.f0, scn.trap, delta) if delta != 0 else float("nan")
-            rows.append((float(theta_deg), n_bar, s.f0, jb))
+    for state in states:
+        s = force_magnitude(geom, scn.drive, scn.trap, state)
+        jb = s.j_bar.tolist() if s.j_bar is not None else itertools.repeat(math.nan)
+        rows += zip(grid_deg.tolist(), itertools.repeat(state.n_bar), s.f0.tolist(), jb)
     _emit(args, "curves", (["theta_deg", "n_bar", "F0_N", "Jbar_rad_s"], rows), scn)
     return 0
 
 
 def cmd_ratio_scan(args, scn: Scenario):
-    grid_deg = _parse_grid(args.grid or "12:36:49")
-    rows = [
-        (math.degrees(theta), f0, gamma, ratio)
-        for theta, f0, gamma, ratio in ratio_curve(
-            np.radians(grid_deg), scn.drive, scn.trap, scn.thermal,
-            laser_wavelength=scn.beams.laser_wavelength,
-        )
-    ]
+    # |delta_ac| and Gamma are held theta-independent: the fixed-optical-power
+    # comparison the ratio is defined for
+    theta = np.radians(_parse_grid(args.grid or "12:36:49"))
+    geom = BeamGeometry(theta_odf=theta, laser_wavelength=scn.beams.laser_wavelength)
+    s = force_magnitude(geom, scn.drive, scn.trap, scn.thermal)
+    if s.f0_over_gamma is None:
+        raise ConfigError("ratio-scan needs drive.gamma_per_s > 0")
+    rows = zip(np.degrees(theta).tolist(), s.f0.tolist(), itertools.repeat(scn.drive.gamma),
+               s.f0_over_gamma.tolist())
     _emit(args, "ratio_scan", (["theta_deg", "F0_N", "Gamma_Hz", "ratio"], rows), scn)
     return 0
 
@@ -214,10 +219,7 @@ def cmd_fit(args, scn: Scenario):
     dataset = ScanDataset.from_csv(args.data, kind=args.model)
     if args.model == "thermometry":
         result = fit_thermometry(dataset, scn.beams, scn.drive, scn.trap)
-        payload = _fit_result_json(result, {
-            "omega_com": ("omega_com_hz", 1.0 / TWO_PI),
-            "n_bar": ("n_bar", 1.0),
-        })
+        payload = _fit_result_json(result, _THERMOMETRY_UNITS)
     elif args.model == "precession":
         result = fit_precession(dataset, scn.drive.gamma, scn.drive.tau)
         payload = _fit_result_json(result)
@@ -267,10 +269,7 @@ def _reproduce_fig3c(args, scn: Scenario):
                                        grid, shots=args.shots, seed=args.seed)
         _emit(args, f"fig3c_{label}", dataset, scn, args.seed)
         result = fit_thermometry(dataset, scn.beams, scn.drive, scn.trap)
-        fits[label] = _fit_result_json(result, {
-            "omega_com": ("omega_com_hz", 1.0 / TWO_PI),
-            "n_bar": ("n_bar", 1.0),
-        })
+        fits[label] = _fit_result_json(result, _THERMOMETRY_UNITS)
     out = Path(args.out) / "fig3c_fits.json"
     with open(out, "w") as fh:
         json.dump(fits, fh, indent=2)

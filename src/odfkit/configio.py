@@ -89,6 +89,9 @@ def _validate_sections(doc: dict, path: str = "config"):
             elif not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"{path}.{section}.{key}: expected number, "
                                   f"got {type(value).__name__}")
+            elif isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{path}.{section}.{key}: expected a finite number, "
+                                  f"got {value}")
 
 
 def _merge(base: dict, overrides: dict) -> dict:

@@ -42,8 +42,8 @@ class ThermalState:
     n_bar: float = 1.27
 
     def __post_init__(self):
-        if self.n_bar < 0:
-            raise ValueError(f"n_bar must be >= 0, got {self.n_bar}")
+        if not (math.isfinite(self.n_bar) and self.n_bar >= 0):
+            raise ValueError(f"n_bar must be finite and >= 0, got {self.n_bar}")
 
 
 @dataclass(frozen=True)

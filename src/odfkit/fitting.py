@@ -313,6 +313,8 @@ class GammaDecayEstimator(_Estimator):
     def _starts(self, tau, p_up):
         if self.init_gamma is not None:
             return [(self.init_gamma,)]
+        if len(np.unique(tau)) < 2:
+            raise FitInputError("need at least 2 distinct tau values")
         # linearize: -ln(1 - 2 P) = 2 Gamma tau
         z = -np.log(np.clip(1.0 - 2.0 * p_up, 1e-6, None))
         return [(max(float(np.polyfit(tau, z, 1)[0]) / 2.0, 0.0),)]

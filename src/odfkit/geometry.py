@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import TWO_PI
 
 
@@ -32,15 +34,21 @@ class AngleRangeError(ValueError):
 
 @dataclass(frozen=True)
 class BeamGeometry:
-    """Everything that determines delta_k and its orientation."""
+    """Everything that determines delta_k and its orientation.
 
-    theta_odf: float  # rad, full separation angle of the two ODF beams
+    theta_odf may be an array of angles; delta_k and the interaction
+    figures built on it are then evaluated elementwise.
+    """
+
+    theta_odf: float | np.ndarray  # rad, full separation angle of the two ODF beams
     laser_wavelength: float = 313.1e-9  # m
     tilt_error: float = 0.0  # rad, angle between delta_k and the rotation axis
 
     def __post_init__(self):
-        if not 0.0 <= self.theta_odf < math.pi:
-            raise ValueError(f"theta_odf must be in [0, pi), got {self.theta_odf}")
+        theta = np.ravel(self.theta_odf)
+        outside = theta[~((0.0 <= theta) & (theta < math.pi))]
+        if outside.size:
+            raise ValueError(f"theta_odf must be in [0, pi), got {outside[0]}")
         if self.tilt_error < 0:
             raise ValueError(f"tilt_error must be >= 0, got {self.tilt_error}")
         if self.laser_wavelength <= 0:
@@ -111,14 +119,14 @@ class MountGeometry:
             raise ValueError("need 0 < theta_min < theta_max < pi")
 
 
-def delta_k(geom: BeamGeometry) -> float:
-    """Difference wave vector magnitude |k1 - k2| in 1/m.
+def delta_k(geom: BeamGeometry) -> float | np.ndarray:
+    """Difference wave vector magnitude |k1 - k2| in 1/m, per angle of geom.
 
     Both beams share one wavelength; the ~MHz beat shifts |k| by a
     relative 4e-9 and is neglected.
     """
     k0 = TWO_PI / geom.laser_wavelength
-    return 2.0 * k0 * math.sin(0.5 * geom.theta_odf)
+    return 2.0 * k0 * np.sin(0.5 * geom.theta_odf)
 
 
 def effective_wavelength(geom: BeamGeometry) -> float:

@@ -44,17 +44,17 @@ class ResonanceSingularityError(ValueError):
 
 @dataclass(frozen=True)
 class InteractionStrengths:
-    f0: float  # N
-    debye_waller: float  # dimensionless, in (0, 1]
-    lamb_dicke: float  # dimensionless, delta_k * z0
-    j_bar: float | None = None  # rad/s; None exactly on resonance
-    f0_over_gamma: float | None = None  # N s; None when gamma = 0
+    f0: float | np.ndarray  # N
+    debye_waller: float | np.ndarray  # dimensionless, in (0, 1]
+    lamb_dicke: float | np.ndarray  # dimensionless, delta_k * z0
+    j_bar: float | np.ndarray | None = None  # rad/s; None exactly on resonance
+    f0_over_gamma: float | np.ndarray | None = None  # N s; None when gamma = 0
 
 
 @dataclass(frozen=True)
 class LoopPhases:
-    alpha_total: complex  # net displacement after the sequence, phase-space quanta
-    chi_arm: float  # rad, geometric phase accumulated per arm
+    alpha_total: complex | np.ndarray  # net displacement after the sequence, phase-space quanta
+    chi_arm: float | np.ndarray  # rad, geometric phase accumulated per arm
 
 
 def _q(s):
@@ -101,17 +101,28 @@ def _dr(s):
     return np.where(small, series, exact)
 
 
+def _math_exp(x):
+    """math.exp, elementwise when x is an array.
+
+    np.exp differs from math.exp by 1 ulp at some arguments; mapping
+    math.exp keeps array results equal to the scalar ones bit for bit.
+    """
+    if not isinstance(x, np.ndarray):
+        return math.exp(x)
+    return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 def force_magnitude(
     geom: BeamGeometry,
     drive: OdfDrive,
     cfg: TrapIonConfig,
     state: ThermalState,
 ) -> InteractionStrengths:
-    """Evaluate F0 and the derived coupling figures for one operating point."""
+    """Evaluate F0 and the derived coupling figures at each angle of geom."""
     dk = delta_k(geom)
     z0 = ground_state_extent(cfg)
     zsq = thermal_extent_sq(cfg, state)
-    dw = math.exp(-0.5 * dk * dk * zsq)
+    dw = _math_exp(-0.5 * dk * dk * zsq)
     f0 = HBAR * abs(drive.delta_ac) * dk * dw
     delta = detuning(drive, cfg)
     jb = j_bar(f0, cfg, delta) if delta != 0.0 else None
@@ -125,7 +136,7 @@ def force_magnitude(
     )
 
 
-def j_bar(f0: float, cfg: TrapIonConfig, delta: float) -> float:
+def j_bar(f0: float | np.ndarray, cfg: TrapIonConfig, delta: float) -> float | np.ndarray:
     """Uniform pairwise Ising coupling F0^2 / (4 hbar M omega_com delta), rad/s."""
     if delta == 0.0:
         raise ResonanceSingularityError("j_bar diverges at delta = 0")
@@ -133,7 +144,7 @@ def j_bar(f0: float, cfg: TrapIonConfig, delta: float) -> float:
 
 
 def loop_phases(
-    f0: float,
+    f0: float | np.ndarray,
     cfg: TrapIonConfig,
     delta: float,
     tau: float,
@@ -141,6 +152,7 @@ def loop_phases(
 ) -> LoopPhases:
     """Spin-dependent displacement and geometric phase of the driven COM mode.
 
+    f0 is a force or an array of forces; delta and tau are scalars.
     sequence is "single_arm" (one drive period tau) or "spin_echo" (two
     arms with the drive sign flipped by the central pi pulse).  delta = 0
     is handled by the analytic limits, not an error.
@@ -157,13 +169,15 @@ def loop_phases(
         one_minus_eis_over_delta = tau * (-1j + s / 2.0 + 1j * s * s / 6.0)
     else:
         one_minus_eis_over_delta = (1.0 - np.exp(1j * s)) / delta
-    alpha_arm = f * one_minus_eis_over_delta
+    alpha_total = f * one_minus_eis_over_delta  # the first arm
     if sequence == "spin_echo":
-        alpha_total = alpha_arm * (1.0 - np.exp(1j * s))
-    else:
-        alpha_total = alpha_arm
-    chi = f * f * tau ** 2 * float(_r(s))
-    return LoopPhases(alpha_total=complex(alpha_total), chi_arm=chi)
+        # times (1 - e^{is}), written out: numpy's array complex product fuses
+        # multiply-adds, so it can differ by 1 ulp from the scalar product
+        echo = 1.0 - np.exp(1j * s)
+        ar, ai = alpha_total.real, alpha_total.imag
+        alpha_total = (ar * echo.real - ai * echo.imag) + 1j * (ar * echo.imag + ai * echo.real)
+    chi = f * f * tau ** 2 * _r(s)
+    return LoopPhases(alpha_total=alpha_total, chi_arm=chi)
 
 
 def thermometry_model(mu, omega_com, n_bar, geom: BeamGeometry, drive: OdfDrive,
@@ -244,28 +258,6 @@ def precession_lineshape(j_bar: float, gamma: float, tau: float, theta1_grid) ->
 def gamma_decay_lineshape(gamma: float, tau_grid) -> np.ndarray:
     """Far-detuned decoherence decay P_up(tau) = (1 - e^{-2 Gamma tau}) / 2."""
     return 0.5 * (1.0 - np.exp(-2.0 * gamma * np.asarray(tau_grid, dtype=float)))
-
-
-def ratio_curve(
-    theta_grid,
-    drive: OdfDrive,
-    cfg: TrapIonConfig,
-    state: ThermalState,
-    laser_wavelength: float = 313.1e-9,
-) -> list[tuple[float, float, float, float]]:
-    """(theta_odf, F0, Gamma, F0/Gamma) across a theta grid at fixed power.
-
-    |delta_ac| and Gamma are held theta-independent, matching the
-    fixed-optical-power comparison the ratio is defined for.
-    """
-    if drive.gamma <= 0:
-        raise ValueError("ratio_curve requires gamma > 0")
-    rows = []
-    for theta in np.asarray(theta_grid, dtype=float):
-        geom = BeamGeometry(theta_odf=float(theta), laser_wavelength=laser_wavelength)
-        s = force_magnitude(geom, drive, cfg, state)
-        rows.append((float(theta), s.f0, drive.gamma, s.f0 / drive.gamma))
-    return rows
 
 
 def force_turnover_angle(

@@ -139,13 +139,6 @@ class PathNoiseModel:
             raise ValueError("amplitudes must be >= 0")
 
 
-def _binomial_sigma(p_hat: float, shots: int) -> float:
-    """Standard error with a Wilson-interval floor at p_hat in {0, 1}."""
-    if p_hat in (0.0, 1.0):
-        return 1.0 / (2.0 * (shots + 1.0))
-    return math.sqrt(p_hat * (1.0 - p_hat) / shots)
-
-
 def _sample_scan(p_true, shots, seed, abscissa, kind, meta_extra):
     """Draw point i from Philox keyed by seed at counter [0, 0, 0, i].
 
@@ -157,14 +150,15 @@ def _sample_scan(p_true, shots, seed, abscissa, kind, meta_extra):
     rng = np.random.Generator(bitgen)
     state = bitgen.state
     counter = state["state"]["counter"]
-    p_hat = np.empty(len(p_true))
-    sigma = np.empty(len(p_true))
+    counts = np.empty(len(p_true), dtype=np.int64)
     for i, p in enumerate(np.clip(p_true, 0.0, 1.0)):
         counter[3] = i
         bitgen.state = state
-        counts = rng.binomial(shots, p)
-        p_hat[i] = counts / shots
-        sigma[i] = _binomial_sigma(p_hat[i], shots)
+        counts[i] = rng.binomial(shots, p)
+    p_hat = counts / shots
+    # standard error, with a Wilson-interval floor where p_hat is 0 or 1
+    sigma = np.where((p_hat == 0.0) | (p_hat == 1.0), 1.0 / (2.0 * (shots + 1.0)),
+                     np.sqrt(p_hat * (1.0 - p_hat) / shots))
     meta = {"kind": kind, "seed": seed, "shots": shots}
     meta.update(meta_extra)
     return ScanDataset(abscissa=np.asarray(abscissa, float), p_up=p_hat,
@@ -256,12 +250,14 @@ def drift_probe_signal(
     strengths = force_magnitude(geom, drive, cfg, state)
     delta_probe = math.pi / drive.tau
     baseline = math.exp(-2.0 * drive.gamma * drive.tau)
-    p = np.empty(len(drift))
-    for i, dtheta_deg in enumerate(drift.p_up):
-        f0_eff = strengths.f0 * abs(math.sin(math.radians(dtheta_deg)))
-        phases = loop_phases(f0_eff, cfg, delta_probe, drive.tau, "spin_echo")
-        c_sm = math.exp(-2.0 * abs(phases.alpha_total) ** 2 * (2.0 * state.n_bar + 1.0))
-        p[i] = 0.5 * (1.0 - baseline * c_sm)
+    f0_eff = strengths.f0 * np.abs(np.sin(np.radians(drift.p_up)))
+    phases = loop_phases(f0_eff, cfg, delta_probe, drive.tau, "spin_echo")
+    # in scalar arithmetic: np.abs, ** 2 and np.exp on arrays can each differ
+    # by 1 ulp from abs (hypot), pow and math.exp
+    occupation = 2.0 * state.n_bar + 1.0
+    c_sm = np.fromiter((math.exp(-2.0 * abs(a) ** 2 * occupation)
+                        for a in phases.alpha_total.tolist()), float, len(drift))
+    p = 0.5 * (1.0 - baseline * c_sm)
     meta = dict(drift.meta)
     meta["kind"] = "drift_probe"
     return ScanDataset(abscissa=drift.abscissa, p_up=p, sigma=np.zeros(len(p)), meta=meta)

@@ -102,3 +102,23 @@ def per_point_binomial(p_true, shots, seed):
         bitgen = np.random.Philox(key=np.uint64(seed % 2 ** 64), counter=[0, 0, 0, i])
         counts[i] = np.random.Generator(bitgen).binomial(shots, p)
     return counts
+
+
+def per_sample_drift_probe(drift_deg, f0, z0, n_bar, gamma, tau):
+    """P_up of the drift probe one sample at a time, in scalar arithmetic.
+
+    The spin-echo displacement at the probe detuning delta = pi / tau,
+    alpha = f (1 - e^{i s})^2 / delta with f = F0 |sin(dtheta)| z0 / (2 hbar),
+    evaluated per sample with numpy complex scalars, then
+    P_up = (1 - e^{-2 Gamma tau} exp(-2 |alpha|^2 (2 nbar + 1))) / 2.
+    """
+    delta = math.pi / tau
+    s = delta * tau
+    baseline = math.exp(-2.0 * gamma * tau)
+    p = []
+    for dtheta in drift_deg:
+        f = f0 * abs(math.sin(math.radians(dtheta))) * z0 / (2.0 * HBAR)
+        alpha = f * ((1.0 - np.exp(1j * s)) / delta) * (1.0 - np.exp(1j * s))
+        p.append(0.5 * (1.0 - baseline * math.exp(-2.0 * abs(complex(alpha)) ** 2
+                                                   * (2.0 * n_bar + 1.0))))
+    return np.array(p)

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 import odfkit
-from odfkit import ScanDataset, simulate_gamma_decay
+from odfkit import (
+    BeamGeometry,
+    ScanDataset,
+    ThermalState,
+    force_magnitude,
+    load_config,
+    simulate_gamma_decay,
+)
 from odfkit.cli import main
 
 
@@ -88,12 +95,83 @@ def test_curves_unparsable_nbar_names_flag(capsys, tmp_path, nbar):
     assert err.startswith("error: bad --nbar") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("nbar", ["nan", "inf", "-1"])
+def test_curves_non_finite_nbar_names_flag(capsys, tmp_path, nbar):
+    code, out, err = run(capsys, "curves", "--out", str(tmp_path), "--nbar", nbar,
+                         "--grid", "10:20:2")
+    assert code == 1
+    assert out == "" and not (tmp_path / "curves.csv").exists()
+    assert err.startswith("error: bad --nbar") and len(err.splitlines()) == 1
+
+
+def test_curves_on_resonance_writes_nan_coupling(capsys, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"drive": {"mu_hz": 1.1e6}}))
+    code, _, _ = run(capsys, "curves", "--out", str(tmp_path), "--config", str(cfg),
+                     "--grid", "10:30:5", "--nbar", "0,1.27")
+    assert code == 0
+    rows = [r.split(",") for r in (tmp_path / "curves.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 10
+    assert all(r[3] == "nan" and float(r[2]) > 0 for r in rows)
+
+
+@pytest.mark.parametrize("command", ["curves", "ratio-scan"])
+def test_grid_outside_angle_range_is_one_line_error(capsys, tmp_path, command):
+    code, out, err = run(capsys, command, "--out", str(tmp_path), "--grid", "0:200:50")
+    assert code == 1
+    assert out == ""
+    assert err == "error: theta_odf must be in [0, pi), got 3.20570678937734\n"
+
+
 def test_ratio_scan_cold_ratio(capsys, tmp_path):
     code, _, _ = run(capsys, "ratio-scan", "--out", str(tmp_path), "--grid", "14:28:2")
     assert code == 0
     rows = (tmp_path / "ratio_scan.csv").read_text().splitlines()[1:]
     ratios = [float(r.split(",")[3]) for r in rows]
     assert ratios[1] / ratios[0] == pytest.approx(1.86, abs=0.01)
+
+
+def test_ratio_scan_hot_rows_are_the_force_model(capsys, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"thermal": {"n_bar": 10.7}}))
+    code, _, _ = run(capsys, "ratio-scan", "--out", str(tmp_path), "--config", str(cfg),
+                     "--grid", "14:28:2")
+    assert code == 0
+    rows = np.loadtxt(tmp_path / "ratio_scan.csv", delimiter=",", skiprows=1)
+    assert rows[1, 3] / rows[0, 3] == pytest.approx(1.3284, rel=1e-3)
+    scn = load_config(str(cfg))
+    s = force_magnitude(BeamGeometry(theta_odf=np.radians(rows[:, 0])), scn.drive,
+                        scn.trap, scn.thermal)
+    assert np.array_equal(rows[:, 1], s.f0)
+    assert np.array_equal(rows[:, 3], s.f0_over_gamma)
+
+
+def test_ratio_scan_zero_gamma_names_key(capsys, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"drive": {"gamma_per_s": 0}}))
+    code, out, err = run(capsys, "ratio-scan", "--out", str(tmp_path), "--config", str(cfg))
+    assert code == 1
+    assert out == "" and not (tmp_path / "ratio_scan.csv").exists()
+    assert err.startswith("error:") and "gamma_per_s" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text,argv,key", [
+    ('{"thermal": {"n_bar": NaN}}', ["ratio-scan"], "config.thermal.n_bar"),
+    ('{"drive": {"tau_s": NaN}}', ["simulate", "thermometry"], "config.drive.tau_s"),
+    ('{"drive": {"gamma_per_s": Infinity}}', ["ratio-scan"], "config.drive.gamma_per_s"),
+    ('{"beams": {"theta_odf_deg": 1e400}}', ["geom"], "config.beams.theta_odf_deg"),
+    ('{"scenarios": {"hot": {"thermal": {"n_bar": -Infinity}}}}',
+     ["ratio-scan", "--scenario", "hot"], "config.scenarios.hot.thermal.n_bar"),
+], ids=["nbar-nan", "tau-nan", "gamma-inf", "theta-overflow", "scenario-nbar"])
+def test_non_finite_config_value_names_key(capsys, tmp_path, text, argv, key):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path), "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {key}: expected a finite number")
+    assert len(err.splitlines()) == 1
 
 
 def test_simulate_is_byte_reproducible(capsys, tmp_path):
@@ -177,6 +255,18 @@ def test_fit_precession_single_abscissa_is_one_line_error(capfd, tmp_path, absci
     assert code == 1
     assert out == ""
     assert err == "error: need at least 2 distinct theta1 values\n"
+
+
+@pytest.mark.parametrize("abscissa", [[0.001, 0.001, 0.001], [0.0, 0.0, 0.0]])
+def test_fit_gamma_single_abscissa_is_one_line_error(capfd, tmp_path, abscissa):
+    # a RankWarning (one nonzero tau) or DLASCL lines (all zero) came before
+    path = tmp_path / "data.csv"
+    path.write_text("abscissa,p_up,sigma\n"
+                    + "".join(f"{x},{p},0.01\n" for x, p in zip(abscissa, (0.1, 0.2, 0.15))))
+    code, out, err = run(capfd, "fit", "gamma", "--data", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: need at least 2 distinct tau values\n"
 
 
 def test_fit_precession_repeated_small_abscissa_uses_all_points(capfd, tmp_path):

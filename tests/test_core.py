@@ -76,6 +76,12 @@ def test_thermal_state_rejects_negative():
         ThermalState(n_bar=-0.1)
 
 
+@pytest.mark.parametrize("n_bar", [math.nan, math.inf])
+def test_thermal_state_rejects_non_finite(n_bar):
+    with pytest.raises(ValueError, match="finite"):
+        ThermalState(n_bar=n_bar)
+
+
 def test_drive_invariants():
     with pytest.raises(ValueError):
         OdfDrive(tau=0.0)

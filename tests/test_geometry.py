@@ -76,6 +76,13 @@ def test_beam_geometry_invariants():
         BeamGeometry(theta_odf=0.5, tilt_error=-1e-3)
 
 
+@pytest.mark.parametrize("bad", [-0.1, math.pi, math.nan])
+def test_beam_geometry_checks_every_angle_of_an_array(bad):
+    assert len(delta_k(BeamGeometry(theta_odf=np.array([0.0, 0.5, 3.0])))) == 3
+    with pytest.raises(ValueError):
+        BeamGeometry(theta_odf=np.array([0.2, bad, 0.5]))
+
+
 # -- misalignment phase --------------------------------------------------------
 
 

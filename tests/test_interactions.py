@@ -16,11 +16,11 @@ from odfkit import (
     delta_k,
     force_magnitude,
     force_turnover_angle,
+    detuning,
     ground_state_extent,
     j_bar,
     loop_phases,
     precession_lineshape,
-    ratio_curve,
     thermal_extent_sq,
     thermometry_lineshape,
 )
@@ -30,7 +30,7 @@ Z0 = ground_state_extent(CFG)
 
 
 def geom(theta_deg):
-    return BeamGeometry(theta_odf=math.radians(theta_deg))
+    return BeamGeometry(theta_odf=np.radians(theta_deg))
 
 
 # -- force magnitude and Debye-Waller factor -----------------------------------
@@ -72,6 +72,35 @@ def test_interaction_strengths_self_consistent():
 def test_on_resonance_leaves_j_bar_unset():
     s = force_magnitude(geom(28.0), OdfDrive(mu=CFG.omega_com), CFG, ThermalState(1.27))
     assert s.j_bar is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=math.pi, exclude_max=True),
+             min_size=1, max_size=40),
+    st.floats(min_value=0.0, max_value=50.0),
+    st.floats(min_value=1.0, max_value=1e5),
+    st.sampled_from([-1.0, 1.0]),
+    st.sampled_from(["single_arm", "spin_echo"]),
+)
+def test_angle_array_equals_scalar_calls(thetas, n_bar, detune_hz, sign, sequence):
+    # one call on an angle grid gives the per-angle scalar results bit for bit
+    drive = OdfDrive(mu=CFG.omega_com + sign * 2 * math.pi * detune_hz)
+    state = ThermalState(n_bar)
+    angles = BeamGeometry(theta_odf=np.array(thetas))
+    grid = force_magnitude(angles, drive, CFG, state)
+    points = [force_magnitude(BeamGeometry(theta_odf=t), drive, CFG, state) for t in thetas]
+    for name in ("f0", "debye_waller", "lamb_dicke", "j_bar", "f0_over_gamma"):
+        assert np.array_equal(getattr(grid, name), [getattr(p, name) for p in points]), name
+    # math.exp, not np.exp, which is 1 ulp off at some arguments
+    zsq = thermal_extent_sq(CFG, state)
+    assert np.array_equal(grid.debye_waller,
+                          [math.exp(-0.5 * dk * dk * zsq) for dk in delta_k(angles).tolist()])
+    for delta in (detuning(drive, CFG), 0.0):
+        loops = loop_phases(grid.f0, CFG, delta, drive.tau, sequence)
+        per = [loop_phases(f0, CFG, delta, drive.tau, sequence) for f0 in grid.f0.tolist()]
+        assert np.array_equal(loops.alpha_total, [lp.alpha_total for lp in per])
+        assert np.array_equal(loops.chi_arm, [lp.chi_arm for lp in per])
 
 
 # -- j_bar ---------------------------------------------------------------------
@@ -168,11 +197,10 @@ def test_loop_phases_match_trajectory_oracle():
     delta = S / tau
     f = F0 * Z0 / (2 * HBAR)
     num_mag, num_chi = oracles.phase_space_trajectory(f, delta, tau, "spin_echo")
-    for i in range(20):
-        for j in range(20):
-            lp = loop_phases(float(F0[i, j]), CFG, float(delta[i, j]), tau, "spin_echo")
-            assert abs(lp.alpha_total) == pytest.approx(num_mag[i, j], rel=1e-6)
-            assert lp.chi_arm == pytest.approx(num_chi[i, j], rel=1e-6)
+    for j in range(20):
+        lp = loop_phases(F0[:, j], CFG, float(delta[0, j]), tau, "spin_echo")
+        assert np.abs(lp.alpha_total) == pytest.approx(num_mag[:, j], rel=1e-6)
+        assert lp.chi_arm == pytest.approx(num_chi[:, j], rel=1e-6)
 
 
 # -- lineshapes --------------------------------------------------------------------
@@ -249,27 +277,28 @@ def test_precession_trivial_points():
 
 
 def test_ratio_curve_cold_case():
-    rows = ratio_curve([math.radians(14.0), math.radians(28.0)], OdfDrive(), CFG,
-                       ThermalState(1.27))
-    assert rows[1][1] / rows[0][1] == pytest.approx(1.8630, rel=1e-3)
+    ratio = force_magnitude(geom(np.array([14.0, 28.0])), OdfDrive(), CFG,
+                            ThermalState(1.27)).f0_over_gamma
+    assert ratio[1] / ratio[0] == pytest.approx(1.8630, rel=1e-3)
 
 
 def test_ratio_curve_hot_case():
-    rows = ratio_curve([math.radians(14.0), math.radians(28.0)], OdfDrive(), CFG,
-                       ThermalState(10.7))
-    assert rows[1][1] / rows[0][1] == pytest.approx(1.3284, rel=1e-3)
+    ratio = force_magnitude(geom(np.array([14.0, 28.0])), OdfDrive(), CFG,
+                            ThermalState(10.7)).f0_over_gamma
+    assert ratio[1] / ratio[0] == pytest.approx(1.3284, rel=1e-3)
 
 
 def test_ratio_curve_ground_state_monotone():
-    thetas = np.radians(np.linspace(0.5, 36.0, 72))
-    rows = ratio_curve(thetas, OdfDrive(), CFG, ThermalState(0.0))
-    f0 = [row[1] for row in rows]
-    assert all(b > a for a, b in zip(f0, f0[1:]))
+    f0 = force_magnitude(geom(np.linspace(0.5, 36.0, 72)), OdfDrive(), CFG,
+                         ThermalState(0.0)).f0
+    assert np.all(np.diff(f0) > 0)
 
 
 def test_ratio_curve_requires_positive_gamma():
-    with pytest.raises(ValueError):
-        ratio_curve([0.3], OdfDrive(gamma=0.0), CFG, ThermalState(1.27))
+    # the ratio is left unset without scattering; ratio-scan then exits 1
+    s = force_magnitude(geom(np.array([14.0, 28.0])), OdfDrive(gamma=0.0), CFG,
+                        ThermalState(1.27))
+    assert s.f0_over_gamma is None
 
 
 def test_turnover_angle_frozen_values():

@@ -14,6 +14,8 @@ from odfkit import (
     TrapIonConfig,
     drift_probe_signal,
     effective_wavelength,
+    force_magnitude,
+    ground_state_extent,
     path_noise_phase_rms,
     precession_lineshape,
     simulate_angle_drift,
@@ -191,6 +193,25 @@ def test_drift_probe_signal_monotone_in_misalignment():
     baseline = 0.5 * (1 - math.exp(-2 * DRIVE.gamma * DRIVE.tau))
     assert probe.p_up[0] == pytest.approx(baseline, rel=1e-12)
     assert np.all(np.diff(probe.p_up) > 0)  # larger tilt, deeper dephasing
+
+
+@pytest.mark.parametrize("delta_ac_hz,tau,n_bar,theta_deg", [
+    (800.0, 500e-6, 1.27, 28.0),
+    (2e4, 2e-3, 25.0, 28.0),  # deep dephasing, where np.abs and ** 2 would differ
+    (5e4, 2e-3, 1.27, 28.0),
+])
+def test_drift_probe_matches_per_sample_loop(delta_ac_hz, tau, n_bar, theta_deg):
+    # one array call reproduces the per-sample scalar evaluation bit for bit
+    drift = simulate_angle_drift(DriftModel(linear_rate=1.0, rms_jitter=0.05, seed=3),
+                                 6000.0, 0.5)
+    drive = OdfDrive(delta_ac=2 * math.pi * delta_ac_hz, tau=tau)
+    geom = BeamGeometry(theta_odf=math.radians(theta_deg))
+    state = ThermalState(n_bar)
+    probe = drift_probe_signal(drift, geom, drive, CFG, state)
+    f0 = force_magnitude(geom, drive, CFG, state).f0
+    expected = oracles.per_sample_drift_probe(drift.p_up.tolist(), f0, ground_state_extent(CFG),
+                                              n_bar, drive.gamma, tau)
+    assert np.array_equal(probe.p_up, expected)
 
 
 # -- path noise ----------------------------------------------------------------------
