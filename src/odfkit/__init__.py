@@ -64,7 +64,6 @@ from .fitting import (
     fit_far_detuned_gamma,
     fit_precession,
     fit_thermometry,
-    golden_section_max,
     optimize_theta,
     weighted_f0,
 )

@@ -89,18 +89,28 @@ def _emit(args, name, data, scn: Scenario, seed=None):
 _THERMOMETRY_UNITS = {"omega_com": ("omega_com_hz", 1.0 / TWO_PI), "n_bar": ("n_bar", 1.0)}
 
 
-def _fit_result_json(result, unit_map=None):
+def _json(doc) -> str:
+    """Strict JSON text: a NaN or infinity raises ValueError."""
+    return json.dumps(doc, indent=2, allow_nan=False)
+
+
+def _finite(value):
+    return value if math.isfinite(value) else None
+
+
+def _fit_json(result, unit_map=None):
+    """A FitResult in CLI units; non-finite numbers (unidentifiable sigmas) become null."""
     unit_map = unit_map or {}
     params = {}
     sigmas = {}
     for key, value in result.params.items():
         conv = unit_map.get(key, (key, 1.0))
-        params[conv[0]] = value * conv[1]
-        sigmas[conv[0]] = result.sigmas[key] * conv[1]
+        params[conv[0]] = _finite(value * conv[1])
+        sigmas[conv[0]] = _finite(result.sigmas[key] * conv[1])
     return {
         "params": params,
         "sigmas": sigmas,
-        "chi2_reduced": result.chi2_reduced,
+        "chi2_reduced": _finite(result.chi2_reduced),
         "converged": result.converged,
         "iterations": result.iterations,
         "flags": list(result.flags),
@@ -131,7 +141,7 @@ def cmd_geom(args, scn: Scenario):
             geom = angle_from_actuators(mirror[0], scn.mount, mirror[-1])
             feasible = True
         except GeometryInfeasibleError as err:
-            print(json.dumps({"feasible": False, "error": str(err)}, indent=2))
+            print(_json({"feasible": False, "error": str(err)}))
             return 0
     elif args.theta is not None:
         geom = BeamGeometry(
@@ -150,7 +160,7 @@ def cmd_geom(args, scn: Scenario):
         "feasible": bool(feasible),
         "phase_at_edge_deg": misalignment_phase(geom, scn.trap.crystal_radius),
     }
-    print(json.dumps(record, indent=2))
+    print(_json(record))
     return 0
 
 
@@ -219,14 +229,14 @@ def cmd_fit(args, scn: Scenario):
     dataset = ScanDataset.from_csv(args.data, kind=args.model)
     if args.model == "thermometry":
         result = fit_thermometry(dataset, scn.beams, scn.drive, scn.trap)
-        payload = _fit_result_json(result, _THERMOMETRY_UNITS)
+        payload = _fit_json(result, _THERMOMETRY_UNITS)
     elif args.model == "precession":
         result = fit_precession(dataset, scn.drive.gamma, scn.drive.tau)
-        payload = _fit_result_json(result)
+        payload = _fit_json(result)
     else:
         result = fit_far_detuned_gamma(dataset)
-        payload = _fit_result_json(result, {"gamma": ("gamma_per_s", 1.0)})
-    print(json.dumps(payload, indent=2))
+        payload = _fit_json(result, {"gamma": ("gamma_per_s", 1.0)})
+    print(_json(payload))
     return 0 if result.converged else 2
 
 
@@ -247,7 +257,7 @@ def cmd_optimize_angle(args, scn: Scenario):
         "ratio_yN_per_Hz": ratio * 1e24,
         "provenance": make_manifest("optimize-angle", scn.raw).__dict__,
     }
-    print(json.dumps(record, indent=2))
+    print(_json(record))
     return 0
 
 
@@ -269,11 +279,9 @@ def _reproduce_fig3c(args, scn: Scenario):
                                        grid, shots=args.shots, seed=args.seed)
         _emit(args, f"fig3c_{label}", dataset, scn, args.seed)
         result = fit_thermometry(dataset, scn.beams, scn.drive, scn.trap)
-        fits[label] = _fit_result_json(result, _THERMOMETRY_UNITS)
+        fits[label] = _fit_json(result, _THERMOMETRY_UNITS)
     out = Path(args.out) / "fig3c_fits.json"
-    with open(out, "w") as fh:
-        json.dump(fits, fh, indent=2)
-        fh.write("\n")
+    out.write_text(_json(fits) + "\n")
     print(f"wrote {out}")
     return 0
 

@@ -1,18 +1,19 @@
 """Weighted least-squares estimation and the beam-angle design optimizer.
 
 The three measurement models (thermometry scan, tipping-angle precession,
-far-detuned decoherence decay) are wrapped as small estimator objects with
-the scikit-learn fit/predict/get_params surface, all driven by one damped
-Gauss-Newton engine with analytic Jacobians; the models themselves live in
+far-detuned decoherence decay) are stateless estimator objects whose
+fit(dataset) returns a FitResult, all driven by one damped Gauss-Newton
+engine with analytic Jacobians; the models themselves live in
 `interactions`, shared with the simulators.  Parameter uncertainties come
 from the inverse normal equations at the optimum: FitResult.sigmas are
 always scaled by sqrt(chi2_reduced) when it exceeds one (the conservative
-convention), and FitResult.sigmas_unscaled hold the raw values.
+convention), and FitResult.sigmas_unscaled hold the raw values.  The
+crossing-angle optimum is the closed-form Debye-Waller turnover of F0,
+clipped to the constraint window.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ from .core import OdfDrive, ThermalState, TrapIonConfig
 from .geometry import BeamGeometry
 from .interactions import (
     force_magnitude,
+    force_turnover_angle,
     gamma_decay_lineshape,
     precession_lineshape,
     thermometry_model,
@@ -54,7 +56,6 @@ class FitResult:
 class F0Estimate:
     f0: float  # N
     sigma: float  # N
-    per_detuning: tuple  # of (delta, f0, sigma)
 
 
 def _damped_gauss_newton(
@@ -153,13 +154,14 @@ def _build_result(names, p, converged, it, jtj, cost, n_points, bound_active):
 
 
 class _Estimator:
-    """fit/predict/get_params skeleton shared by the measurement models.
+    """Model-definition skeleton shared by the measurement models.
 
     A subclass names its fitted parameters, their lower bounds (or None)
     and the fewest points it accepts, and defines predict(x, params),
     jacobian(x, params) and _starts(x, y), the candidate initial points.
     fit() starts the damped Gauss-Newton engine from the candidate with
-    the lowest cost.  The dataset abscissa times abscissa_scale is x.
+    the lowest cost and returns the FitResult; the estimator keeps no
+    state.  The dataset abscissa times abscissa_scale is x.
     """
 
     names = ()
@@ -167,25 +169,7 @@ class _Estimator:
     min_points = 1
     abscissa_scale = 1.0
 
-    def get_params(self):
-        """Constructor arguments by name, read from the __init__ signature."""
-        init = inspect.signature(type(self).__init__).parameters
-        return {name: getattr(self, name) for name in init if name != "self"}
-
-    def set_params(self, **params):
-        known = self.get_params()
-        for name, value in params.items():
-            if name not in known:
-                raise ValueError(f"unknown parameter {name!r}")
-            setattr(self, name, value)
-        return self
-
-    def _fitted(self):
-        if not hasattr(self, "result_"):
-            raise FitInputError("estimator is not fitted")
-        return tuple(self.result_.params[name] for name in self.names)
-
-    def fit(self, dataset: ScanDataset):
+    def fit(self, dataset: ScanDataset) -> FitResult:
         if len(dataset) < self.min_points:
             raise FitInputError(f"need at least {self.min_points} points, got {len(dataset)}")
         x = self.abscissa_scale * dataset.abscissa
@@ -202,9 +186,7 @@ class _Estimator:
             lambda p: self.jacobian(x, p),
             y, sig, start, lower=lower,
         )
-        self.result_ = _build_result(self.names, p, converged, it, jtj, cost,
-                                     len(y), bounds)
-        return self
+        return _build_result(self.names, p, converged, it, jtj, cost, len(y), bounds)
 
 
 class ThermometryEstimator(_Estimator):
@@ -220,35 +202,29 @@ class ThermometryEstimator(_Estimator):
     min_points = 6  # enough to span the resonance
     abscissa_scale = TWO_PI
 
-    def __init__(self, geom: BeamGeometry, drive: OdfDrive, cfg: TrapIonConfig,
-                 init_omega_com=None, init_n_bar=5.0):
+    def __init__(self, geom: BeamGeometry, drive: OdfDrive, cfg: TrapIonConfig):
         self.geom = geom
         self.drive = drive
         self.cfg = cfg
-        self.init_omega_com = init_omega_com
-        self.init_n_bar = init_n_bar
 
-    def predict(self, mu, params=None):
-        omega, n_bar = params if params is not None else self._fitted()
-        return thermometry_model(mu, omega, n_bar, self.geom, self.drive, self.cfg)
+    def predict(self, mu, params):
+        return thermometry_model(mu, *params, self.geom, self.drive, self.cfg)
 
     def jacobian(self, mu, params):
         """Analytic d P_up / d (omega_com, n_bar), shape (n, 2)."""
-        omega, n_bar = params
-        return thermometry_model(mu, omega, n_bar, self.geom, self.drive, self.cfg,
-                                 jac=True)[1]
+        return thermometry_model(mu, *params, self.geom, self.drive, self.cfg, jac=True)[1]
 
     def _starts(self, mu, p_up):
-        """Cheap multi-start grid: resonance from the lobe centroid."""
+        """Cheap multi-start grid: resonance from the lobe centroid, omega_com > 0."""
         weight = np.clip(p_up - p_up.min(), 0.0, None)
         centroid = float((weight * mu).sum() / weight.sum()) if weight.sum() > 0 else float(mu.mean())
         peak = float(mu[np.argmax(p_up)])
         half_lobe = math.pi / self.drive.tau
-        omegas = [centroid, peak, peak - half_lobe, peak + half_lobe]
-        if self.init_omega_com is not None:
-            omegas.insert(0, self.init_omega_com)
-        nbars = [self.init_n_bar, 1.0, 15.0]
-        return [(w, n) for w in omegas for n in nbars]
+        omegas = [w for w in (centroid, peak, peak - half_lobe, peak + half_lobe) if w > 0]
+        if not omegas:
+            raise FitInputError(f"no omega_com > 0 to start from: the abscissa (mu/2pi in Hz) "
+                                f"spans [{mu.min() / TWO_PI:g}, {mu.max() / TWO_PI:g}]")
+        return [(w, n) for w in omegas for n in (5.0, 1.0, 15.0)]
 
 
 class PrecessionEstimator(_Estimator):
@@ -262,9 +238,8 @@ class PrecessionEstimator(_Estimator):
         self.tau = tau
         self.init_j_bar = init_j_bar
 
-    def predict(self, theta1, params=None):
-        (j_bar,) = params if params is not None else self._fitted()
-        return precession_lineshape(j_bar, self.gamma, self.tau, theta1)
+    def predict(self, theta1, params):
+        return precession_lineshape(params[0], self.gamma, self.tau, theta1)
 
     def jacobian(self, theta1, params):
         (j_bar,) = params
@@ -298,12 +273,8 @@ class GammaDecayEstimator(_Estimator):
     lower = (0.0,)
     min_points = 2
 
-    def __init__(self, init_gamma=None):
-        self.init_gamma = init_gamma
-
-    def predict(self, tau, params=None):
-        (gamma,) = params if params is not None else self._fitted()
-        return gamma_decay_lineshape(gamma, tau)
+    def predict(self, tau, params):
+        return gamma_decay_lineshape(params[0], tau)
 
     def jacobian(self, tau, params):
         (gamma,) = params
@@ -311,8 +282,6 @@ class GammaDecayEstimator(_Estimator):
         return (tau * np.exp(-2.0 * gamma * tau))[:, None]
 
     def _starts(self, tau, p_up):
-        if self.init_gamma is not None:
-            return [(self.init_gamma,)]
         if len(np.unique(tau)) < 2:
             raise FitInputError("need at least 2 distinct tau values")
         # linearize: -ln(1 - 2 P) = 2 Gamma tau
@@ -324,19 +293,17 @@ class GammaDecayEstimator(_Estimator):
 
 
 def fit_thermometry(data: ScanDataset, geom: BeamGeometry, drive: OdfDrive,
-                    cfg: TrapIonConfig, init_omega_com=None, init_n_bar=5.0) -> FitResult:
-    est = ThermometryEstimator(geom, drive, cfg, init_omega_com=init_omega_com,
-                               init_n_bar=init_n_bar)
-    return est.fit(data).result_
+                    cfg: TrapIonConfig) -> FitResult:
+    return ThermometryEstimator(geom, drive, cfg).fit(data)
 
 
 def fit_precession(data: ScanDataset, gamma: float, tau: float,
                    init_j_bar=None) -> FitResult:
-    return PrecessionEstimator(gamma, tau, init_j_bar=init_j_bar).fit(data).result_
+    return PrecessionEstimator(gamma, tau, init_j_bar=init_j_bar).fit(data)
 
 
-def fit_far_detuned_gamma(data: ScanDataset, init_gamma=None) -> FitResult:
-    return GammaDecayEstimator(init_gamma=init_gamma).fit(data).result_
+def fit_far_detuned_gamma(data: ScanDataset) -> FitResult:
+    return GammaDecayEstimator().fit(data)
 
 
 def f0_from_jbar(j_bar: float, sigma_j: float, cfg: TrapIonConfig,
@@ -360,32 +327,10 @@ def weighted_f0(estimates) -> F0Estimate:
     values = np.array([f for _, f, _ in entries])
     mean = float((weights * values).sum() / weights.sum())
     sigma = float(math.sqrt(1.0 / weights.sum()))
-    return F0Estimate(f0=mean, sigma=sigma, per_detuning=entries)
+    return F0Estimate(f0=mean, sigma=sigma)
 
 
 # -- design optimizer --------------------------------------------------------
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_section_max(f, a, b, tol=1e-8):
-    """Maximize a unimodal f on [a, b]; returns (x*, f(x*))."""
-    if not a < b:
-        raise ValueError("need a < b")
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
 
 
 def optimize_theta(cfg: TrapIonConfig, drive: OdfDrive, state: ThermalState,
@@ -393,11 +338,12 @@ def optimize_theta(cfg: TrapIonConfig, drive: OdfDrive, state: ThermalState,
                    laser_wavelength: float = 313.1e-9,
                    hard_limits=(math.radians(12.0), math.radians(36.0)),
                    ) -> tuple[float, float]:
-    """Maximize F0(theta)/Gamma over the constraint window by golden section.
+    """Maximize F0(theta)/Gamma over the constraint window; returns (theta, ratio).
 
-    F0/Gamma is unimodal in theta (force rises with delta_k until the
-    Debye-Waller rolloff); maxima at a constraint are returned as the
-    boundary value.
+    Gamma does not depend on theta, and F0 rises with delta_k up to the
+    Debye-Waller turnover (interactions.force_turnover_angle) and falls
+    after it, so the argmax is that turnover clipped to the window, or the
+    upper edge when F0 is monotone.
     """
     lo, hi = constraints
     if not lo < hi:
@@ -410,14 +356,7 @@ def optimize_theta(cfg: TrapIonConfig, drive: OdfDrive, state: ThermalState,
         )
     if drive.gamma <= 0:
         raise FitInputError("gamma must be > 0")
-
-    def ratio(theta):
-        geom = BeamGeometry(theta_odf=theta, laser_wavelength=laser_wavelength)
-        return force_magnitude(geom, drive, cfg, state).f0 / drive.gamma
-
-    theta_star, best = golden_section_max(ratio, lo, hi, tol=1e-9)
-    # snap to a boundary when the optimum sits on it
-    for edge in (lo, hi):
-        if ratio(edge) >= best:
-            theta_star, best = edge, ratio(edge)
-    return theta_star, best
+    turnover = force_turnover_angle(cfg, state, laser_wavelength)
+    theta = hi if math.isnan(turnover) else min(max(turnover, lo), hi)
+    geom = BeamGeometry(theta_odf=theta, laser_wavelength=laser_wavelength)
+    return theta, force_magnitude(geom, drive, cfg, state).f0 / drive.gamma

@@ -11,6 +11,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from pathlib import Path
 
 from . import __version__
 
@@ -25,7 +26,7 @@ class RunManifest:
 
 
 def config_digest(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"), allow_nan=False)
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -41,7 +42,5 @@ def make_manifest(command: str, config: dict, seed: int | None = None) -> RunMan
 
 def write_manifest(path, command: str, config: dict, seed: int | None = None) -> RunManifest:
     manifest = make_manifest(command, config, seed)
-    with open(path, "w") as fh:
-        json.dump(asdict(manifest), fh, indent=2)
-        fh.write("\n")
+    Path(path).write_text(json.dumps(asdict(manifest), indent=2, allow_nan=False) + "\n")
     return manifest

@@ -280,6 +280,8 @@ def simulate_path_noise(model: PathNoiseModel, duration: float, rate: float) -> 
     if duration <= 0 or rate <= 0:
         raise ValueError("duration and rate must be > 0")
     n = int(round(duration * rate))
+    if n < 1:
+        raise ValueError(f"duration {duration:g} s at sample rate {rate:g} Hz gives no samples")
     dt = 1.0 / rate
     t = np.arange(n) * dt
     rng = np.random.Generator(np.random.Philox(key=np.uint64(model.seed % 2 ** 64)))

@@ -20,6 +20,15 @@ from odfkit import (
 from odfkit.cli import main
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -29,7 +38,7 @@ def run(capsys, *argv):
 def test_geom_theta_28(capsys):
     code, out, _ = run(capsys, "geom", "--theta", "28")
     assert code == 0
-    record = json.loads(out)
+    record = strict_json(out)
     assert record["lambda_odf_m"] == pytest.approx(6.47e-7, abs=1e-9)
     assert record["delta_k_per_m"] == pytest.approx(9.7096e6, rel=1e-4)
     assert record["feasible"] is True
@@ -38,7 +47,7 @@ def test_geom_theta_28(capsys):
 def test_geom_theta_outside_window(capsys):
     code, out, _ = run(capsys, "geom", "--theta", "40")
     assert code == 0
-    assert json.loads(out)["feasible"] is False
+    assert strict_json(out)["feasible"] is False
 
 
 def test_geom_actuator_pose(capsys, tmp_path):
@@ -50,7 +59,7 @@ def test_geom_actuator_pose(capsys, tmp_path):
                                 "linear_pos_m": state.linear_pos}))
     code, out, _ = run(capsys, "geom", "--actuators", str(pose))
     assert code == 0
-    record = json.loads(out)
+    record = strict_json(out)
     assert record["feasible"] is True
     assert record["theta_deg"] == pytest.approx(28.0, abs=1e-6)
 
@@ -84,7 +93,7 @@ def test_curves_writes_csv_and_manifest(capsys, tmp_path):
     lines = (tmp_path / "curves.csv").read_text().splitlines()
     assert lines[0] == "theta_deg,n_bar,F0_N,Jbar_rad_s"
     assert len(lines) == 6
-    manifest = json.loads((tmp_path / "curves.manifest.json").read_text())
+    manifest = strict_json((tmp_path / "curves.manifest.json").read_text())
     assert manifest["command"] == "curves"
 
 
@@ -182,10 +191,19 @@ def test_simulate_is_byte_reproducible(capsys, tmp_path):
                          "--seed", "11", "--shots", "200")
         assert code == 0
     assert (a / "thermometry.csv").read_bytes() == (b / "thermometry.csv").read_bytes()
-    ma = json.loads((a / "thermometry.manifest.json").read_text())
-    mb = json.loads((b / "thermometry.manifest.json").read_text())
+    ma = strict_json((a / "thermometry.manifest.json").read_text())
+    mb = strict_json((b / "thermometry.manifest.json").read_text())
     assert ma["config_digest"] == mb["config_digest"]
     assert ma["seed"] == 11
+
+
+def test_simulate_pathnoise_with_no_samples_is_one_line_error(capfd, tmp_path):
+    code, out, err = run(capfd, "simulate", "pathnoise", "--sample-rate", "1e-9",
+                         "--duration", "1", "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    assert err == "error: duration 1 s at sample rate 1e-09 Hz gives no samples\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_then_fit_thermometry(capsys, tmp_path):
@@ -195,7 +213,7 @@ def test_simulate_then_fit_thermometry(capsys, tmp_path):
     code, out, _ = run(capsys, "fit", "thermometry",
                        "--data", str(tmp_path / "thermometry.csv"))
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["converged"] is True
     assert payload["params"]["omega_com_hz"] == pytest.approx(1.1e6, abs=50.0)
     assert payload["params"]["n_bar"] == pytest.approx(1.27, abs=0.5)
@@ -208,7 +226,7 @@ def test_simulate_then_fit_precession(capsys, tmp_path):
     code, out, _ = run(capsys, "fit", "precession",
                        "--data", str(tmp_path / "precession.csv"))
     assert code == 0
-    assert json.loads(out)["converged"] is True
+    assert strict_json(out)["converged"] is True
 
 
 def test_fit_gamma_dataset(capsys, tmp_path):
@@ -217,7 +235,7 @@ def test_fit_gamma_dataset(capsys, tmp_path):
     ds.to_csv(path)
     code, out, _ = run(capsys, "fit", "gamma", "--data", str(path))
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["params"]["gamma_per_s"] == pytest.approx(100.0, rel=0.1)
 
 
@@ -269,6 +287,29 @@ def test_fit_gamma_single_abscissa_is_one_line_error(capfd, tmp_path, abscissa):
     assert err == "error: need at least 2 distinct tau values\n"
 
 
+def test_fit_thermometry_of_a_precession_csv_is_unidentifiable(capfd, tmp_path):
+    # on a precession CSV the start peak - pi/tau is a negative omega_com; it is dropped
+    code, _, _ = run(capfd, "simulate", "precession", "--out", str(tmp_path), "--seed", "1")
+    assert code == 0
+    code, out, err = run(capfd, "fit", "thermometry", "--data", str(tmp_path / "precession.csv"))
+    assert code == 2
+    assert err == ""
+    payload = strict_json(out)
+    assert payload["flags"] == ["unidentifiable"]
+    assert payload["sigmas"] == {"omega_com_hz": None, "n_bar": None}
+
+
+def test_fit_thermometry_negative_abscissa_is_one_line_error(capfd, tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("abscissa,p_up,sigma\n"
+                    + "".join(f"{-1.1e6 + 500 * i},0.{i + 1},0.01\n" for i in range(6)))
+    code, out, err = run(capfd, "fit", "thermometry", "--data", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: no omega_com > 0") and "abscissa (mu/2pi in Hz)" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_fit_precession_repeated_small_abscissa_uses_all_points(capfd, tmp_path):
     # the theta1 <= pi/2 points give no slope; the start falls back to all points
     path = tmp_path / "data.csv"
@@ -277,7 +318,7 @@ def test_fit_precession_repeated_small_abscissa_uses_all_points(capfd, tmp_path)
     code, out, err = run(capfd, "fit", "precession", "--data", str(path))
     assert code == 0
     assert err == ""
-    assert json.loads(out)["converged"] is True
+    assert strict_json(out)["converged"] is True
 
 
 def test_malformed_config_names_key(capsys, tmp_path):
@@ -303,7 +344,7 @@ def test_scenario_selection(capsys, tmp_path):
 def test_optimize_angle_output(capsys):
     code, out, _ = run(capsys, "optimize-angle", "--window", "12:36")
     assert code == 0
-    record = json.loads(out)
+    record = strict_json(out)
     assert record["theta_deg"] == pytest.approx(36.0, abs=1e-3)
     assert record["ratio_N_s"] > 0
     assert "config_digest" in record["provenance"]
@@ -335,7 +376,7 @@ def test_reproduce_fig3c(capsys, tmp_path):
     code, _, _ = run(capsys, "reproduce", "fig3c", "--out", str(tmp_path),
                      "--seed", "1", "--shots", "500")
     assert code == 0
-    fits = json.loads((tmp_path / "fig3c_fits.json").read_text())
+    fits = strict_json((tmp_path / "fig3c_fits.json").read_text())
     assert set(fits) == {"doppler", "eit"}
     assert (tmp_path / "fig3c_doppler.csv").exists()
     assert (tmp_path / "fig3c_eit.csv").exists()

@@ -19,8 +19,8 @@ from odfkit import (
     fit_precession,
     fit_thermometry,
     force_magnitude,
+    force_turnover_angle,
     gamma_decay_lineshape,
-    golden_section_max,
     j_bar,
     optimize_theta,
     precession_lineshape,
@@ -197,21 +197,6 @@ def test_thermometry_requires_six_points():
         fit_thermometry(ds, GEOM, DRIVE, CFG)
 
 
-def test_estimator_params_round_trip():
-    est = ThermometryEstimator(GEOM, DRIVE, CFG)
-    params = est.get_params()
-    est.set_params(init_n_bar=2.0)
-    assert est.init_n_bar == 2.0
-    with pytest.raises(ValueError):
-        est.set_params(unknown=1)
-    assert set(params) >= {"geom", "drive", "cfg", "init_n_bar"}
-
-
-def test_unfitted_estimator_raises():
-    with pytest.raises(FitInputError):
-        PrecessionEstimator(gamma=100.0, tau=500e-6).predict(np.array([0.1]))
-
-
 # -- weighted F0 combination ------------------------------------------------------------
 
 
@@ -227,7 +212,6 @@ def test_weighted_f0_is_inverse_variance_mean():
     w = np.array([1 / s ** 2 for _, _, s in entries])
     v = np.array([f for _, f, _ in entries])
     assert est.f0 == pytest.approx(float((w * v).sum() / w.sum()), rel=1e-14)
-    assert est.per_detuning == tuple(entries)
 
 
 def test_weighted_f0_permutation_invariant():
@@ -264,12 +248,6 @@ def test_f0_from_jbar_inverts_coupling():
 # -- design optimizer -------------------------------------------------------------------
 
 
-def test_golden_section_simple_maximum():
-    x, fx = golden_section_max(lambda x: -(x - 2.0) ** 2, 0.0, 5.0)
-    assert x == pytest.approx(2.0, abs=1e-7)
-    assert fx == pytest.approx(0.0, abs=1e-12)
-
-
 def test_optimize_theta_matches_grid_oracle_50_cases():
     rng = np.random.default_rng(77)
     for _ in range(50):
@@ -288,6 +266,18 @@ def test_optimize_theta_matches_grid_oracle_50_cases():
 
         grid_theta, _ = oracles.grid_max(ratio, math.radians(lo), math.radians(hi))
         assert abs(math.degrees(theta_star - grid_theta)) < 0.01
+
+
+def test_optimize_theta_is_the_turnover_clipped_to_the_window():
+    hot = ThermalState(10.7)
+    theta, ratio = optimize_theta(CFG, DRIVE, hot)
+    assert theta == force_turnover_angle(CFG, hot)
+    assert ratio == force_magnitude(BeamGeometry(theta_odf=theta), DRIVE, CFG, hot).f0 / DRIVE.gamma
+    for window, edge in (((12.0, 20.0), 20.0), ((30.0, 36.0), 30.0)):
+        window = tuple(math.radians(v) for v in window)
+        assert optimize_theta(CFG, DRIVE, hot, constraints=window)[0] == math.radians(edge)
+    # no turnover below the upper edge: F0 rises across the whole window
+    assert optimize_theta(CFG, DRIVE, ThermalState(0.0))[0] == math.radians(36.0)
 
 
 def test_optimize_theta_rejects_windows_outside_limits():
