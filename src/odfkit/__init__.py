@@ -45,6 +45,7 @@ from .simulate import (
     DriftModel,
     PathNoiseModel,
     ScanDataset,
+    Series,
     drift_probe_signal,
     path_noise_phase_rms,
     simulate_angle_drift,

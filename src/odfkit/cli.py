@@ -40,7 +40,7 @@ from .geometry import (
     misalignment_phase,
 )
 from .interactions import force_magnitude
-from .manifest import write_manifest
+from .manifest import make_manifest, write_manifest
 from .simulate import (
     DriftModel,
     PathNoiseModel,
@@ -61,6 +61,16 @@ def _parse_fields(flag: str, spec: str, form: str, build, sep=":"):
         raise ConfigError(f"bad {flag} {spec!r}, expected {form}") from err
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags: a finite number, or an error naming the flag."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     return _parse_fields("--grid", spec, "start:stop:n",
                          lambda start, stop, n: np.linspace(float(start), float(stop), int(n)))
@@ -69,18 +79,18 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _emit(args, name, data, scn: Scenario, seed=None):
     """Write <out>/<name>.csv and its manifest sidecar.
 
-    data is a ScanDataset, whose metadata goes into the sidecar, or a
-    (header, rows) table.
+    data is a (header, rows) table, or a ScanDataset or Series, whose
+    metadata goes into the sidecar.
     """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
     sidecar = scn.raw
-    if isinstance(data, ScanDataset):
+    if isinstance(data, tuple):
+        _write_rows(csv_path, *data)
+    else:
         data.to_csv(csv_path)
         sidecar = dict(scn.raw, scan_meta=dict(data.meta))
-    else:
-        _write_rows(csv_path, *data)
     write_manifest(out / f"{name}.manifest.json", name, sidecar, seed)
     print(f"wrote {csv_path}")
 
@@ -196,15 +206,12 @@ def cmd_ratio_scan(args, scn: Scenario):
 
 
 def cmd_simulate(args, scn: Scenario):
-    seed = args.seed
-    shots = args.shots
     if args.model == "thermometry":
         grid_hz = _parse_grid(args.grid) if args.grid else (
             scn.trap.omega_com / TWO_PI + np.linspace(-3e3, 3e3, 30))
         dataset = simulate_thermometry(
             scn.beams, scn.drive, scn.trap, scn.thermal,
-            TWO_PI * grid_hz, shots=shots, seed=seed)
-        _emit(args, "thermometry", dataset, scn, seed)
+            TWO_PI * grid_hz, shots=args.shots, seed=args.seed)
     elif args.model == "precession":
         grid = np.radians(_parse_grid(args.grid)) if args.grid else np.linspace(0, 2 * math.pi, 40)
         strengths = force_magnitude(scn.beams, scn.drive, scn.trap, scn.thermal)
@@ -212,16 +219,14 @@ def cmd_simulate(args, scn: Scenario):
             raise FitInputError("precession needs a nonzero detuning mu - omega_com")
         dataset = simulate_precession(
             strengths.j_bar, scn.drive.gamma, scn.drive.tau, grid,
-            shots=shots, seed=seed)
-        _emit(args, "precession", dataset, scn, seed)
+            shots=args.shots, seed=args.seed)
     elif args.model == "drift":
-        model = DriftModel(linear_rate=args.rate, rms_jitter=args.jitter, seed=seed)
+        model = DriftModel(linear_rate=args.rate, rms_jitter=args.jitter, seed=args.seed)
         dataset = simulate_angle_drift(model, args.duration, args.dt)
-        _emit(args, "drift", dataset, scn, seed)
-    elif args.model == "pathnoise":
-        model = PathNoiseModel(seed=seed)
+    else:
+        model = PathNoiseModel(seed=args.seed)
         dataset = simulate_path_noise(model, args.duration, args.sample_rate)
-        _emit(args, "pathnoise", dataset, scn, seed)
+    _emit(args, args.model, dataset, scn, args.seed)
     return 0
 
 
@@ -249,8 +254,6 @@ def cmd_optimize_angle(args, scn: Scenario):
         laser_wavelength=scn.beams.laser_wavelength,
         hard_limits=(scn.mount.theta_min, scn.mount.theta_max),
     )
-    from .manifest import make_manifest
-
     record = {
         "theta_deg": math.degrees(theta),
         "ratio_N_s": ratio,
@@ -265,7 +268,6 @@ def cmd_optimize_angle(args, scn: Scenario):
 
 
 def _reproduce_fig1de(args, scn: Scenario):
-    args.grid = args.grid or "1:40:80"
     args.nbar = "0.1,1,10"
     return cmd_curves(args, scn)
 
@@ -288,29 +290,27 @@ def _reproduce_fig3c(args, scn: Scenario):
 
 def _reproduce_fig4c(args, scn: Scenario):
     theta_list = [14.0, 17.0, 20.0, 24.0, 28.0]
-    delta_list_hz = [1.5e3, 2.0e3, 3.0e3]
+    deltas = [TWO_PI * delta_hz for delta_hz in (1.5e3, 2.0e3, 3.0e3)]
     # the coupling scales with delta_ac^2; floor the probe drive so the
     # weakest operating point still precesses above the shot noise
     delta_ac_probe = max(scn.drive.delta_ac, TWO_PI * 2.5e3)
+    drives = [OdfDrive(delta_ac=delta_ac_probe, mu=scn.trap.omega_com + delta,
+                       tau=scn.drive.tau, gamma=scn.drive.gamma) for delta in deltas]
+    geom = BeamGeometry(theta_odf=np.radians(theta_list),
+                        laser_wavelength=scn.beams.laser_wavelength)
     rows = []
     for label, n_bar in (("doppler", 10.7), ("eit", 1.27)):
         state = ThermalState(n_bar=n_bar)
-        for i, theta_deg in enumerate(theta_list):
-            geom = BeamGeometry(theta_odf=math.radians(theta_deg),
-                                laser_wavelength=scn.beams.laser_wavelength)
+        # one array call per detuning; item i holds Jbar at angle i for each detuning
+        j_bars = zip(*(force_magnitude(geom, d, scn.trap, state).j_bar.tolist() for d in drives))
+        for i, (theta_deg, j_bar_i) in enumerate(zip(theta_list, j_bars)):
             estimates = []
-            for j, delta_hz in enumerate(delta_list_hz):
-                delta = TWO_PI * delta_hz
-                drive = OdfDrive(delta_ac=delta_ac_probe,
-                                 mu=scn.trap.omega_com + delta,
-                                 tau=scn.drive.tau, gamma=scn.drive.gamma)
-                strengths = force_magnitude(geom, drive, scn.trap, state)
+            for j, (delta, drive, j_bar) in enumerate(zip(deltas, drives, j_bar_i)):
                 seed = args.seed + 1000 * i + j + (0 if label == "doppler" else 500)
                 dataset = simulate_precession(
-                    strengths.j_bar, drive.gamma, drive.tau,
+                    j_bar, drive.gamma, drive.tau,
                     np.linspace(0, 2 * math.pi, 40), shots=args.shots, seed=seed)
-                result = fit_precession(dataset, drive.gamma, drive.tau,
-                                        init_j_bar=strengths.j_bar)
+                result = fit_precession(dataset, drive.gamma, drive.tau, init_j_bar=j_bar)
                 f0, sigma_f0 = f0_from_jbar(
                     result.params["j_bar"],
                     max(result.sigmas["j_bar"], 1e-12 * abs(result.params["j_bar"])),
@@ -363,7 +363,7 @@ def build_parser():
 
     p = sub.add_parser("geom", help="beam geometry record for an angle or actuator pose")
     _add_common(p)
-    p.add_argument("--theta", type=float, help="full separation angle in degrees")
+    p.add_argument("--theta", type=_finite_float, help="full separation angle in degrees")
     p.add_argument("--actuators", help="JSON file with one or two actuator poses")
     p.set_defaults(func=cmd_geom)
 
@@ -382,11 +382,12 @@ def build_parser():
     _add_common(p)
     p.add_argument("model", choices=["thermometry", "precession", "drift", "pathnoise"])
     p.add_argument("--grid", help="abscissa grid start:stop:n (Hz or degrees)")
-    p.add_argument("--duration", type=float, default=6000.0, help="series length in s")
-    p.add_argument("--dt", type=float, default=10.0, help="drift sample spacing in s")
-    p.add_argument("--sample-rate", type=float, default=100.0, help="path-noise rate in Hz")
-    p.add_argument("--rate", type=float, default=0.002, help="drift rate in deg/h")
-    p.add_argument("--jitter", type=float, default=0.0, help="drift jitter in deg")
+    p.add_argument("--duration", type=_finite_float, default=6000.0, help="series length in s")
+    p.add_argument("--dt", type=_finite_float, default=10.0, help="drift sample spacing in s")
+    p.add_argument("--sample-rate", type=_finite_float, default=100.0,
+                   help="path-noise rate in Hz")
+    p.add_argument("--rate", type=_finite_float, default=0.002, help="drift rate in deg/h")
+    p.add_argument("--jitter", type=_finite_float, default=0.0, help="drift jitter in deg")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit a dataset CSV")

@@ -57,48 +57,39 @@ class LoopPhases:
     chi_arm: float | np.ndarray  # rad, geometric phase accumulated per arm
 
 
-def _q(s):
-    """(2 - 2 cos s) / s^2, series-protected near s = 0."""
+def _taylor_guarded(s, exact, series):
+    """exact(s), with series(s, s^2) where |s| < 1e-2; exact gets 1.0 there, never ~0."""
     s = np.asarray(s, dtype=float)
     small = np.abs(s) < 1e-2
-    ss = np.where(small, 1.0, s)
-    exact = (2.0 - 2.0 * np.cos(ss)) / (ss * ss)
-    s2 = s * s
-    series = 1.0 - s2 / 12.0 + s2 * s2 / 360.0 - s2 * s2 * s2 / 20160.0
-    return np.where(small, series, exact)
+    return np.where(small, series(s, s * s), exact(np.where(small, 1.0, s)))
+
+
+def _q(s):
+    """(2 - 2 cos s) / s^2, series-protected near s = 0."""
+    return _taylor_guarded(
+        s, lambda ss: (2.0 - 2.0 * np.cos(ss)) / (ss * ss),
+        lambda s, s2: 1.0 - s2 / 12.0 + s2 * s2 / 360.0 - s2 * s2 * s2 / 20160.0)
 
 
 def _dq(s):
     """d/ds of _q."""
-    s = np.asarray(s, dtype=float)
-    small = np.abs(s) < 1e-2
-    ss = np.where(small, 1.0, s)
-    exact = (2.0 * ss * np.sin(ss) - 4.0 + 4.0 * np.cos(ss)) / (ss ** 3)
-    s2 = s * s
-    series = -s / 6.0 + s * s2 / 90.0 - s * s2 * s2 / 3360.0
-    return np.where(small, series, exact)
+    return _taylor_guarded(
+        s, lambda ss: (2.0 * ss * np.sin(ss) - 4.0 + 4.0 * np.cos(ss)) / (ss ** 3),
+        lambda s, s2: -s / 6.0 + s * s2 / 90.0 - s * s2 * s2 / 3360.0)
 
 
 def _r(s):
     """(1 - sin(s)/s) / s, series-protected near s = 0."""
-    s = np.asarray(s, dtype=float)
-    small = np.abs(s) < 1e-2
-    ss = np.where(small, 1.0, s)
-    exact = (1.0 - np.sin(ss) / ss) / ss
-    s2 = s * s
-    series = s / 6.0 - s * s2 / 120.0 + s * s2 * s2 / 5040.0
-    return np.where(small, series, exact)
+    return _taylor_guarded(
+        s, lambda ss: (1.0 - np.sin(ss) / ss) / ss,
+        lambda s, s2: s / 6.0 - s * s2 / 120.0 + s * s2 * s2 / 5040.0)
 
 
 def _dr(s):
     """d/ds of _r."""
-    s = np.asarray(s, dtype=float)
-    small = np.abs(s) < 1e-2
-    ss = np.where(small, 1.0, s)
-    exact = -1.0 / (ss * ss) - np.cos(ss) / (ss * ss) + 2.0 * np.sin(ss) / (ss ** 3)
-    s2 = s * s
-    series = 1.0 / 6.0 - s2 / 40.0 + s2 * s2 / 1008.0
-    return np.where(small, series, exact)
+    return _taylor_guarded(
+        s, lambda ss: -1.0 / (ss * ss) - np.cos(ss) / (ss * ss) + 2.0 * np.sin(ss) / (ss ** 3),
+        lambda s, s2: 1.0 / 6.0 - s2 / 40.0 + s2 * s2 / 1008.0)
 
 
 def _math_exp(x):

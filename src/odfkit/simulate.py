@@ -1,11 +1,11 @@
 """Synthetic-experiment generators: shot-noise scans and stability series.
 
 Scan simulation draws per-point binomial counts from the noiseless
-lineshapes; every point gets its own counter-based RNG substream derived
-from (seed, point index), so datasets are reproducible byte-for-byte and
-independent of evaluation order.  The stability generators model the slow
-angular drift and the differential beam-path fluctuation reported for the
-in-bore optics.
+lineshapes into a `ScanDataset`; every point gets its own counter-based RNG
+substream derived from (seed, point index), so datasets are reproducible
+byte-for-byte and independent of evaluation order.  The stability
+generators return a `Series` and model the slow angular drift and the
+differential beam-path fluctuation reported for the in-bore optics.
 """
 
 from __future__ import annotations
@@ -27,18 +27,27 @@ from .interactions import (
     thermometry_lineshape,
 )
 
-_PROBABILITY_KINDS = {"thermometry", "precession", "gamma"}
+
+def _freeze_arrays(obj, names):
+    """Set the named fields to read-only float arrays, checked equal-length and finite."""
+    arrays = [np.asarray(getattr(obj, name), dtype=float) for name in names]
+    if len({len(arr) for arr in arrays}) > 1:
+        raise ValueError(f"{', '.join(names)} must have equal lengths")
+    for name, arr in zip(names, arrays):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+    return arrays
 
 
 @dataclass(frozen=True)
 class ScanDataset:
-    """Abscissa / ordinate / sigma triples plus provenance metadata.
+    """A binomial P_up scan: abscissa / p_up / sigma triples plus provenance metadata.
 
-    For probability scans the abscissa is mu/2pi in Hz (thermometry),
-    theta1 in rad (precession) or tau in s (gamma decay); p_up and sigma
-    are then bounded fractions and standard errors.  Time series (drift,
-    path noise) reuse the container with p_up holding the series values
-    and sigma zeros.
+    The abscissa is mu/2pi in Hz (thermometry), theta1 in rad (precession)
+    or tau in s (gamma decay); p_up is a fraction in [0, 1] and sigma its
+    standard error, > 0.
     """
 
     abscissa: np.ndarray
@@ -47,39 +56,21 @@ class ScanDataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        abscissa = np.asarray(self.abscissa, dtype=float)
-        p_up = np.asarray(self.p_up, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
-        if not (len(abscissa) == len(p_up) == len(sigma)):
-            raise ValueError("abscissa, p_up, sigma must have equal lengths")
-        for name, arr in (("abscissa", abscissa), ("p_up", p_up), ("sigma", sigma)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} must be finite")
-        if self.meta.get("kind") in _PROBABILITY_KINDS:
-            if np.any((p_up < 0) | (p_up > 1)):
-                raise ValueError("p_up must lie in [0, 1]")
-            if np.any(sigma <= 0):
-                raise ValueError("sigma must be > 0 elementwise")
-        for name, arr in (("abscissa", abscissa), ("p_up", p_up), ("sigma", sigma)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _, p_up, sigma = _freeze_arrays(self, ("abscissa", "p_up", "sigma"))
+        if np.any((p_up < 0) | (p_up > 1)):
+            raise ValueError("p_up must lie in [0, 1]")
+        if np.any(sigma <= 0):
+            raise ValueError("sigma must be > 0 elementwise")
 
     def __len__(self):
         return len(self.abscissa)
 
     def to_csv(self, path):
         """Write header + rows; full-precision scientific notation."""
-        kind = self.meta.get("kind", "")
-        if kind in _PROBABILITY_KINDS:
-            header = ["abscissa", "p_up", "sigma"]
-            cols = (self.abscissa, self.p_up, self.sigma)
-        else:
-            header = ["t_s", "value"]
-            cols = (self.abscissa, self.p_up)
-        _write_rows(path, header, zip(*cols))
+        _write_rows(path, ["abscissa", "p_up", "sigma"], zip(self.abscissa, self.p_up, self.sigma))
 
     @classmethod
-    def from_csv(cls, path, kind=None):
+    def from_csv(cls, path, kind):
         """Read a CSV written by to_csv; a malformed file is a ValueError naming it."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -90,16 +81,37 @@ class ScanDataset:
                 raise ValueError(f"{path}: {err}") from None
         if header is None or not rows:
             raise ValueError(f"{path}: no data rows")
-        if len(header) < 2 or any(len(row) != len(header) for row in rows):
+        if len(header) < 3 or any(len(row) != len(header) for row in rows):
             raise ValueError(f"{path}: every row must have as many fields as the header, "
-                             "at least 2")
+                             "at least 3")
         data = np.asarray(rows, dtype=float)
-        meta = {"kind": kind, "source": str(path)} if kind else {"source": str(path)}
-        sigma = data[:, 2] if len(header) >= 3 else np.zeros(len(data))
         try:
-            return cls(abscissa=data[:, 0], p_up=data[:, 1], sigma=sigma, meta=meta)
+            return cls(abscissa=data[:, 0], p_up=data[:, 1], sigma=data[:, 2],
+                       meta={"kind": kind, "source": str(path)})
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from None
+
+
+@dataclass(frozen=True)
+class Series:
+    """Sample times t in s and the values there, plus provenance metadata.
+
+    Drift is in degrees, its probe signal is a P_up, path noise is in meters.
+    """
+
+    t: np.ndarray
+    value: np.ndarray
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        _freeze_arrays(self, ("t", "value"))
+
+    def __len__(self):
+        return len(self.t)
+
+    def to_csv(self, path):
+        """Write the t_s,value header + rows; full-precision scientific notation."""
+        _write_rows(path, ["t_s", "value"], zip(self.t, self.value))
 
 
 def _write_rows(path, header, rows):
@@ -146,6 +158,8 @@ def _sample_scan(p_true, shots, seed, abscissa, kind, meta_extra):
     its fresh state (empty buffer) with the counter set to the point index,
     which is the state of a new Philox(key=seed, counter=[0, 0, 0, i]).
     """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
     bitgen = np.random.Philox(key=np.uint64(seed % 2 ** 64))
     rng = np.random.Generator(bitgen)
     state = bitgen.state
@@ -159,10 +173,8 @@ def _sample_scan(p_true, shots, seed, abscissa, kind, meta_extra):
     # standard error, with a Wilson-interval floor where p_hat is 0 or 1
     sigma = np.where((p_hat == 0.0) | (p_hat == 1.0), 1.0 / (2.0 * (shots + 1.0)),
                      np.sqrt(p_hat * (1.0 - p_hat) / shots))
-    meta = {"kind": kind, "seed": seed, "shots": shots}
-    meta.update(meta_extra)
-    return ScanDataset(abscissa=np.asarray(abscissa, float), p_up=p_hat,
-                       sigma=sigma, meta=meta)
+    meta = {"kind": kind, "seed": seed, "shots": shots, **meta_extra}
+    return ScanDataset(abscissa=abscissa, p_up=p_hat, sigma=sigma, meta=meta)
 
 
 def simulate_thermometry(
@@ -175,8 +187,6 @@ def simulate_thermometry(
     seed: int = 0,
 ) -> ScanDataset:
     """Shot-noise-limited thermometry scan; abscissa stored as mu/2pi in Hz."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     mu = np.asarray(mu_grid, dtype=float)
     p_true = thermometry_lineshape(geom, drive, cfg, state, mu)
     extra = {
@@ -196,8 +206,6 @@ def simulate_precession(
     seed: int = 0,
 ) -> ScanDataset:
     """Shot-noise-limited tipping-angle scan; abscissa is theta1 in rad."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     theta1 = np.asarray(theta1_grid, dtype=float)
     p_true = precession_lineshape(j_bar, gamma, tau, theta1)
     extra = {"j_bar": j_bar, "gamma": gamma, "tau": tau}
@@ -211,14 +219,12 @@ def simulate_gamma_decay(
     seed: int = 0,
 ) -> ScanDataset:
     """Far-detuned decoherence scan P_up(tau) = (1 - e^{-2 Gamma tau}) / 2."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     tau = np.asarray(tau_grid, dtype=float)
     p_true = gamma_decay_lineshape(gamma, tau)
     return _sample_scan(p_true, shots, seed, tau, "gamma", {"gamma": gamma})
 
 
-def simulate_angle_drift(model: DriftModel, duration: float, dt: float) -> ScanDataset:
+def simulate_angle_drift(model: DriftModel, duration: float, dt: float) -> Series:
     """Angular misalignment series dtheta(t), degrees, over [0, duration]."""
     if duration <= 0 or dt <= 0:
         raise ValueError("duration and dt must be > 0")
@@ -229,16 +235,16 @@ def simulate_angle_drift(model: DriftModel, duration: float, dt: float) -> ScanD
         drift = drift + model.rms_jitter * rng.standard_normal(len(t))
     meta = {"kind": "drift", "seed": model.seed, "linear_rate_deg_per_h": model.linear_rate,
             "rms_jitter_deg": model.rms_jitter}
-    return ScanDataset(abscissa=t, p_up=drift, sigma=np.zeros(len(t)), meta=meta)
+    return Series(t=t, value=drift, meta=meta)
 
 
 def drift_probe_signal(
-    drift: ScanDataset,
+    drift: Series,
     geom: BeamGeometry,
     drive: OdfDrive,
     cfg: TrapIonConfig,
     state: ThermalState,
-) -> ScanDataset:
+) -> Series:
     """Convert an angle-drift series to the P_up probe measured on the ions.
 
     Calibration model of the stability measurement: a tilt dtheta puts the
@@ -250,7 +256,7 @@ def drift_probe_signal(
     strengths = force_magnitude(geom, drive, cfg, state)
     delta_probe = math.pi / drive.tau
     baseline = math.exp(-2.0 * drive.gamma * drive.tau)
-    f0_eff = strengths.f0 * np.abs(np.sin(np.radians(drift.p_up)))
+    f0_eff = strengths.f0 * np.abs(np.sin(np.radians(drift.value)))
     phases = loop_phases(f0_eff, cfg, delta_probe, drive.tau, "spin_echo")
     # in scalar arithmetic: np.abs, ** 2 and np.exp on arrays can each differ
     # by 1 ulp from abs (hypot), pow and math.exp
@@ -258,9 +264,8 @@ def drift_probe_signal(
     c_sm = np.fromiter((math.exp(-2.0 * abs(a) ** 2 * occupation)
                         for a in phases.alpha_total.tolist()), float, len(drift))
     p = 0.5 * (1.0 - baseline * c_sm)
-    meta = dict(drift.meta)
-    meta["kind"] = "drift_probe"
-    return ScanDataset(abscissa=drift.abscissa, p_up=p, sigma=np.zeros(len(p)), meta=meta)
+    meta = dict(drift.meta, kind="drift_probe")
+    return Series(t=drift.t, value=p, meta=meta)
 
 
 def _one_pole_lowpass(x, a):
@@ -270,7 +275,7 @@ def _one_pole_lowpass(x, a):
                        float, len(x))
 
 
-def simulate_path_noise(model: PathNoiseModel, duration: float, rate: float) -> ScanDataset:
+def simulate_path_noise(model: PathNoiseModel, duration: float, rate: float) -> Series:
     """Differential path-length series dl(t), meters, sampled at `rate`.
 
     Slow band: a random walk through a one-pole low-pass at slow_cutoff,
@@ -302,7 +307,7 @@ def simulate_path_noise(model: PathNoiseModel, duration: float, rate: float) -> 
             series *= model.target_rms / rms
     meta = {"kind": "pathnoise", "seed": model.seed, "rate_hz": rate,
             "target_rms_m": model.target_rms}
-    return ScanDataset(abscissa=t, p_up=series, sigma=np.zeros(n), meta=meta)
+    return Series(t=t, value=series, meta=meta)
 
 
 def path_noise_phase_rms(delta_l_rms: float, lambda_odf: float) -> float:

@@ -78,9 +78,12 @@ def misalignment_phase_3d(theta_odf, laser_wavelength, tilt_error, radius):
 
 
 def grid_max(fun, lo, hi, n=10_000):
-    """Brute-force grid maximization; returns (x*, f(x*))."""
+    """Brute-force grid maximization; returns (x*, f(x*)).
+
+    fun takes the whole grid in one call and returns f at each point.
+    """
     xs = np.linspace(lo, hi, n)
-    ys = np.array([fun(x) for x in xs])
+    ys = np.asarray(fun(xs))
     i = int(np.argmax(ys))
     return float(xs[i]), float(ys[i])
 

@@ -212,14 +212,14 @@ def test_criterion_6_fitter_correctness():
 def test_criterion_7_stability_pipeline():
     start = time.time()
     drift = simulate_angle_drift(DriftModel(linear_rate=0.002, rms_jitter=0.0), 6000.0, 10.0)
-    drift_ok = bool(np.all(np.abs(drift.p_up) <= 6e-3))
+    drift_ok = bool(np.all(np.abs(drift.value) <= 6e-3))
     noise = simulate_path_noise(PathNoiseModel(target_rms=12e-9, seed=0), 200.0, 100.0)
-    rms = math.sqrt(float(np.mean(noise.p_up ** 2)))
+    rms = math.sqrt(float(np.mean(noise.value ** 2)))
     phi = path_noise_phase_rms(rms, 647e-9)
     noise_ok = abs(phi - 6.7) <= 0.5
     elapsed = time.time() - start
     report(7, "stability pipeline", drift_ok and noise_ok,
-           f"drift end = {drift.p_up[-1]:.4f} deg, phase rms = {phi:.2f} deg, {elapsed:.2f} s")
+           f"drift end = {drift.value[-1]:.4f} deg, phase rms = {phi:.2f} deg, {elapsed:.2f} s")
 
 
 def test_criterion_8_optimizer():
@@ -237,8 +237,8 @@ def test_criterion_8_optimizer():
             CFG, drive, state, constraints=(math.radians(lo), math.radians(hi)),
             laser_wavelength=lam)
 
-        def ratio(theta):
-            g = BeamGeometry(theta_odf=theta, laser_wavelength=lam)
+        def ratio(thetas):
+            g = BeamGeometry(theta_odf=thetas, laser_wavelength=lam)
             return force_magnitude(g, drive, CFG, state).f0 / drive.gamma
 
         grid_theta, _ = oracles.grid_max(ratio, math.radians(lo), math.radians(hi))

@@ -11,7 +11,6 @@ import pytest
 import odfkit
 from odfkit import (
     BeamGeometry,
-    ScanDataset,
     ThermalState,
     force_magnitude,
     load_config,
@@ -206,6 +205,22 @@ def test_simulate_pathnoise_with_no_samples_is_one_line_error(capfd, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["geom", "--theta", "inf"],
+    ["simulate", "pathnoise", "--duration", "inf"],
+    ["simulate", "drift", "--dt", "nan"],
+    ["simulate", "pathnoise", "--sample-rate", "inf"],
+    ["simulate", "drift", "--rate", "inf"],
+    ["simulate", "drift", "--jitter", "nan"],
+], ids=lambda argv: argv[-2])
+def test_non_finite_float_flag_names_flag(capfd, tmp_path, argv):
+    code, out, err = run(capfd, *argv, "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == "" and not (tmp_path / "out").exists()
+    assert f"argument {argv[-2]}: expected a finite number" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_then_fit_thermometry(capsys, tmp_path):
     code, _, _ = run(capsys, "simulate", "thermometry", "--out", str(tmp_path),
                      "--seed", "3", "--shots", "500")
@@ -252,7 +267,8 @@ def test_fit_missing_file_is_input_error(capsys, tmp_path):
     "abscissa,p_up,sigma\r\n1,0.5,0.1\r\n2,0.5\r\n",
     "abscissa,p_up,sigma\r\n1,0.5\r\n2,0.5\r\n",
     "abscissa,p_up,sigma\r\n0.1,0.5,0.01\r\n0.2,nan,0.01\r\n0.3,0.5,0.01\r\n",
-], ids=["empty", "header-only", "ragged", "narrower-than-header", "nan"])
+    "t_s,value\r\n0.0,1.5e-8\r\n0.01,-2.5e-9\r\n0.02,4.0e-9\r\n",
+], ids=["empty", "header-only", "ragged", "narrower-than-header", "nan", "series"])
 def test_fit_malformed_csv_is_one_line_error(capsys, tmp_path, text):
     path = tmp_path / "data.csv"
     path.write_text(text)
@@ -395,10 +411,12 @@ def test_reproduce_fig4c(capsys, tmp_path):
 def test_reproduce_fig5(capsys, tmp_path):
     code, _, _ = run(capsys, "reproduce", "fig5", "--out", str(tmp_path), "--seed", "0")
     assert code == 0
-    drift = ScanDataset.from_csv(tmp_path / "fig5a_drift.csv")
-    assert np.all(np.abs(drift.p_up) <= 6e-3)
-    noise = ScanDataset.from_csv(tmp_path / "fig5b_pathnoise.csv")
-    rms = math.sqrt(float(np.mean(noise.p_up ** 2)))
+    for name in ("fig5a_drift", "fig5b_pathnoise"):
+        assert (tmp_path / f"{name}.csv").read_bytes().startswith(b"t_s,value\r\n")
+    drift = np.loadtxt(tmp_path / "fig5a_drift.csv", delimiter=",", skiprows=1)
+    assert np.all(np.abs(drift[:, 1]) <= 6e-3)
+    noise = np.loadtxt(tmp_path / "fig5b_pathnoise.csv", delimiter=",", skiprows=1)
+    rms = math.sqrt(float(np.mean(noise[:, 1] ** 2)))
     assert rms == pytest.approx(12e-9, rel=0.05)
 
 

@@ -260,8 +260,8 @@ def test_optimize_theta_matches_grid_oracle_50_cases():
             CFG, DRIVE, state, constraints=(math.radians(lo), math.radians(hi)),
             laser_wavelength=lam)
 
-        def ratio(theta):
-            g = BeamGeometry(theta_odf=theta, laser_wavelength=lam)
+        def ratio(thetas):
+            g = BeamGeometry(theta_odf=thetas, laser_wavelength=lam)
             return force_magnitude(g, DRIVE, CFG, state).f0 / DRIVE.gamma
 
         grid_theta, _ = oracles.grid_max(ratio, math.radians(lo), math.radians(hi))

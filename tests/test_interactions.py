@@ -24,6 +24,7 @@ from odfkit import (
     thermal_extent_sq,
     thermometry_lineshape,
 )
+from odfkit.interactions import _dq, _dr, _q, _r
 
 CFG = TrapIonConfig()
 Z0 = ground_state_extent(CFG)
@@ -201,6 +202,19 @@ def test_loop_phases_match_trajectory_oracle():
         lp = loop_phases(F0[:, j], CFG, float(delta[0, j]), tau, "spin_echo")
         assert np.abs(lp.alpha_total) == pytest.approx(num_mag[:, j], rel=1e-6)
         assert lp.chi_arm == pytest.approx(num_chi[:, j], rel=1e-6)
+
+
+@pytest.mark.parametrize("series_guarded,closed_form,rel", [
+    (_q, lambda s: (2 - 2 * math.cos(s)) / s ** 2, 1e-10),
+    (_dq, lambda s: (2 * s * math.sin(s) - 4 + 4 * math.cos(s)) / s ** 3, 1e-5),
+    (_r, lambda s: (1 - math.sin(s) / s) / s, 1e-9),
+    (_dr, lambda s: -1 / s ** 2 - math.cos(s) / s ** 2 + 2 * math.sin(s) / s ** 3, 1e-9),
+], ids=["q", "dq", "r", "dr"])
+def test_taylor_series_branch_matches_closed_form(series_guarded, closed_form, rel):
+    # |s| just under 1e-2 takes the series; rel covers the closed form's cancellation there
+    for s in np.concatenate([np.linspace(9.9e-3, 1e-2, 50, endpoint=False),
+                             -np.linspace(9.9e-3, 1e-2, 50, endpoint=False)]).tolist():
+        assert float(series_guarded(s)) == pytest.approx(closed_form(s), rel=rel)
 
 
 # -- lineshapes --------------------------------------------------------------------

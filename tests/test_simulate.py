@@ -10,6 +10,7 @@ from odfkit import (
     OdfDrive,
     PathNoiseModel,
     ScanDataset,
+    Series,
     ThermalState,
     TrapIonConfig,
     drift_probe_signal,
@@ -33,12 +34,14 @@ DRIVE = OdfDrive()
 MU = CFG.omega_com + 2 * math.pi * np.linspace(-3e3, 3e3, 30)
 
 
-# -- ScanDataset container -----------------------------------------------------
+# -- ScanDataset and Series containers -------------------------------------------
 
 
 def test_dataset_rejects_length_mismatch():
     with pytest.raises(ValueError):
         ScanDataset(abscissa=np.arange(3.0), p_up=np.zeros(2), sigma=np.ones(2))
+    with pytest.raises(ValueError):
+        Series(t=np.arange(3.0), value=np.zeros(2))
 
 
 def test_dataset_probability_invariants():
@@ -50,20 +53,36 @@ def test_dataset_probability_invariants():
                     sigma=np.array([0.1, 0.0]), meta={"kind": "precession"})
 
 
-@pytest.mark.parametrize("kind", ["thermometry", "drift"])
-@pytest.mark.parametrize("field", ["abscissa", "p_up", "sigma"])
-def test_dataset_rejects_non_finite(kind, field):
-    arrays = {"abscissa": np.arange(2.0), "p_up": np.full(2, 0.5), "sigma": np.full(2, 0.1)}
-    arrays[field] = np.array([0.5, math.nan])
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
-        ScanDataset(meta={"kind": kind}, **arrays)
+def test_dataset_bounds_hold_without_meta():
+    with pytest.raises(ValueError, match="p_up"):
+        ScanDataset(abscissa=np.arange(2.0), p_up=np.array([0.5, 1.2]), sigma=np.ones(2))
+    with pytest.raises(ValueError, match="sigma"):
+        ScanDataset(abscissa=np.arange(2.0), p_up=np.full(2, 0.5), sigma=np.array([0.1, 0.0]))
+
+
+@pytest.mark.parametrize("field,kind", [
+    ("abscissa", "thermometry"), ("p_up", "thermometry"), ("sigma", "thermometry"),
+    ("abscissa", "drift"), ("p_up", "drift"),
+])
+def test_dataset_rejects_non_finite(field, kind):
+    # a drift Series holds the abscissa as t and the values as value, and has no sigma
+    if kind == "drift":
+        cls, name = Series, {"abscissa": "t", "p_up": "value"}[field]
+        arrays = {"t": np.arange(2.0), "value": np.full(2, 0.5)}
+    else:
+        cls, name = ScanDataset, field
+        arrays = {"abscissa": np.arange(2.0), "p_up": np.full(2, 0.5), "sigma": np.full(2, 0.1)}
+    arrays[name] = np.array([0.5, math.nan])
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        cls(**arrays)
 
 
 def test_dataset_time_series_allows_signed_values():
-    # drift and path-noise series reuse the container without the bounds
-    ds = ScanDataset(abscissa=np.arange(3.0), p_up=np.array([-1.0, 0.0, 2.0]),
-                     sigma=np.zeros(3), meta={"kind": "drift"})
+    # drift and path-noise series carry no bounds
+    ds = Series(t=np.arange(3.0), value=np.array([-1.0, 0.0, 2.0]), meta={"kind": "drift"})
     assert len(ds) == 3
+    with pytest.raises(ValueError):
+        ds.value[0] = 0.3
 
 
 def test_dataset_arrays_are_read_only():
@@ -157,25 +176,25 @@ def test_shots_validation():
 
 def test_drift_linear_rate():
     ds = simulate_angle_drift(DriftModel(linear_rate=0.002, rms_jitter=0.0), 3600.0, 10.0)
-    assert ds.p_up[-1] == pytest.approx(0.002, rel=1e-12)
-    assert ds.p_up[0] == 0.0
+    assert ds.value[-1] == pytest.approx(0.002, rel=1e-12)
+    assert ds.value[0] == 0.0
 
 
 def test_drift_zero_model_is_zero():
     ds = simulate_angle_drift(DriftModel(linear_rate=0.0, rms_jitter=0.0), 1000.0, 1.0)
-    assert np.all(ds.p_up == 0.0)
+    assert np.all(ds.value == 0.0)
 
 
 def test_drift_6000s_within_axis_range():
     ds = simulate_angle_drift(DriftModel(linear_rate=0.002, rms_jitter=0.0), 6000.0, 10.0)
-    assert ds.p_up[-1] == pytest.approx(0.002 * 6000 / 3600, rel=1e-12)
-    assert np.all(np.abs(ds.p_up) <= 6e-3)
+    assert ds.value[-1] == pytest.approx(0.002 * 6000 / 3600, rel=1e-12)
+    assert np.all(np.abs(ds.value) <= 6e-3)
 
 
 def test_drift_jitter_deterministic():
     a = simulate_angle_drift(DriftModel(rms_jitter=1e-3, seed=9), 100.0, 1.0)
     b = simulate_angle_drift(DriftModel(rms_jitter=1e-3, seed=9), 100.0, 1.0)
-    assert a.p_up.tobytes() == b.p_up.tobytes()
+    assert a.value.tobytes() == b.value.tobytes()
 
 
 def test_drift_validation():
@@ -186,13 +205,12 @@ def test_drift_validation():
 
 
 def test_drift_probe_signal_monotone_in_misalignment():
-    drift = ScanDataset(abscissa=np.arange(4.0),
-                        p_up=np.array([0.0, 0.01, 0.02, 0.04]),
-                        sigma=np.zeros(4), meta={"kind": "drift"})
+    drift = Series(t=np.arange(4.0), value=np.array([0.0, 0.01, 0.02, 0.04]),
+                   meta={"kind": "drift"})
     probe = drift_probe_signal(drift, GEOM, DRIVE, CFG, ThermalState(10.7))
     baseline = 0.5 * (1 - math.exp(-2 * DRIVE.gamma * DRIVE.tau))
-    assert probe.p_up[0] == pytest.approx(baseline, rel=1e-12)
-    assert np.all(np.diff(probe.p_up) > 0)  # larger tilt, deeper dephasing
+    assert probe.value[0] == pytest.approx(baseline, rel=1e-12)
+    assert np.all(np.diff(probe.value) > 0)  # larger tilt, deeper dephasing
 
 
 @pytest.mark.parametrize("delta_ac_hz,tau,n_bar,theta_deg", [
@@ -209,9 +227,9 @@ def test_drift_probe_matches_per_sample_loop(delta_ac_hz, tau, n_bar, theta_deg)
     state = ThermalState(n_bar)
     probe = drift_probe_signal(drift, geom, drive, CFG, state)
     f0 = force_magnitude(geom, drive, CFG, state).f0
-    expected = oracles.per_sample_drift_probe(drift.p_up.tolist(), f0, ground_state_extent(CFG),
+    expected = oracles.per_sample_drift_probe(drift.value.tolist(), f0, ground_state_extent(CFG),
                                               n_bar, drive.gamma, tau)
-    assert np.array_equal(probe.p_up, expected)
+    assert np.array_equal(probe.value, expected)
 
 
 # -- path noise ----------------------------------------------------------------------
@@ -220,27 +238,27 @@ def test_drift_probe_matches_per_sample_loop(delta_ac_hz, tau, n_bar, theta_deg)
 def test_path_noise_zero_amplitudes():
     model = PathNoiseModel(slow_amplitude=0.0, fast_amplitude=0.0, target_rms=None)
     ds = simulate_path_noise(model, 10.0, 100.0)
-    assert np.all(ds.p_up == 0.0)
+    assert np.all(ds.value == 0.0)
 
 
 def test_path_noise_rms_within_5_percent_over_100_seeds():
     for seed in range(100):
         ds = simulate_path_noise(PathNoiseModel(seed=seed), 200.0, 100.0)
-        rms = math.sqrt(float(np.mean(ds.p_up ** 2)))
+        rms = math.sqrt(float(np.mean(ds.value ** 2)))
         assert abs(rms - 12e-9) / 12e-9 < 0.05
 
 
 def test_path_noise_deterministic():
     a = simulate_path_noise(PathNoiseModel(seed=4), 50.0, 100.0)
     b = simulate_path_noise(PathNoiseModel(seed=4), 50.0, 100.0)
-    assert a.p_up.tobytes() == b.p_up.tobytes()
+    assert a.value.tobytes() == b.value.tobytes()
 
 
 def test_path_noise_spectral_split():
     # with the fast band off, >=80% of the variance sits below the cutoff
     model = PathNoiseModel(fast_amplitude=0.0, target_rms=None, seed=11)
     ds = simulate_path_noise(model, 400.0, 100.0)
-    series = ds.p_up - ds.p_up.mean()
+    series = ds.value - ds.value.mean()
     spectrum = np.abs(np.fft.rfft(series)) ** 2
     freqs = np.fft.rfftfreq(len(series), d=1.0 / 100.0)
     below = spectrum[freqs <= model.slow_cutoff].sum()
