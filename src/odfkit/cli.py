@@ -10,7 +10,6 @@ a JSON manifest sidecar recording the config digest and seed.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -79,7 +78,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _emit(args, name, data, scn: Scenario, seed=None):
     """Write <out>/<name>.csv and its manifest sidecar.
 
-    data is a (header, rows) table, or a ScanDataset or Series, whose
+    data is a (header, columns) table, or a ScanDataset or Series, whose
     metadata goes into the sidecar.
     """
     out = Path(args.out)
@@ -182,12 +181,13 @@ def cmd_curves(args, scn: Scenario):
                            sep=",")
     geom = BeamGeometry(theta_odf=np.radians(grid_deg),
                         laser_wavelength=scn.beams.laser_wavelength)
-    rows = []
-    for state in states:
-        s = force_magnitude(geom, scn.drive, scn.trap, state)
-        jb = s.j_bar.tolist() if s.j_bar is not None else itertools.repeat(math.nan)
-        rows += zip(grid_deg.tolist(), itertools.repeat(state.n_bar), s.f0.tolist(), jb)
-    _emit(args, "curves", (["theta_deg", "n_bar", "F0_N", "Jbar_rad_s"], rows), scn)
+    strengths = [force_magnitude(geom, scn.drive, scn.trap, state) for state in states]
+    no_coupling = np.full(len(grid_deg), math.nan)
+    columns = (np.tile(grid_deg, len(states)),
+               np.repeat([state.n_bar for state in states], len(grid_deg)),
+               np.concatenate([s.f0 for s in strengths]),
+               np.concatenate([no_coupling if s.j_bar is None else s.j_bar for s in strengths]))
+    _emit(args, "curves", (["theta_deg", "n_bar", "F0_N", "Jbar_rad_s"], columns), scn)
     return 0
 
 
@@ -199,9 +199,8 @@ def cmd_ratio_scan(args, scn: Scenario):
     s = force_magnitude(geom, scn.drive, scn.trap, scn.thermal)
     if s.f0_over_gamma is None:
         raise ConfigError("ratio-scan needs drive.gamma_per_s > 0")
-    rows = zip(np.degrees(theta).tolist(), s.f0.tolist(), itertools.repeat(scn.drive.gamma),
-               s.f0_over_gamma.tolist())
-    _emit(args, "ratio_scan", (["theta_deg", "F0_N", "Gamma_Hz", "ratio"], rows), scn)
+    columns = (np.degrees(theta), s.f0, np.full(len(theta), scn.drive.gamma), s.f0_over_gamma)
+    _emit(args, "ratio_scan", (["theta_deg", "F0_N", "Gamma_Hz", "ratio"], columns), scn)
     return 0
 
 
@@ -319,7 +318,7 @@ def _reproduce_fig4c(args, scn: Scenario):
             combined = weighted_f0(estimates)
             rows.append((label, theta_deg, combined.f0, scn.drive.gamma,
                          combined.f0 / scn.drive.gamma))
-    _emit(args, "fig4c", (["scenario", "theta_deg", "F0_N", "Gamma_Hz", "ratio"], rows),
+    _emit(args, "fig4c", (["scenario", "theta_deg", "F0_N", "Gamma_Hz", "ratio"], zip(*rows)),
           scn, args.seed)
     return 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from .constants import ATOMIC_MASS_UNIT, TWO_PI
@@ -89,7 +90,7 @@ def _validate_sections(doc: dict, path: str = "config"):
             elif not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"{path}.{section}.{key}: expected number, "
                                   f"got {type(value).__name__}")
-            elif isinstance(value, float) and not math.isfinite(value):
+            elif not abs(value) <= sys.float_info.max:  # also an int too large for a float
                 raise ConfigError(f"{path}.{section}.{key}: expected a finite number, "
                                   f"got {value}")
 
@@ -123,9 +124,11 @@ def load_config(path=None, scenario: str | None = None) -> Scenario:
 
 
 def build_scenario(merged: dict) -> Scenario:
-    t = merged["trap"]
-    d = merged["drive"]
-    b = merged["beams"]
+    num = {section: {key: val if key == "n_ions" else float(val) for key, val in body.items()}
+           for section, body in merged.items()}  # so an int config writes %.17e CSV columns
+    t = num["trap"]
+    d = num["drive"]
+    b = num["beams"]
     trap = TrapIonConfig(
         ion_mass=t["ion_mass_amu"] * ATOMIC_MASS_UNIT,
         omega_com=TWO_PI * t["omega_com_hz"],
@@ -145,8 +148,8 @@ def build_scenario(merged: dict) -> Scenario:
         laser_wavelength=b["laser_wavelength_m"],
         tilt_error=math.radians(b["tilt_error_deg"]),
     )
-    thermal = ThermalState(n_bar=merged["thermal"]["n_bar"])
-    mnt = merged.get("mount", {})
+    thermal = ThermalState(n_bar=num["thermal"]["n_bar"])
+    mnt = num.get("mount", {})
     mount = MountGeometry(
         d_axial=mnt.get("d_axial_m", 28.6e-3),
         d_radial=mnt.get("d_radial_m", 3.0e-3),

@@ -10,9 +10,9 @@ differential beam-path fluctuation reported for the in-bore optics.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +29,8 @@ from .interactions import (
 
 
 def _freeze_arrays(obj, names):
-    """Set the named fields to read-only float arrays, checked equal-length and finite."""
-    arrays = [np.asarray(getattr(obj, name), dtype=float) for name in names]
+    """Set the named fields to read-only float views (not copies), equal-length and finite."""
+    arrays = [np.asarray(getattr(obj, name), dtype=float).view() for name in names]
     if len({len(arr) for arr in arrays}) > 1:
         raise ValueError(f"{', '.join(names)} must have equal lengths")
     for name, arr in zip(names, arrays):
@@ -67,25 +67,20 @@ class ScanDataset:
 
     def to_csv(self, path):
         """Write header + rows; full-precision scientific notation."""
-        _write_rows(path, ["abscissa", "p_up", "sigma"], zip(self.abscissa, self.p_up, self.sigma))
+        _write_rows(path, ["abscissa", "p_up", "sigma"], (self.abscissa, self.p_up, self.sigma))
 
     @classmethod
     def from_csv(cls, path, kind):
         """Read a CSV written by to_csv; a malformed file is a ValueError naming it."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            try:
-                rows = [[float(v) for v in row] for row in reader if row]
-            except ValueError as err:
-                raise ValueError(f"{path}: {err}") from None
-        if header is None or not rows:
-            raise ValueError(f"{path}: no data rows")
-        if len(header) < 3 or any(len(row) != len(header) for row in rows):
-            raise ValueError(f"{path}: every row must have as many fields as the header, "
-                             "at least 3")
-        data = np.asarray(rows, dtype=float)
         try:
+            with open(path) as fh, warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: the error below
+                width = len(fh.readline().split(","))
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            if len(data) == 0:
+                raise ValueError("no data rows")
+            if width < 3 or data.shape[1] != width:
+                raise ValueError("every row must have as many fields as the header, at least 3")
             return cls(abscissa=data[:, 0], p_up=data[:, 1], sigma=data[:, 2],
                        meta={"kind": kind, "source": str(path)})
         except ValueError as err:
@@ -111,16 +106,21 @@ class Series:
 
     def to_csv(self, path):
         """Write the t_s,value header + rows; full-precision scientific notation."""
-        _write_rows(path, ["t_s", "value"], zip(self.t, self.value))
+        _write_rows(path, ["t_s", "value"], (self.t, self.value))
 
 
-def _write_rows(path, header, rows):
-    """The one CSV writer: header, then rows with floats as f"{v:.17e}"."""
+_BLOCK_ROWS = 1024  # rows per write: bounds the Python lists a block builds
+
+
+def _write_rows(path, header, columns):
+    """The one CSV writer: header, then rows of %.17e floats and %s others; CRLF line ends."""
+    columns = [np.asarray(col) for col in columns]
+    line = ",".join("%.17e" if col.dtype.kind == "f" else "%s" for col in columns) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.17e}" if isinstance(v, float) else v for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [col[start:start + _BLOCK_ROWS].tolist() for col in columns]
+            fh.write((line * len(block[0])) % tuple(itertools.chain.from_iterable(zip(*block))))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ averages, brute-force grids, explicit 3D vector construction) so that
 agreement is meaningful.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -125,3 +126,12 @@ def per_sample_drift_probe(drift_deg, f0, z0, n_bar, gamma, tau):
         p.append(0.5 * (1.0 - baseline * math.exp(-2.0 * abs(complex(alpha)) ** 2
                                                    * (2.0 * n_bar + 1.0))))
     return np.array(p)
+
+
+def csv_rows(path, header, rows):
+    """The scalar CSV writer: csv.writer, formatting each float value as f"{v:.17e}"."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.17e}" if isinstance(v, float) else v for v in row])

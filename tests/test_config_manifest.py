@@ -103,6 +103,22 @@ def test_unit_conversion_at_the_boundary():
     assert scn.mount.theta_max == pytest.approx(math.radians(36.0))
 
 
+def test_int_config_values_become_floats():
+    merged = {section: dict(body) for section, body in DEFAULT_CONFIG.items()}
+    merged["drive"] = dict(merged["drive"], gamma_per_s=100, tau_s=1)
+    merged["thermal"] = {"n_bar": 2}
+    scn = build_scenario(merged)
+    assert type(scn.drive.gamma) is float and scn.drive.gamma == 100.0
+    assert type(scn.drive.tau) is float and type(scn.thermal.n_bar) is float
+    assert type(scn.trap.n_ions) is int
+
+
+def test_int_too_large_for_a_float_is_named(tmp_path):
+    path = write(tmp_path, {"drive": {"tau_s": 10 ** 400}})
+    with pytest.raises(ConfigError, match="config.drive.tau_s: expected a finite number"):
+        load_config(path)
+
+
 def test_config_digest_is_canonical():
     a = {"trap": {"n_ions": 125, "omega_com_hz": 1.1e6}}
     b = {"trap": {"omega_com_hz": 1.1e6, "n_ions": 125}}  # key order differs

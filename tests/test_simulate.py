@@ -1,7 +1,9 @@
 import math
+import string
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from odfkit import (
@@ -26,7 +28,7 @@ from odfkit import (
     simulate_thermometry,
     thermometry_lineshape,
 )
-from odfkit.simulate import _one_pole_lowpass, _sample_scan
+from odfkit.simulate import _BLOCK_ROWS, _one_pole_lowpass, _sample_scan, _write_rows
 
 CFG = TrapIonConfig()
 GEOM = BeamGeometry(theta_odf=math.radians(28.0))
@@ -89,6 +91,78 @@ def test_dataset_arrays_are_read_only():
     ds = simulate_thermometry(GEOM, DRIVE, CFG, ThermalState(1.27), MU, shots=50, seed=1)
     with pytest.raises(ValueError):
         ds.p_up[0] = 0.3
+
+
+def test_dataset_leaves_callers_grid_writable():
+    grid = np.linspace(0.0, 6.28, 5)
+    ds = simulate_precession(1000.0, 100.0, 5e-4, grid)
+    grid[0] = 1.0
+    assert ds.abscissa[0] == 1.0  # a read-only view of the same memory, not a copy
+    with pytest.raises(ValueError):
+        ds.abscissa[0] = 0.0
+
+
+# -- CSV writer and reader ---------------------------------------------------------
+
+# a scenario label needs no csv quoting: no comma, quote or line break
+LABELS = st.text(string.ascii_letters + string.digits + "_-", min_size=1, max_size=12)
+SPECIAL = [math.nan, -0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+           -math.inf, math.inf]
+
+
+def _write_both(path, header, columns, rows):
+    _write_rows(path / "new.csv", header, columns)
+    oracles.csv_rows(path / "oracle.csv", header, rows)
+    return (path / "new.csv").read_bytes(), (path / "oracle.csv").read_bytes()
+
+
+@settings(max_examples=200)
+@given(rows=st.lists(st.tuples(LABELS, st.floats(), st.floats()), max_size=40))
+@example(rows=[("doppler", math.nan, -0.0), ("eit", 5e-324, -1.7976931348623157e308),
+               ("x", math.inf, -math.inf)])
+def test_writer_matches_csv_writer_oracle(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv")
+    columns = [list(col) for col in zip(*rows)] or [[], [], []]
+    new, oracle = _write_both(path, ["scenario", "a", "b"], columns, rows)
+    assert new == oracle
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+def test_writer_block_boundaries_match_oracle(tmp_path, n):
+    rng = np.random.default_rng(n)
+    value = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 308, n)
+    value[:len(SPECIAL)] = SPECIAL[:n]
+    t = np.arange(n) * 0.01
+    labels = [f"s{i % 7}" for i in range(n)]
+    new, oracle = _write_both(tmp_path, ["t_s", "value"], (t, value), zip(t, value))
+    assert new == oracle and new.count(b"\r\n") == n + 1
+    new, oracle = _write_both(tmp_path, ["scenario", "t_s", "value"], (labels, t, value),
+                              zip(labels, t, value))
+    assert new == oracle
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200)
+@given(rows=st.lists(st.tuples(FINITE, st.floats(0.0, 1.0),
+                               st.floats(0.0, 1e300, exclude_min=True)), min_size=1, max_size=20),
+       form=st.sampled_from(["{:.17e}", "{!r}"]))
+def test_reader_parses_to_the_bits_of_float(tmp_path_factory, rows, form):
+    path = tmp_path_factory.mktemp("csv") / "scan.csv"
+    text = [[form.format(v) for v in row] for row in rows]
+    path.write_text("abscissa,p_up,sigma\r\n" + "".join(",".join(r) + "\r\n" for r in text))
+    back = ScanDataset.from_csv(path, kind="precession")
+    expect = np.array([[float(v) for v in r] for r in text])
+    for i, got in enumerate((back.abscissa, back.p_up, back.sigma)):
+        assert got.tobytes() == expect[:, i].tobytes()
+
+
+def test_reader_skips_blank_lines_between_rows(tmp_path):
+    path = tmp_path / "scan.csv"
+    path.write_text("abscissa,p_up,sigma\n0.1,0.5,0.01\n\n0.2,0.25,0.02\n\n")
+    back = ScanDataset.from_csv(path, kind="precession")
+    assert back.abscissa.tolist() == [0.1, 0.2] and back.sigma.tolist() == [0.01, 0.02]
 
 
 def test_dataset_csv_round_trip(tmp_path):
