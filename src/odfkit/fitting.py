@@ -161,7 +161,8 @@ class _Estimator:
     jacobian(x, params) and _starts(x, y), the candidate initial points.
     fit() starts the damped Gauss-Newton engine from the candidate with
     the lowest cost and returns the FitResult; the estimator keeps no
-    state.  The dataset abscissa times abscissa_scale is x.
+    state.  The dataset abscissa, named by abscissa_name, times
+    abscissa_scale is x.
     """
 
     names = ()
@@ -172,6 +173,10 @@ class _Estimator:
     def fit(self, dataset: ScanDataset) -> FitResult:
         if len(dataset) < self.min_points:
             raise FitInputError(f"need at least {self.min_points} points, got {len(dataset)}")
+        largest = float(np.abs(dataset.abscissa).max()) * self.abscissa_scale
+        if not largest <= math.sqrt(np.finfo(float).max / len(dataset)):
+            raise FitInputError(f"{self._span(dataset.abscissa)}: too large to fit, "
+                                "its sum of squares overflows")
         x = self.abscissa_scale * dataset.abscissa
         y, sig = dataset.p_up, dataset.sigma
 
@@ -188,6 +193,9 @@ class _Estimator:
         )
         return _build_result(self.names, p, converged, it, jtj, cost, len(y), bounds)
 
+    def _span(self, abscissa):
+        return f"the abscissa ({self.abscissa_name}) spans [{abscissa.min():g}, {abscissa.max():g}]"
+
 
 class ThermometryEstimator(_Estimator):
     """Fit the spin-echo thermometry lineshape for (omega_com, n_bar).
@@ -201,6 +209,7 @@ class ThermometryEstimator(_Estimator):
     lower = (0.0, 0.0)
     min_points = 6  # enough to span the resonance
     abscissa_scale = TWO_PI
+    abscissa_name = "mu/2pi in Hz"
 
     def __init__(self, geom: BeamGeometry, drive: OdfDrive, cfg: TrapIonConfig):
         self.geom = geom
@@ -220,10 +229,12 @@ class ThermometryEstimator(_Estimator):
         centroid = float((weight * mu).sum() / weight.sum()) if weight.sum() > 0 else float(mu.mean())
         peak = float(mu[np.argmax(p_up)])
         half_lobe = math.pi / self.drive.tau
-        omegas = [w for w in (centroid, peak, peak - half_lobe, peak + half_lobe) if w > 0]
+        # omega_com > 0 and z0^2 = hbar / (2 M omega_com) finite: 2 M omega_com > 0, no underflow
+        omegas = [w for w in (centroid, peak, peak - half_lobe, peak + half_lobe)
+                  if 2.0 * self.cfg.ion_mass * w > 0]
         if not omegas:
-            raise FitInputError(f"no omega_com > 0 to start from: the abscissa (mu/2pi in Hz) "
-                                f"spans [{mu.min() / TWO_PI:g}, {mu.max() / TWO_PI:g}]")
+            raise FitInputError(f"no omega_com > 0 with a finite z0^2 to start from: "
+                                f"{self._span(mu / self.abscissa_scale)}")
         return [(w, n) for w in omegas for n in (5.0, 1.0, 15.0)]
 
 
@@ -232,6 +243,7 @@ class PrecessionEstimator(_Estimator):
 
     names = ("j_bar",)
     min_points = 2
+    abscissa_name = "theta1 in rad"
 
     def __init__(self, gamma: float, tau: float, init_j_bar=None):
         self.gamma = gamma
@@ -272,6 +284,7 @@ class GammaDecayEstimator(_Estimator):
     names = ("gamma",)
     lower = (0.0,)
     min_points = 2
+    abscissa_name = "tau in s"
 
     def predict(self, tau, params):
         return gamma_decay_lineshape(params[0], tau)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import odfkit
 from odfkit import (
@@ -290,6 +290,10 @@ def test_fit_malformed_csv_is_one_line_error(capsys, tmp_path, text):
 
 
 CSV_TEXT = st.text("0123456789+-.,eEnaif_# \"\r\n", max_size=200)
+# valid rows with extreme abscissae: a subnormal thermometry peak, and +-1e300
+SUBNORMAL_ROWS = (b"5e-324,0.0,0.07\r\n5e-324,1.0,0.07\r\n1.0,0.2,0.07\r\n2.0,0.5,0.07\r\n"
+                  b"3.0,0.1,0.07\r\n4.0,0.3,0.07\r\n")
+HUGE_ROWS = b"1e300,0.0,0.07\r\n-1e300,1.0,0.07\r\n1.0,0.2,0.07\r\n2.0,0.5,0.07\r\n"
 
 
 # derandomized: the same 100 inputs on every run, so tier-1 stays deterministic
@@ -297,6 +301,9 @@ CSV_TEXT = st.text("0123456789+-.,eEnaif_# \"\r\n", max_size=200)
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(model=st.sampled_from(["thermometry", "precession", "gamma"]),
        body=st.one_of(st.binary(max_size=200), CSV_TEXT.map(str.encode)))
+@example(model="thermometry", body=SUBNORMAL_ROWS)
+@example(model="gamma", body=HUGE_ROWS)
+@example(model="precession", body=HUGE_ROWS)
 def test_fit_random_csv_bytes_exits_cleanly(tmp_path, model, body):
     path = tmp_path / "data.csv"
     path.write_bytes(b"abscissa,p_up,sigma\r\n" + body)
@@ -356,6 +363,56 @@ def test_fit_thermometry_negative_abscissa_is_one_line_error(capfd, tmp_path):
     assert out == ""
     assert err.startswith("error: no omega_com > 0") and "abscissa (mu/2pi in Hz)" in err
     assert len(err.splitlines()) == 1
+
+
+def test_fit_thermometry_subnormal_abscissa_is_no_start(capfd, tmp_path):
+    # 2 M omega_com underflowed to 0 at the subnormal peak: a ZeroDivisionError traceback
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"abscissa,p_up,sigma\r\n" + SUBNORMAL_ROWS)
+    code, out, err = run(capfd, "fit", "thermometry", "--data", str(path))
+    assert code in (0, 2)
+    assert err == ""
+    strict_json(out)
+
+
+def test_fit_thermometry_no_finite_z0_start_is_one_line_error(capfd, tmp_path):
+    # at tau = 1e300 s even the start peak + pi/tau underflows 2 M omega_com to 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"drive": {"tau_s": 1e300}}))
+    path = tmp_path / "data.csv"
+    path.write_text("abscissa,p_up,sigma\n" + "".join(f"5e-324,0.{i + 1},0.07\n" for i in range(6)))
+    code, out, err = run(capfd, "fit", "thermometry", "--config", str(cfg), "--data", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: no omega_com > 0 with a finite z0^2")
+    assert "abscissa (mu/2pi in Hz) spans [4.94066e-324, 4.94066e-324]" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("model,name", [("gamma", "tau in s"), ("precession", "theta1 in rad")])
+def test_fit_huge_abscissa_is_one_line_error(capfd, tmp_path, model, name):
+    # capfd: numpy's overflow and RankWarning lines from polyfit and the
+    # Gauss-Newton normal equations came before, on file descriptor 2
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"abscissa,p_up,sigma\r\n" + HUGE_ROWS)
+    code, out, err = run(capfd, "fit", model, "--data", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: the abscissa ({name}) spans [-1e+300, 1e+300]: "
+                   "too large to fit, its sum of squares overflows\n")
+
+
+def test_fit_thermometry_largest_float_abscissa_is_one_line_error(capfd, tmp_path):
+    # mu = 2 pi times this abscissa overflows: checked before it is formed
+    path = tmp_path / "data.csv"
+    rows = [1.7976931348623157e308, 1.0, 2.0, 3.0, 4.0, 5.0]
+    path.write_text("abscissa,p_up,sigma\n" + "".join(f"{v!r},0.{i + 1},0.07\n"
+                                                     for i, v in enumerate(rows)))
+    code, out, err = run(capfd, "fit", "thermometry", "--data", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == ("error: the abscissa (mu/2pi in Hz) spans [1, 1.79769e+308]: "
+                   "too large to fit, its sum of squares overflows\n")
 
 
 def test_fit_precession_repeated_small_abscissa_uses_all_points(capfd, tmp_path):
@@ -468,6 +525,15 @@ def test_reproduce_csv_bytes_are_pinned(capsys, tmp_path):
             assert run(capsys, "reproduce", figure, "--seed", seed, "--out", str(out))[0] == 0
         digest = hashlib.sha256((out / f"{name}.csv").read_bytes()).hexdigest()
         assert digest == pinned[figure, seed, name], name
+
+
+def test_largest_csv_bytes_are_pinned(capsys, tmp_path):
+    # the default path-noise series: 600,000 rows, ~290 writer blocks
+    assert run(capsys, "simulate", "pathnoise", "--seed", "3", "--out", str(tmp_path))[0] == 0
+    data = (tmp_path / "pathnoise.csv").read_bytes()
+    assert data.count(b"\r\n") == 600_001
+    assert (hashlib.sha256(data).hexdigest()
+            == "b4efe08076847e042d7ed25b938bbb1dfe8596510ae81fb7335158ee542363ab")
 
 
 @pytest.mark.parametrize("argv,name,column", [

@@ -1,5 +1,6 @@
 import math
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,49 @@ def test_writer_block_boundaries_match_oracle(tmp_path, n):
     new, oracle = _write_both(tmp_path, ["scenario", "t_s", "value"], (labels, t, value),
                               zip(labels, t, value))
     assert new == oracle
+
+
+def _float_table_matches_oracle(path, values, width):
+    columns = [values[i::width] for i in range(width)]
+    new, oracle = _write_both(path, [f"c{i}" for i in range(width)], columns, zip(*columns))
+    assert new == oracle
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_writer_kernel_matches_oracle_on_random_bits(tmp_path, width):
+    # every exponent, subnormals, nan payloads and both infinities: 1.2e5 values per table
+    bits = np.random.default_rng(width).integers(0, 2 ** 64, 120_000, np.uint64)
+    bits[:8] = [0x7FF8000000000000, 0xFFF0000000000001, 0x7FF0000000000000,
+                0xFFF0000000000000, 1, 0x800FFFFFFFFFFFFF, 0, 1 << 63]
+    _float_table_matches_oracle(tmp_path, bits.view(np.float64).tolist(), width)
+
+
+def test_writer_kernel_matches_oracle_on_edge_values(tmp_path):
+    # 2**-26, 2**-27 and 19 * 2**-24 have 19 significant digits, the last a 5: exact
+    # ties that round half-even, 2**-26 down to 1.49011611938476562e-08 and 19 * 2**-24
+    # up to 1.13248825073242188e-06; 3 * 2**-27 has 20
+    edges = [2.0 ** -26, 2.0 ** -27, 19 * 2.0 ** -24, 3 * 2.0 ** -27,
+             5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+             9.9999999999999999e22, 999999999999999999.0]
+    for k in range(-323, 309):
+        # the double nearest 10**k; for k = 153 it lies below and rounds up a decade
+        ten = float(f"1e{k}")
+        edges += [math.nextafter(ten, 0.0), ten, math.nextafter(ten, math.inf)]
+    edges += [2.0 ** j for j in range(-1074, 1024)]
+    _float_table_matches_oracle(tmp_path, edges + [-v for v in edges], 2)
+
+
+def test_writer_block_buffers_stay_under_one_mib(tmp_path):
+    # the 1e5-row curves table: 4 float columns; the %-template writer peaked at 0.32 MiB
+    theta = np.linspace(10.0, 30.0, 100_000)
+    columns = (theta, np.full(theta.shape, 1.27), 1e-22 * np.sin(theta), -1e3 * np.cos(theta))
+    tracemalloc.start()
+    try:
+        _write_rows(tmp_path / "curves.csv", ["a", "b", "c", "d"], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
