@@ -216,7 +216,14 @@ class ThermometryEstimator(_Estimator):
         self.drive = drive
         self.cfg = cfg
 
+    def _z0_finite(self, omega_com):
+        """omega_com > 0 and z0^2 = hbar / (2 M omega_com) finite: 2 M omega_com > 0, no underflow."""
+        return 2.0 * self.cfg.ion_mass * omega_com > 0
+
     def predict(self, mu, params):
+        # outside that domain the cost is infinite: a step there counts as a cost increase
+        if not self._z0_finite(params[0]):
+            return np.full(len(mu), np.inf)
         return thermometry_model(mu, *params, self.geom, self.drive, self.cfg)
 
     def jacobian(self, mu, params):
@@ -229,9 +236,8 @@ class ThermometryEstimator(_Estimator):
         centroid = float((weight * mu).sum() / weight.sum()) if weight.sum() > 0 else float(mu.mean())
         peak = float(mu[np.argmax(p_up)])
         half_lobe = math.pi / self.drive.tau
-        # omega_com > 0 and z0^2 = hbar / (2 M omega_com) finite: 2 M omega_com > 0, no underflow
         omegas = [w for w in (centroid, peak, peak - half_lobe, peak + half_lobe)
-                  if 2.0 * self.cfg.ion_mass * w > 0]
+                  if self._z0_finite(w)]
         if not omegas:
             raise FitInputError(f"no omega_com > 0 with a finite z0^2 to start from: "
                                 f"{self._span(mu / self.abscissa_scale)}")

@@ -58,10 +58,11 @@ class LoopPhases:
 
 
 def _taylor_guarded(s, exact, series):
-    """exact(s), with series(s, s^2) where |s| < 1e-2; exact gets 1.0 there, never ~0."""
+    """exact(s), or series(s, s^2) where |s| < 1e-2; off its branch exact gets 1.0, series 0.0."""
     s = np.asarray(s, dtype=float)
     small = np.abs(s) < 1e-2
-    return np.where(small, series(s, s * s), exact(np.where(small, 1.0, s)))
+    near = np.where(small, s, 0.0)
+    return np.where(small, series(near, near * near), exact(np.where(small, 1.0, s)))
 
 
 def _q(s):

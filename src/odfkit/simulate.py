@@ -271,15 +271,18 @@ def _sample_scan(p_true, shots, seed, abscissa, kind, meta_extra):
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    bitgen = np.random.Philox(key=np.uint64(seed % 2 ** 64))
-    rng = np.random.Generator(bitgen)
-    state = bitgen.state
-    counter = state["state"]["counter"]
+    key = seed % 2 ** 64
+    bitgen = np.random.Philox(key=key)
+    binomial = np.random.Generator(bitgen).binomial
+    # plain ints: the state setter converts numpy arrays element by element, ~1.5 us a point
+    counter = [0, 0, 0, 0]
+    state = {"bit_generator": "Philox", "state": {"counter": counter, "key": [key, 0]},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     counts = np.empty(len(p_true), dtype=np.int64)
     for i, p in enumerate(np.clip(p_true, 0.0, 1.0)):
         counter[3] = i
         bitgen.state = state
-        counts[i] = rng.binomial(shots, p)
+        counts[i] = binomial(shots, p)
     p_hat = counts / shots
     # standard error, with a Wilson-interval floor where p_hat is 0 or 1
     sigma = np.where((p_hat == 0.0) | (p_hat == 1.0), 1.0 / (2.0 * (shots + 1.0)),
@@ -380,10 +383,16 @@ def drift_probe_signal(
 
 
 def _one_pole_lowpass(x, a):
-    """y[i] = (1 - a) x[i] + a y[i-1] with y[-1] = 0, in input order."""
+    """y[i] = (1 - a) x[i] + a y[i-1] with y[-1] = 0, in input order, a block at a time."""
     b = 1.0 - a
-    return np.fromiter(itertools.accumulate((b * x).tolist(), lambda y, u: u + a * y),
-                       float, len(x))
+    out = np.empty(len(x))
+    prev = 0.0
+    for start in range(0, len(x), _BLOCK_ROWS):
+        block = list(itertools.accumulate((b * x[start:start + _BLOCK_ROWS]).tolist(),
+                                          lambda y, u: u + a * y, initial=prev))
+        out[start:start + len(block) - 1] = block[1:]
+        prev = block[-1]
+    return out
 
 
 def simulate_path_noise(model: PathNoiseModel, duration: float, rate: float) -> Series:
@@ -399,23 +408,31 @@ def simulate_path_noise(model: PathNoiseModel, duration: float, rate: float) -> 
     if n < 1:
         raise ValueError(f"duration {duration:g} s at sample rate {rate:g} Hz gives no samples")
     dt = 1.0 / rate
-    t = np.arange(n) * dt
     rng = np.random.Generator(np.random.Philox(key=np.uint64(model.seed % 2 ** 64)))
     series = np.zeros(n)
+    # in place wherever that keeps the bits: at most three arrays of n at once
     if model.slow_amplitude > 0:
-        walk = np.cumsum(rng.standard_normal(n))
+        walk = rng.standard_normal(n)
+        np.cumsum(walk, out=walk)
         a = math.exp(-2.0 * math.pi * model.slow_cutoff * dt)
         slow = _one_pole_lowpass(walk, a)
+        del walk
         slow -= slow.mean()
         rms = math.sqrt(float(np.mean(slow * slow)))
         if rms > 0:
-            series += slow * (model.slow_amplitude / rms)
+            slow *= model.slow_amplitude / rms
+            series += slow
+        del slow
     if model.fast_amplitude > 0:
-        series += model.fast_amplitude * rng.standard_normal(n)
+        fast = rng.standard_normal(n)
+        fast *= model.fast_amplitude
+        series += fast
     if model.target_rms is not None:
         rms = math.sqrt(float(np.mean(series * series)))
         if rms > 0:
             series *= model.target_rms / rms
+    t = np.arange(n, dtype=float)
+    t *= dt
     meta = {"kind": "pathnoise", "seed": model.seed, "rate_hz": rate,
             "target_rms_m": model.target_rms}
     return Series(t=t, value=series, meta=meta)

@@ -294,6 +294,10 @@ CSV_TEXT = st.text("0123456789+-.,eEnaif_# \"\r\n", max_size=200)
 SUBNORMAL_ROWS = (b"5e-324,0.0,0.07\r\n5e-324,1.0,0.07\r\n1.0,0.2,0.07\r\n2.0,0.5,0.07\r\n"
                   b"3.0,0.1,0.07\r\n4.0,0.3,0.07\r\n")
 HUGE_ROWS = b"1e300,0.0,0.07\r\n-1e300,1.0,0.07\r\n1.0,0.2,0.07\r\n2.0,0.5,0.07\r\n"
+# thermometry steps to the bound omega_com = 0 (z0^2 infinite), or far out (the series overflowed)
+TO_BOUND_ROWS = (b"5e-324,0.0,0.07\r\n5e-324,1.0,0.07\r\n1.1e6,0.2,0.07\r\n1.1e6,0.3,0.07\r\n"
+                 b"1.1e6,0.4,0.07\r\n1.1e6,0.5,0.07\r\n")
+FAR_OUT_ROWS = TO_BOUND_ROWS.replace(b"1.1e6", b"0.0")
 
 
 # derandomized: the same 100 inputs on every run, so tier-1 stays deterministic
@@ -304,6 +308,8 @@ HUGE_ROWS = b"1e300,0.0,0.07\r\n-1e300,1.0,0.07\r\n1.0,0.2,0.07\r\n2.0,0.5,0.07\
 @example(model="thermometry", body=SUBNORMAL_ROWS)
 @example(model="gamma", body=HUGE_ROWS)
 @example(model="precession", body=HUGE_ROWS)
+@example(model="thermometry", body=TO_BOUND_ROWS)
+@example(model="thermometry", body=FAR_OUT_ROWS)
 def test_fit_random_csv_bytes_exits_cleanly(tmp_path, model, body):
     path = tmp_path / "data.csv"
     path.write_bytes(b"abscissa,p_up,sigma\r\n" + body)
@@ -316,6 +322,21 @@ def test_fit_random_csv_bytes_exits_cleanly(tmp_path, model, body):
         assert err.getvalue().startswith("error:") and len(err.getvalue().splitlines()) == 1
     else:
         strict_json(out.getvalue())
+
+
+@pytest.mark.parametrize("body", [TO_BOUND_ROWS, FAR_OUT_ROWS], ids=["to-bound", "far-out"])
+def test_fit_thermometry_steps_print_no_warning(capfd, tmp_path, body):
+    # numpy's divide, invalid-value and overflow warnings went to stderr on both
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"abscissa,p_up,sigma\r\n" + body)
+    code, out, err = run(capfd, "fit", "thermometry", "--data", str(path))
+    assert code in (0, 1, 2)
+    assert "Warning" not in err
+    if code == 1:
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+    else:
+        assert err == ""
+        strict_json(out)
 
 
 @pytest.mark.parametrize("abscissa", [[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]])
@@ -534,6 +555,16 @@ def test_largest_csv_bytes_are_pinned(capsys, tmp_path):
     assert data.count(b"\r\n") == 600_001
     assert (hashlib.sha256(data).hexdigest()
             == "b4efe08076847e042d7ed25b938bbb1dfe8596510ae81fb7335158ee542363ab")
+
+
+def test_bulk_scan_csv_bytes_are_pinned(capsys, tmp_path):
+    # 1e5 points, each drawn from Philox keyed by the seed at counter [0, 0, 0, i]
+    argv = ["simulate", "precession", "--seed", "5", "--grid", "0:360:100000", "--out", str(tmp_path)]
+    assert run(capsys, *argv)[0] == 0
+    data = (tmp_path / "precession.csv").read_bytes()
+    assert data.count(b"\r\n") == 100_001
+    assert (hashlib.sha256(data).hexdigest()
+            == "5a96254e4e6be7327f9bc6fd22eee077717ee2a88098b58692dc531b5401b3bf")
 
 
 @pytest.mark.parametrize("argv,name,column", [

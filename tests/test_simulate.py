@@ -185,6 +185,18 @@ def test_writer_block_buffers_stay_under_one_mib(tmp_path):
     assert peak <= 2 ** 20
 
 
+def test_path_noise_peak_stays_under_four_arrays():
+    # the 6000 s record at 100 Hz; a new array per step peaked at 8 arrays of n
+    n = 600_000
+    tracemalloc.start()
+    try:
+        simulate_path_noise(PathNoiseModel(seed=3), 6000.0, 100.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * n
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -267,7 +279,7 @@ def test_sigma_coverage_over_1000_seeds():
     assert 0.60 <= hits / total <= 0.75
 
 
-@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 + 5])
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5])
 def test_sampler_matches_per_point_generators(seed):
     # one Philox whose counter is reset per point draws what a new
     # Philox(key=seed, counter=[0, 0, 0, i]) per point draws
@@ -383,11 +395,14 @@ def test_path_noise_spectral_split():
     assert below / spectrum.sum() >= 0.80
 
 
-@pytest.mark.parametrize("n", [1, 2, 5000])
+@pytest.mark.parametrize("n", [1, 2, 5000, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                               2 * _BLOCK_ROWS + 1])
 def test_lowpass_matches_loop_oracle(n):
     walk = np.cumsum(np.random.default_rng(n).standard_normal(n))
+    before = walk.copy()
     a = math.exp(-2.0 * math.pi * 0.1 / 100.0)
     assert np.array_equal(_one_pole_lowpass(walk, a), oracles.one_pole_lowpass(walk, a))
+    assert np.array_equal(walk, before)  # a new array; the input is left as it was
 
 
 @pytest.mark.parametrize("seed", range(5))
