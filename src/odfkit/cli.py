@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: geom, curves, ratio-scan, simulate, fit, optimize-angle,
-reproduce.  All numeric CLI units are Hz, degrees, seconds, meters (and
+reproduce; simulate, fit and reproduce take a model or figure name first.
+Each command accepts --config, --scenario and only the flags it reads.
+All numeric CLI units are Hz, degrees, seconds, meters (and
 yoctonewtons where labeled); CSV outputs carry a header row, floats in
 full-precision scientific notation, and each output file is accompanied by
 a JSON manifest sidecar recording the config digest and seed.
@@ -266,12 +268,7 @@ def cmd_optimize_angle(args, scn: Scenario):
 # -- figure-reproduction drivers ----------------------------------------------
 
 
-def _reproduce_fig1de(args, scn: Scenario):
-    args.nbar = "0.1,1,10"
-    return cmd_curves(args, scn)
-
-
-def _reproduce_fig3c(args, scn: Scenario):
+def cmd_fig3c(args, scn: Scenario):
     fits = {}
     for label, n_bar in (("doppler", 10.7), ("eit", 1.27)):
         state = ThermalState(n_bar=n_bar)
@@ -287,7 +284,7 @@ def _reproduce_fig3c(args, scn: Scenario):
     return 0
 
 
-def _reproduce_fig4c(args, scn: Scenario):
+def cmd_fig4c(args, scn: Scenario):
     theta_list = [14.0, 17.0, 20.0, 24.0, 28.0]
     deltas = [TWO_PI * delta_hz for delta_hz in (1.5e3, 2.0e3, 3.0e3)]
     # the coupling scales with delta_ac^2; floor the probe drive so the
@@ -323,7 +320,7 @@ def _reproduce_fig4c(args, scn: Scenario):
     return 0
 
 
-def _reproduce_fig5(args, scn: Scenario):
+def cmd_fig5(args, scn: Scenario):
     drift = simulate_angle_drift(
         DriftModel(linear_rate=0.002, rms_jitter=5e-4, seed=args.seed), 6000.0, 10.0)
     _emit(args, "fig5a_drift", drift, scn, args.seed)
@@ -332,25 +329,34 @@ def _reproduce_fig5(args, scn: Scenario):
     return 0
 
 
-def cmd_reproduce(args, scn: Scenario):
-    driver = {
-        "fig1de": _reproduce_fig1de,
-        "fig3c": _reproduce_fig3c,
-        "fig4c": _reproduce_fig4c,
-        "fig5": _reproduce_fig5,
-    }[args.figure]
-    return driver(args, scn)
-
-
 # -- parser -------------------------------------------------------------------
 
+# argparse keywords of each flag; a leaf parser takes only the flags it reads
+_FLAGS = {
+    "--out": dict(default=".", help="output directory"),
+    "--seed": dict(type=int, default=0, help="RNG seed"),
+    "--shots": dict(type=int, default=500, help="shots per scan point"),
+    "--grid": dict(help="grid start:stop:n (thermometry: mu/2pi in Hz; otherwise degrees)"),
+    "--nbar": dict(help="comma-separated n_bar list"),
+    "--duration": dict(type=_finite_float, default=6000.0, help="series length in s"),
+    "--dt": dict(type=_finite_float, default=10.0, help="drift sample spacing in s"),
+    "--sample-rate": dict(type=_finite_float, default=100.0, help="path-noise rate in Hz"),
+    "--rate": dict(type=_finite_float, default=0.002, help="drift rate in deg/h"),
+    "--jitter": dict(type=_finite_float, default=0.0, help="drift jitter in deg"),
+    "--data": dict(required=True, help="dataset CSV (abscissa,p_up,sigma)"),
+    "--window": dict(default="12:36", help="theta window lo:hi in degrees"),
+}
 
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--scenario", help="named scenario from the config file")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--shots", type=int, default=500, help="shots per scan point")
+
+def _leaf(sub, name, func, summary, *flags):
+    """A command parser: --config, --scenario and the given flags, dispatching to func."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--config", help="JSON configuration file")
+    p.add_argument("--scenario", help="named scenario from the config file")
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser():
@@ -360,52 +366,41 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("geom", help="beam geometry record for an angle or actuator pose")
-    _add_common(p)
-    p.add_argument("--theta", type=_finite_float, help="full separation angle in degrees")
-    p.add_argument("--actuators", help="JSON file with one or two actuator poses")
-    p.set_defaults(func=cmd_geom)
+    p = _leaf(sub, "geom", cmd_geom, "beam geometry record for an angle or actuator pose")
+    pose = p.add_mutually_exclusive_group()
+    pose.add_argument("--theta", type=_finite_float, help="full separation angle in degrees")
+    pose.add_argument("--actuators", help="JSON file with one or two actuator poses")
+    _leaf(sub, "curves", cmd_curves, "F0 and Jbar versus angle per n_bar",
+          "--out", "--grid", "--nbar")
+    _leaf(sub, "ratio-scan", cmd_ratio_scan, "F0/Gamma versus angle", "--out", "--grid")
 
-    p = sub.add_parser("curves", help="F0 and Jbar versus angle per n_bar")
-    _add_common(p)
-    p.add_argument("--grid", help="theta grid start:stop:n in degrees")
-    p.add_argument("--nbar", help="comma-separated n_bar list")
-    p.set_defaults(func=cmd_curves)
+    models = sub.add_parser("simulate", help="generate a synthetic dataset").add_subparsers(
+        dest="model", required=True)
+    for model in ("thermometry", "precession"):
+        _leaf(models, model, cmd_simulate, f"shot-noise {model} scan",
+              "--out", "--seed", "--shots", "--grid")
+    _leaf(models, "drift", cmd_simulate, "crossing-angle drift series",
+          "--out", "--seed", "--duration", "--dt", "--rate", "--jitter")
+    _leaf(models, "pathnoise", cmd_simulate, "optical path-length noise series",
+          "--out", "--seed", "--duration", "--sample-rate")
 
-    p = sub.add_parser("ratio-scan", help="F0/Gamma versus angle")
-    _add_common(p)
-    p.add_argument("--grid", help="theta grid start:stop:n in degrees")
-    p.set_defaults(func=cmd_ratio_scan)
+    models = sub.add_parser("fit", help="fit a dataset CSV").add_subparsers(
+        dest="model", required=True)
+    for model in ("thermometry", "precession", "gamma"):
+        _leaf(models, model, cmd_fit, f"fit a {model} scan", "--data")
 
-    p = sub.add_parser("simulate", help="generate a synthetic dataset")
-    _add_common(p)
-    p.add_argument("model", choices=["thermometry", "precession", "drift", "pathnoise"])
-    p.add_argument("--grid", help="abscissa grid start:stop:n (Hz or degrees)")
-    p.add_argument("--duration", type=_finite_float, default=6000.0, help="series length in s")
-    p.add_argument("--dt", type=_finite_float, default=10.0, help="drift sample spacing in s")
-    p.add_argument("--sample-rate", type=_finite_float, default=100.0,
-                   help="path-noise rate in Hz")
-    p.add_argument("--rate", type=_finite_float, default=0.002, help="drift rate in deg/h")
-    p.add_argument("--jitter", type=_finite_float, default=0.0, help="drift jitter in deg")
-    p.set_defaults(func=cmd_simulate)
+    _leaf(sub, "optimize-angle", cmd_optimize_angle, "maximize F0/Gamma over an angle window",
+          "--window")
 
-    p = sub.add_parser("fit", help="fit a dataset CSV")
-    _add_common(p)
-    p.add_argument("model", choices=["thermometry", "precession", "gamma"])
-    p.add_argument("--data", required=True, help="dataset CSV (abscissa,p_up,sigma)")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("optimize-angle", help="maximize F0/Gamma over an angle window")
-    _add_common(p)
-    p.add_argument("--window", default="12:36", help="theta window lo:hi in degrees")
-    p.set_defaults(func=cmd_optimize_angle)
-
-    p = sub.add_parser("reproduce", help="regenerate a figure dataset end to end")
-    _add_common(p)
-    p.add_argument("figure", choices=["fig1de", "fig3c", "fig4c", "fig5"])
-    p.add_argument("--grid", help="theta grid for fig1de")
-    p.set_defaults(func=cmd_reproduce)
-
+    figures = sub.add_parser("reproduce", help="regenerate a figure dataset end to end"
+                             ).add_subparsers(dest="figure", required=True)
+    _leaf(figures, "fig1de", cmd_curves, "F0 and Jbar curves at n_bar 0.1, 1 and 10",
+          "--out", "--grid").set_defaults(nbar=None)
+    _leaf(figures, "fig3c", cmd_fig3c, "Doppler and EIT thermometry scans and fits",
+          "--out", "--seed", "--shots")
+    _leaf(figures, "fig4c", cmd_fig4c, "F0/Gamma from precession fits versus angle",
+          "--out", "--seed", "--shots")
+    _leaf(figures, "fig5", cmd_fig5, "angle drift and path-noise series", "--out", "--seed")
     return parser
 
 
@@ -419,7 +414,7 @@ def main(argv=None) -> int:
         scn = load_config(args.config, args.scenario)
         return args.func(args, scn)
     except (ConfigError, FitInputError, GeometryInfeasibleError, ValueError,
-            FileNotFoundError) as err:
+            FileNotFoundError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

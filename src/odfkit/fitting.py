@@ -216,13 +216,15 @@ class ThermometryEstimator(_Estimator):
         self.drive = drive
         self.cfg = cfg
 
-    def _z0_finite(self, omega_com):
-        """omega_com > 0 and z0^2 = hbar / (2 M omega_com) finite: 2 M omega_com > 0, no underflow."""
-        return 2.0 * self.cfg.ion_mass * omega_com > 0
+    def _in_domain(self, omega_com, mu):
+        """z0^2 = hbar / (2 M omega_com) finite (2 M omega_com > 0, no underflow), and omega_com
+        in the scanned span of mu widened by itself on each side; farther out P_up is flat."""
+        lo, hi = float(mu.min()), float(mu.max())
+        return 2.0 * lo - hi <= omega_com <= 2.0 * hi - lo and 2.0 * self.cfg.ion_mass * omega_com > 0
 
     def predict(self, mu, params):
         # outside that domain the cost is infinite: a step there counts as a cost increase
-        if not self._z0_finite(params[0]):
+        if not self._in_domain(params[0], mu):
             return np.full(len(mu), np.inf)
         return thermometry_model(mu, *params, self.geom, self.drive, self.cfg)
 
@@ -237,9 +239,9 @@ class ThermometryEstimator(_Estimator):
         peak = float(mu[np.argmax(p_up)])
         half_lobe = math.pi / self.drive.tau
         omegas = [w for w in (centroid, peak, peak - half_lobe, peak + half_lobe)
-                  if self._z0_finite(w)]
+                  if self._in_domain(w, mu)]
         if not omegas:
-            raise FitInputError(f"no omega_com > 0 with a finite z0^2 to start from: "
+            raise FitInputError(f"no omega_com > 0 with a finite z0^2 near the scan to start from: "
                                 f"{self._span(mu / self.abscissa_scale)}")
         return [(w, n) for w in omegas for n in (5.0, 1.0, 15.0)]
 

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -20,7 +21,7 @@ from odfkit import (
     load_config,
     simulate_gamma_decay,
 )
-from odfkit.cli import main
+from odfkit.cli import build_parser, main
 
 
 def _reject_constant(name):
@@ -179,7 +180,8 @@ def test_ratio_scan_zero_gamma_names_key(capsys, tmp_path):
 def test_non_finite_config_value_names_key(capsys, tmp_path, text, argv, key):
     cfg = tmp_path / "config.json"
     cfg.write_text(text)
-    code, out, err = run(capsys, *argv, "--out", str(tmp_path), "--config", str(cfg))
+    out_flag = [] if argv[0] == "geom" else ["--out", str(tmp_path)]  # geom writes no file
+    code, out, err = run(capsys, *argv, *out_flag, "--config", str(cfg))
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {key}: expected a finite number")
@@ -298,6 +300,8 @@ HUGE_ROWS = b"1e300,0.0,0.07\r\n-1e300,1.0,0.07\r\n1.0,0.2,0.07\r\n2.0,0.5,0.07\
 TO_BOUND_ROWS = (b"5e-324,0.0,0.07\r\n5e-324,1.0,0.07\r\n1.1e6,0.2,0.07\r\n1.1e6,0.3,0.07\r\n"
                  b"1.1e6,0.4,0.07\r\n1.1e6,0.5,0.07\r\n")
 FAR_OUT_ROWS = TO_BOUND_ROWS.replace(b"1.1e6", b"0.0")
+FAR_OUT_SHUFFLED_ROWS = (b"5e-324,0.0,0.07\r\n5e-324,1.0,0.07\r\n0.0,0.2,0.07\r\n0.0,0.5,0.07\r\n"
+                         b"0.0,0.1,0.07\r\n0.0,0.3,0.07\r\n")
 
 
 # derandomized: the same 100 inputs on every run, so tier-1 stays deterministic
@@ -322,6 +326,21 @@ def test_fit_random_csv_bytes_exits_cleanly(tmp_path, model, body):
         assert err.getvalue().startswith("error:") and len(err.getvalue().splitlines()) == 1
     else:
         strict_json(out.getvalue())
+
+
+@pytest.mark.parametrize("body", [FAR_OUT_ROWS, FAR_OUT_SHUFFLED_ROWS],
+                         ids=["far-out", "far-out-shuffled"])
+def test_fit_thermometry_far_step_is_not_converged(capsys, tmp_path, body):
+    # the step landed where P_up is flat in omega_com and n_bar (omega_com_hz ~2e54):
+    # its cost equalled the start's, and the fit reported converged after one iteration
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"abscissa,p_up,sigma\r\n" + body)
+    code, out, err = run(capsys, "fit", "thermometry", "--data", str(path))
+    if code == 1:
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+    else:
+        assert code == 2 and strict_json(out)["converged"] is False
 
 
 @pytest.mark.parametrize("body", [TO_BOUND_ROWS, FAR_OUT_ROWS], ids=["to-bound", "far-out"])
@@ -580,13 +599,93 @@ def test_int_config_numbers_are_written_as_floats(capsys, tmp_path, argv, name, 
     assert rows and all(r.split(",")[column] == "1.00000000000000000e+02" for r in rows)
 
 
+# the flags each command leaf takes besides --config and --scenario
+LEAF_FLAGS = {
+    "geom": ["--theta", "--actuators"],
+    "curves": ["--out", "--grid", "--nbar"],
+    "ratio-scan": ["--out", "--grid"],
+    "simulate thermometry": ["--out", "--seed", "--shots", "--grid"],
+    "simulate precession": ["--out", "--seed", "--shots", "--grid"],
+    "simulate drift": ["--out", "--seed", "--duration", "--dt", "--rate", "--jitter"],
+    "simulate pathnoise": ["--out", "--seed", "--duration", "--sample-rate"],
+    "fit thermometry": ["--data"],
+    "fit precession": ["--data"],
+    "fit gamma": ["--data"],
+    "optimize-angle": ["--window"],
+    "reproduce fig1de": ["--out", "--grid"],
+    "reproduce fig3c": ["--out", "--seed", "--shots"],
+    "reproduce fig4c": ["--out", "--seed", "--shots"],
+    "reproduce fig5": ["--out", "--seed"],
+}
+ALL_FLAGS = sorted({flag for flags in LEAF_FLAGS.values() for flag in flags})
+
+
 @pytest.mark.parametrize("cmd", ["geom", "curves", "ratio-scan", "simulate",
-                                 "fit", "optimize-angle", "reproduce"])
+                                 "fit", "optimize-angle", "reproduce",
+                                 *(leaf for leaf in LEAF_FLAGS if " " in leaf)])
 def test_every_subcommand_has_help(capsys, cmd):
-    code = main([cmd, "--help"])
+    code = main([*cmd.split(), "--help"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "usage" in out.lower()
+    assert out.lower().startswith(f"usage: odfkit {cmd}")
+
+
+@pytest.mark.parametrize("leaf", LEAF_FLAGS)
+def test_leaf_takes_exactly_its_flags(capsys, tmp_path, monkeypatch, leaf):
+    # a flag the leaf does not read is a usage error, not accepted and ignored
+    monkeypatch.chdir(tmp_path)  # a leaf that wrongly ran would write to --out "."
+    fit_data = ["--data", str(tmp_path / "absent.csv")] if leaf.startswith("fit ") else []
+    argv = [*leaf.split(), *fit_data]
+    parser = build_parser()
+    for flag in ["--config", "--scenario", *ALL_FLAGS]:
+        if flag in ["--config", "--scenario", *LEAF_FLAGS[leaf]]:
+            args = parser.parse_args([*argv, flag, "1"])
+            assert getattr(args, flag[2:].replace("-", "_")) in ("1", 1), flag
+        else:
+            code, out, err = run(capsys, *argv, flag, "1")
+            assert (code, out) == (1, ""), flag
+            assert f"unrecognized arguments: {flag} 1" in err, flag
+
+
+def test_flag_before_model_name_is_usage_error(capsys, tmp_path):
+    code, out, _ = run(capsys, "simulate", "--seed", "3", "thermometry", "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert not (tmp_path / "thermometry.csv").exists()
+
+
+def test_geom_theta_and_actuators_exclude_each_other(capsys, tmp_path):
+    pose = tmp_path / "pose.json"
+    pose.write_text(json.dumps({"rotary_angle_deg": 3.0}))
+    code, out, err = run(capsys, "geom", "--theta", "28", "--actuators", str(pose))
+    assert (code, out) == (1, "")
+    assert "not allowed with argument" in err
+
+
+def test_out_of_memory_request_is_one_line_error(capfd, tmp_path):
+    # 1e17 samples: 711 PiB, more than a 57-bit address space maps, so nothing is touched
+    code, out, err = run(capfd, "simulate", "pathnoise", "--duration", "1e15",
+                         "--out", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Unable to allocate") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
+    # every argv the benchmark runs, and its known-defect inputs, parses to a command
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    commands = [cmd for name in workloads.WORKLOADS
+                for cmd in workloads.build(name, 1, tmp_path / name, scale=0.01)]
+    commands += [cmd for name in workloads.KNOWN_DEFECTS
+                 for cmd in workloads.known_defect(name, tmp_path / name)]
+    parser = build_parser()
+    for cmd in commands:
+        args = parser.parse_args(cmd.argv)
+        assert args.func.__name__.startswith("cmd_"), cmd.argv
+    assert commands
 
 
 def test_cli_import_loads_no_scipy():
