@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -46,6 +47,7 @@ from .simulate import (
     DriftModel,
     PathNoiseModel,
     ScanDataset,
+    _precession_scans,
     _write_rows,
     simulate_angle_drift,
     simulate_path_noise,
@@ -70,6 +72,16 @@ def _finite_float(text: str) -> float:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
+def _shots(text: str) -> int:
+    """argparse type of --shots: an integer the sampler takes, 1 to 2**63 - 1."""
+    try:
+        if 1 <= (value := int(text)) <= 2 ** 63 - 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer from 1 to 2**63 - 1, got {text!r}")
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -294,27 +306,32 @@ def cmd_fig4c(args, scn: Scenario):
                        tau=scn.drive.tau, gamma=scn.drive.gamma) for delta in deltas]
     geom = BeamGeometry(theta_odf=np.radians(theta_list),
                         laser_wavelength=scn.beams.laser_wavelength)
-    rows = []
+    cases = []  # (label, theta_deg, Jbar at each detuning, seed of the first detuning)
     for label, n_bar in (("doppler", 10.7), ("eit", 1.27)):
         state = ThermalState(n_bar=n_bar)
         # one array call per detuning; item i holds Jbar at angle i for each detuning
         j_bars = zip(*(force_magnitude(geom, d, scn.trap, state).j_bar.tolist() for d in drives))
         for i, (theta_deg, j_bar_i) in enumerate(zip(theta_list, j_bars)):
-            estimates = []
-            for j, (delta, drive, j_bar) in enumerate(zip(deltas, drives, j_bar_i)):
-                seed = args.seed + 1000 * i + j + (0 if label == "doppler" else 500)
-                dataset = simulate_precession(
-                    j_bar, drive.gamma, drive.tau,
-                    np.linspace(0, 2 * math.pi, 40), shots=args.shots, seed=seed)
-                result = fit_precession(dataset, drive.gamma, drive.tau, init_j_bar=j_bar)
-                f0, sigma_f0 = f0_from_jbar(
-                    result.params["j_bar"],
-                    max(result.sigmas["j_bar"], 1e-12 * abs(result.params["j_bar"])),
-                    scn.trap, delta)
-                estimates.append((delta, f0, sigma_f0))
-            combined = weighted_f0(estimates)
-            rows.append((label, theta_deg, combined.f0, scn.drive.gamma,
-                         combined.f0 / scn.drive.gamma))
+            cases.append((label, theta_deg, j_bar_i,
+                          args.seed + 1000 * i + (0 if label == "doppler" else 500)))
+    # all 30 scans in one sampler call; every drive has the scenario's gamma and tau
+    datasets = iter(_precession_scans(
+        [j_bar for case in cases for j_bar in case[2]], scn.drive.gamma, scn.drive.tau,
+        np.linspace(0, 2 * math.pi, 40), args.shots,
+        [case[3] + j for case in cases for j in range(len(deltas))]))
+    rows = []
+    for label, theta_deg, j_bar_i, _ in cases:
+        estimates = []
+        for delta, drive, j_bar in zip(deltas, drives, j_bar_i):
+            result = fit_precession(next(datasets), drive.gamma, drive.tau, init_j_bar=j_bar)
+            f0, sigma_f0 = f0_from_jbar(
+                result.params["j_bar"],
+                max(result.sigmas["j_bar"], 1e-12 * abs(result.params["j_bar"])),
+                scn.trap, delta)
+            estimates.append((delta, f0, sigma_f0))
+        combined = weighted_f0(estimates)
+        rows.append((label, theta_deg, combined.f0, scn.drive.gamma,
+                     combined.f0 / scn.drive.gamma))
     _emit(args, "fig4c", (["scenario", "theta_deg", "F0_N", "Gamma_Hz", "ratio"], zip(*rows)),
           scn, args.seed)
     return 0
@@ -335,7 +352,7 @@ def cmd_fig5(args, scn: Scenario):
 _FLAGS = {
     "--out": dict(default=".", help="output directory"),
     "--seed": dict(type=int, default=0, help="RNG seed"),
-    "--shots": dict(type=int, default=500, help="shots per scan point"),
+    "--shots": dict(type=_shots, default=500, help="shots per scan point"),
     "--grid": dict(help="grid start:stop:n (thermometry: mu/2pi in Hz; otherwise degrees)"),
     "--nbar": dict(help="comma-separated n_bar list"),
     "--duration": dict(type=_finite_float, default=6000.0, help="series length in s"),
@@ -350,7 +367,7 @@ _FLAGS = {
 
 def _leaf(sub, name, func, summary, *flags):
     """A command parser: --config, --scenario and the given flags, dispatching to func."""
-    p = sub.add_parser(name, help=summary)
+    p = sub.add_parser(name, help=summary, allow_abbrev=False)
     p.add_argument("--config", help="JSON configuration file")
     p.add_argument("--scenario", help="named scenario from the config file")
     for flag in flags:
@@ -359,9 +376,21 @@ def _leaf(sub, name, func, summary, *flags):
     return p
 
 
+# the commands that take a model or figure name first, and what their leaves are named
+_GROUPS = {"simulate": "MODEL", "fit": "MODEL", "reproduce": "FIGURE"}
+
+
+def _group(sub, name, summary):
+    """The subparsers of a command whose leaves are models or figures."""
+    dest = _GROUPS[name].lower()
+    return sub.add_parser(name, help=summary, allow_abbrev=False).add_subparsers(
+        dest=dest, required=True)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="odfkit",
+        allow_abbrev=False,
         description="Tunable spin-spin interaction design toolkit for Penning-trap crystals",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -374,8 +403,7 @@ def build_parser():
           "--out", "--grid", "--nbar")
     _leaf(sub, "ratio-scan", cmd_ratio_scan, "F0/Gamma versus angle", "--out", "--grid")
 
-    models = sub.add_parser("simulate", help="generate a synthetic dataset").add_subparsers(
-        dest="model", required=True)
+    models = _group(sub, "simulate", "generate a synthetic dataset")
     for model in ("thermometry", "precession"):
         _leaf(models, model, cmd_simulate, f"shot-noise {model} scan",
               "--out", "--seed", "--shots", "--grid")
@@ -384,16 +412,14 @@ def build_parser():
     _leaf(models, "pathnoise", cmd_simulate, "optical path-length noise series",
           "--out", "--seed", "--duration", "--sample-rate")
 
-    models = sub.add_parser("fit", help="fit a dataset CSV").add_subparsers(
-        dest="model", required=True)
+    models = _group(sub, "fit", "fit a dataset CSV")
     for model in ("thermometry", "precession", "gamma"):
         _leaf(models, model, cmd_fit, f"fit a {model} scan", "--data")
 
     _leaf(sub, "optimize-angle", cmd_optimize_angle, "maximize F0/Gamma over an angle window",
           "--window")
 
-    figures = sub.add_parser("reproduce", help="regenerate a figure dataset end to end"
-                             ).add_subparsers(dest="figure", required=True)
+    figures = _group(sub, "reproduce", "regenerate a figure dataset end to end")
     _leaf(figures, "fig1de", cmd_curves, "F0 and Jbar curves at n_bar 0.1, 1 and 10",
           "--out", "--grid").set_defaults(nbar=None)
     _leaf(figures, "fig3c", cmd_fig3c, "Doppler and EIT thermometry scans and fits",
@@ -405,6 +431,13 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    flag = argv[1] if len(argv) > 1 and argv[0] in _GROUPS else ""
+    if flag.startswith("-") and flag not in ("-h", "--help"):
+        name = _GROUPS[argv[0]]
+        print(f"error: {flag.split('=')[0]} comes after the {name.lower()} name: "
+              f"odfkit {argv[0]} {name} [flags]", file=sys.stderr)
+        return 1
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -412,7 +445,14 @@ def main(argv=None) -> int:
         return 1 if err.code not in (0, None) else 0
     try:
         scn = load_config(args.config, args.scenario)
-        return args.func(args, scn)
+        code = args.func(args, scn)
+        sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: send what is left to devnull, exit 1 as on EPIPE
+        # (the Python docs' note on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ConfigError, FitInputError, GeometryInfeasibleError, ValueError,
             FileNotFoundError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)

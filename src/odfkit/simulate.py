@@ -262,33 +262,35 @@ class PathNoiseModel:
             raise ValueError("amplitudes must be >= 0")
 
 
-def _sample_scan(p_true, shots, seed, abscissa, kind, meta_extra):
-    """Draw point i from Philox keyed by seed at counter [0, 0, 0, i].
+def _sample_scans(shots, scans):
+    """ScanDatasets of stream v1 draws, one per (p_true, seed, abscissa, kind, meta_extra).
 
-    One bit generator serves the whole scan: before each draw it gets back
-    its fresh state (empty buffer) with the counter set to the point index,
-    which is the state of a new Philox(key=seed, counter=[0, 0, 0, i]).
+    p_true is clipped to [0, 1]; all scans are drawn together, in one kernel call.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    key = seed % 2 ** 64
-    bitgen = np.random.Philox(key=key)
-    binomial = np.random.Generator(bitgen).binomial
-    # plain ints: the state setter converts numpy arrays element by element, ~1.5 us a point
-    counter = [0, 0, 0, 0]
-    state = {"bit_generator": "Philox", "state": {"counter": counter, "key": [key, 0]},
-             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    counts = np.empty(len(p_true), dtype=np.int64)
-    for i, p in enumerate(np.clip(p_true, 0.0, 1.0)):
-        counter[3] = i
-        bitgen.state = state
-        counts[i] = binomial(shots, p)
-    p_hat = counts / shots
-    # standard error, with a Wilson-interval floor where p_hat is 0 or 1
-    sigma = np.where((p_hat == 0.0) | (p_hat == 1.0), 1.0 / (2.0 * (shots + 1.0)),
-                     np.sqrt(p_hat * (1.0 - p_hat) / shots))
-    meta = {"kind": kind, "seed": seed, "shots": shots, **meta_extra}
-    return ScanDataset(abscissa=abscissa, p_up=p_hat, sigma=sigma, meta=meta)
+    from . import _stream_v1  # here, not at the top: commands that draw no scan skip its compile
+
+    if not 1 <= shots <= 2 ** 63 - 1:
+        raise ValueError(f"shots must be in [1, 2**63 - 1], got {shots}")
+    sizes = [len(scan[0]) for scan in scans]
+    p = np.concatenate([np.asarray(scan[0], dtype=float) for scan in scans])
+    np.clip(p, 0.0, 1.0, out=p)
+    starts = np.cumsum([0] + sizes[:-1])
+    counts = _stream_v1.counts(p, shots, [scan[1] for scan in scans], starts)
+    del p  # freed before p_hat and sigma are made
+    datasets = []
+    for (_, seed, abscissa, kind, meta_extra), part in zip(scans, np.split(counts, starts[1:])):
+        p_hat = part / shots
+        # standard error, with a Wilson-interval floor where p_hat is 0 or 1
+        sigma = np.where((p_hat == 0.0) | (p_hat == 1.0), 1.0 / (2.0 * (shots + 1.0)),
+                         np.sqrt(p_hat * (1.0 - p_hat) / shots))
+        meta = {"kind": kind, "seed": seed, "shots": shots, **meta_extra}
+        datasets.append(ScanDataset(abscissa=abscissa, p_up=p_hat, sigma=sigma, meta=meta))
+    return datasets
+
+
+def _sample_scan(p_true, shots, seed, abscissa, kind, meta_extra):
+    """One scan of `_sample_scans`."""
+    return _sample_scans(shots, [(p_true, seed, abscissa, kind, meta_extra)])[0]
 
 
 def simulate_thermometry(
@@ -320,10 +322,15 @@ def simulate_precession(
     seed: int = 0,
 ) -> ScanDataset:
     """Shot-noise-limited tipping-angle scan; abscissa is theta1 in rad."""
+    return _precession_scans([j_bar], gamma, tau, theta1_grid, shots, [seed])[0]
+
+
+def _precession_scans(j_bars, gamma, tau, theta1_grid, shots, seeds):
+    """simulate_precession at each (j_bar, seed) pair, all drawn in one kernel call."""
     theta1 = np.asarray(theta1_grid, dtype=float)
-    p_true = precession_lineshape(j_bar, gamma, tau, theta1)
-    extra = {"j_bar": j_bar, "gamma": gamma, "tau": tau}
-    return _sample_scan(p_true, shots, seed, theta1, "precession", extra)
+    return _sample_scans(shots, [(precession_lineshape(j_bar, gamma, tau, theta1), seed, theta1,
+                                  "precession", {"j_bar": j_bar, "gamma": gamma, "tau": tau})
+                                 for j_bar, seed in zip(j_bars, seeds)])
 
 
 def simulate_gamma_decay(

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -22,6 +23,8 @@ from odfkit import (
     simulate_gamma_decay,
 )
 from odfkit.cli import build_parser, main
+
+import oracles
 
 
 def _reject_constant(name):
@@ -651,6 +654,93 @@ def test_flag_before_model_name_is_usage_error(capsys, tmp_path):
     code, out, _ = run(capsys, "simulate", "--seed", "3", "thermometry", "--out", str(tmp_path))
     assert (code, out) == (1, "")
     assert not (tmp_path / "thermometry.csv").exists()
+
+
+@pytest.mark.parametrize("argv, name, order", [
+    (["simulate", "--seed", "3", "thermometry"], "--seed", "odfkit simulate MODEL [flags]"),
+    (["fit", "--data", "x.csv", "precession"], "--data", "odfkit fit MODEL [flags]"),
+    (["reproduce", "--seed=3", "fig3c"], "--seed", "odfkit reproduce FIGURE [flags]"),
+], ids=["simulate", "fit", "reproduce"])
+def test_flag_before_model_name_names_flag_and_order(capsys, tmp_path, monkeypatch, argv, name,
+                                                      order):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {name} ") and err.endswith(f": {order}\n")
+    assert len(err.splitlines()) == 1 and not list(tmp_path.iterdir())
+
+
+def _leaves(parser, words=()):
+    """(argv words, leaf parser) of every command leaf under parser."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield list(words), parser
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from _leaves(child, (*words, name))
+
+
+def test_abbreviated_flags_are_rejected(capsys, tmp_path, monkeypatch):
+    # each leaf's flags are only spelled in full: a unique prefix is unrecognized
+    monkeypatch.chdir(tmp_path)
+    leaves = list(_leaves(build_parser()))
+    assert sorted(" ".join(words) for words, _ in leaves) == sorted(LEAF_FLAGS)
+    for words, leaf in leaves:
+        flags = [s for s in leaf._option_string_actions if s.startswith("--") and s != "--help"]
+        flag = max(flags)  # e.g. --window, --theta, --shots
+        prefix = flag[:-1]
+        assert [f for f in flags if f.startswith(prefix)] == [flag]
+        fit_data = ["--data", str(tmp_path / "absent.csv")] if words[0] == "fit" else []
+        code, out, err = run(capsys, *words, *fit_data, prefix, "1")
+        assert (code, out) == (1, ""), words
+        assert f"unrecognized arguments: {prefix} 1" in err, words
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "precession", "--grid", "0:330:5"],
+    ["reproduce", "fig3c"],
+    ["reproduce", "fig4c"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_shots_beyond_int64_names_flag(capfd, tmp_path, argv):
+    code, out, err = run(capfd, *argv, "--shots", str(10 ** 20), "--out", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "argument --shots:" in errors[0]
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("shots", [1, 2 ** 53 + 1, 2 ** 63 - 1])
+def test_shots_up_to_int64_are_drawn_by_stream_v1(capsys, tmp_path, shots):
+    # the largest shot count numpy's binomial takes still draws stream v1
+    code, _, _ = run(capsys, "simulate", "precession", "--shots", str(shots), "--seed", "9",
+                     "--grid", "0:330:12", "--out", str(tmp_path))
+    assert code == 0
+    scn = load_config(None)
+    j_bar = force_magnitude(scn.beams, scn.drive, scn.trap, scn.thermal).j_bar
+    theta = np.radians(np.linspace(0.0, 330.0, 12))
+    p_true = odfkit.precession_lineshape(j_bar, scn.drive.gamma, scn.drive.tau, theta)
+    data = np.loadtxt(tmp_path / "precession.csv", delimiter=",", skiprows=1)
+    expect = oracles.per_point_binomial(p_true, shots, 9) / shots
+    assert data[:, 1].tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("argv", [["geom", "--theta", "28"], ["optimize-angle"],
+                                  ["fit", "precession", "--data"]], ids=lambda argv: argv[0])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, argv):
+    # the reader is gone before the command writes: exit 1, nothing on stderr
+    if argv[-1] == "--data":
+        assert main(["simulate", "precession", "--out", str(tmp_path)]) == 0
+        argv = [*argv, str(tmp_path / "precession.csv")]
+    env = {**os.environ, "PYTHONPATH": str(Path(odfkit.__file__).parents[1])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "odfkit.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 def test_geom_theta_and_actuators_exclude_each_other(capsys, tmp_path):

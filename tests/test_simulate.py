@@ -1,6 +1,10 @@
 import math
+import os
 import string
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,8 +33,16 @@ from odfkit import (
     simulate_thermometry,
     thermometry_lineshape,
 )
-from odfkit.simulate import _BLOCK_ROWS, _one_pole_lowpass, _sample_scan, _write_rows
+from odfkit import _stream_v1
+from odfkit.simulate import (
+    _BLOCK_ROWS,
+    _one_pole_lowpass,
+    _sample_scan,
+    _sample_scans,
+    _write_rows,
+)
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 CFG = TrapIonConfig()
 GEOM = BeamGeometry(theta_odf=math.radians(28.0))
 DRIVE = OdfDrive()
@@ -289,6 +301,77 @@ def test_sampler_matches_per_point_generators(seed):
     assert np.array_equal(ds.p_up, oracles.per_point_binomial(p_true, 300, seed) / 300)
 
 
+# shot counts at the edges of numpy's samplers: inversion up to min(p, 1 - p) shots = 30
+# (all of it below 61 shots), BTPE above, and float64 holding its integers up to 2**53
+SAMPLER_SHOTS = [1, 30, 31, 60, 61, 500, 10 ** 4, 10 ** 6, 2 ** 53, 2 ** 53 + 1, 2 ** 62,
+                 2 ** 63 - 1]
+CHUNK = _stream_v1._CHUNK
+
+
+@settings(max_examples=24, derandomize=True, deadline=None)
+@given(seed=st.sampled_from([0, 2 ** 64 - 1, -1, 2 ** 70 + 3]),
+       shots=st.sampled_from(SAMPLER_SHOTS),
+       length=st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]),
+       layout=st.integers(0, 2 ** 32 - 1))
+@example(seed=0, shots=2 ** 53, length=CHUNK + 1, layout=0)
+@example(seed=-1, shots=2 ** 53 + 1, length=CHUNK - 1, layout=1)
+@example(seed=2 ** 70 + 3, shots=2 ** 63 - 1, length=CHUNK, layout=2)
+@example(seed=2 ** 64 - 1, shots=61, length=2 * CHUNK + 1, layout=3)
+def test_sampler_matches_oracle_at_planted_points(seed, shots, length, layout):
+    # uniform p with the sampler's edge cases planted at random positions: p = 0, 1 and
+    # 1/2, the inversion boundary 30/shots with its two neighbours, its mirror, and p
+    # outside [0, 1], which is clipped
+    rng = np.random.default_rng(layout)
+    edge = 30.0 / shots
+    planted = [0.0, 1.0, 0.5, edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0),
+               1.0 - edge, -0.1, 1.1]
+    p_true = rng.random(length)
+    p_true[rng.choice(length, len(planted), replace=False)] = planted
+    ds = _sample_scan(p_true, shots, seed, np.arange(length), "precession", {})
+    assert np.array_equal(ds.p_up, oracles.per_point_binomial(p_true, shots, seed) / shots)
+
+
+def test_sampler_matches_oracle_across_scans():
+    # scans drawn together, each keyed by its own seed, draw what each draws alone
+    grids = [np.random.default_rng(k).random(size) for k, size in enumerate((40, CHUNK, 7))]
+    seeds = [3, 2 ** 64 + 3, -5]
+    datasets = _sample_scans(500, [(p, seed, p, "precession", {}) for p, seed in zip(grids, seeds)])
+    for p, seed, ds in zip(grids, seeds, datasets):
+        assert np.array_equal(ds.p_up, oracles.per_point_binomial(p, 500, seed) / 500)
+
+
+def test_sampler_leaves_no_point_to_the_per_point_draw():
+    # numpy.random, which the per-point draw needs, costs ~2-6 MB of RSS to import; a
+    # scan whose shots fit a float and whose p are numbers never loads it
+    probe = ("import sys, numpy as np; from odfkit.simulate import _sample_scan; "
+             f"p = np.linspace(-0.1, 1.1, 3 * {CHUNK}); "
+             "[_sample_scan(p, shots, 7, p, 'precession', {}) for shots in (40, 500, 2 ** 53)]; "
+             "print('numpy.random' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.stdout.strip() == "False"
+
+
+def test_sampler_nan_p_is_value_error():
+    with pytest.raises(ValueError):
+        _sample_scan(np.array([0.5, math.nan, 0.25]), 500, 0, np.arange(3), "precession", {})
+
+
+def test_sampler_peak_stays_under_six_arrays():
+    # a 1e5-point draw peaks near 4.7 arrays of n; a kernel over the whole scan at once
+    # would hold ~40
+    n = 100_000
+    theta = np.radians(np.linspace(0.0, 330.0, n))
+    p_true = precession_lineshape(1641.5, 100.0, 500e-6, theta)
+    tracemalloc.start()
+    try:
+        _sample_scan(p_true, 500, 11, theta, "precession", {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * n
+
+
 def test_wilson_sigma_floor():
     # truth pinned at 0 still yields a usable positive sigma
     ds = simulate_gamma_decay(0.0, np.linspace(1e-4, 5e-3, 5), shots=200, seed=0)
@@ -299,6 +382,8 @@ def test_wilson_sigma_floor():
 def test_shots_validation():
     with pytest.raises(ValueError):
         simulate_thermometry(GEOM, DRIVE, CFG, ThermalState(1.27), MU, shots=0)
+    with pytest.raises(ValueError, match="shots"):  # numpy's int64 overflow, named
+        simulate_precession(1641.5, 100.0, 500e-6, [0.0, 1.0], shots=2 ** 63)
 
 
 # -- angle drift -------------------------------------------------------------------
