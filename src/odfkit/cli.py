@@ -33,13 +33,16 @@ from .fitting import (
     weighted_f0,
 )
 from .geometry import (
+    ActuatorBudget,
     ActuatorState,
     BeamGeometry,
     GeometryInfeasibleError,
+    actuators_for_angle,
     angle_from_actuators,
     delta_k,
     effective_wavelength,
     misalignment_phase,
+    repeatability_to_angle_error,
 )
 from .interactions import force_magnitude
 from .manifest import make_manifest, write_manifest
@@ -85,8 +88,12 @@ def _shots(text: str) -> int:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    return _parse_fields("--grid", spec, "start:stop:n",
-                         lambda start, stop, n: np.linspace(float(start), float(stop), int(n)))
+    def build(start, stop, n):
+        start, stop = float(start), float(stop)
+        if not math.isfinite(stop - start):  # a non-finite end, or a span that overflows
+            raise ValueError
+        return np.linspace(start, stop, int(n))
+    return _parse_fields("--grid", spec, "start:stop:n", build)
 
 
 def _emit(args, name, data, scn: Scenario, seed=None):
@@ -142,6 +149,10 @@ def _fit_json(result, unit_map=None):
 
 # -- subcommands --------------------------------------------------------------
 
+# the keys of an --actuators pose and the ActuatorState fields they set
+_POSE_FIELDS = {"rotary_angle_deg": "rotary_angle", "linear_pos_m": "linear_pos",
+                "tip_deg": "tip", "tilt_deg": "tilt"}
+
 
 def cmd_geom(args, scn: Scenario):
     if args.actuators:
@@ -151,18 +162,17 @@ def cmd_geom(args, scn: Scenario):
         if not states or not all(isinstance(s, dict) for s in states):
             raise ConfigError(f"bad --actuators {args.actuators}: expected one or two "
                               "poses, and each pose must be a JSON object")
-        mirror = [
-            ActuatorState(
-                rotary_angle=s.get("rotary_angle_deg", 0.0),
-                linear_pos=s.get("linear_pos_m", 0.0),
-                tip=s.get("tip_deg", 0.0),
-                tilt=s.get("tilt_deg", 0.0),
-            )
-            for s in states
-        ]
+        for key, value in (item for s in states for item in s.items()):
+            if key not in _POSE_FIELDS:
+                raise ConfigError(f"bad --actuators {args.actuators}: unknown key {key!r}")
+            if not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
+                raise ConfigError(f"bad --actuators {args.actuators}: {key} must be a finite "
+                                  f"number, got {value!r}")
+        mirror = [ActuatorState(**{"rotary_angle": 0.0, "linear_pos": 0.0,
+                                   **{_POSE_FIELDS[key]: value for key, value in s.items()}})
+                  for s in states]
         try:
             geom = angle_from_actuators(mirror[0], scn.mount, mirror[-1])
-            feasible = True
         except GeometryInfeasibleError as err:
             print(_json({"feasible": False, "error": str(err)}))
             return 0
@@ -172,16 +182,22 @@ def cmd_geom(args, scn: Scenario):
             laser_wavelength=scn.beams.laser_wavelength,
             tilt_error=scn.beams.tilt_error,
         )
-        feasible = scn.mount.theta_min <= geom.theta_odf <= scn.mount.theta_max
     else:
         geom = scn.beams
-        feasible = scn.mount.theta_min <= geom.theta_odf <= scn.mount.theta_max
+    try:  # feasible: the mount has a symmetric pose for this angle
+        state = actuators_for_angle(geom.theta_odf, scn.mount)
+        pose = {"rotary_angle_deg": state.rotary_angle, "linear_pos_m": state.linear_pos}
+    except GeometryInfeasibleError:
+        pose = None
     record = {
         "theta_deg": math.degrees(geom.theta_odf),
         "delta_k_per_m": delta_k(geom),
         "lambda_odf_m": effective_wavelength(geom) if geom.theta_odf > 0 else None,
-        "feasible": bool(feasible),
+        "feasible": pose is not None,
         "phase_at_edge_deg": misalignment_phase(geom, scn.trap.crystal_radius),
+        "pose": pose,
+        "angle_error_deg": math.degrees(
+            repeatability_to_angle_error(ActuatorBudget(), scn.mount)),
     }
     print(_json(record))
     return 0
@@ -445,7 +461,8 @@ def main(argv=None) -> int:
         return 1 if err.code not in (0, None) else 0
     try:
         scn = load_config(args.config, args.scenario)
-        code = args.func(args, scn)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            code = args.func(args, scn)
         sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
         return code
     except BrokenPipeError:
@@ -456,6 +473,10 @@ def main(argv=None) -> int:
     except (ConfigError, FitInputError, GeometryInfeasibleError, ValueError,
             FileNotFoundError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except ArithmeticError as err:  # a value so large or small that a result leaves floats
+        print(f"error: {err}: an input is out of the range the model computes in",
+              file=sys.stderr)
         return 1
 
 

@@ -149,15 +149,11 @@ def build_scenario(merged: dict) -> Scenario:
         tilt_error=math.radians(b["tilt_error_deg"]),
     )
     thermal = ThermalState(n_bar=num["thermal"]["n_bar"])
-    mnt = num.get("mount", {})
+    # mount keys are field names with a unit suffix; absent keys keep the field defaults
     mount = MountGeometry(
-        d_axial=mnt.get("d_axial_m", 28.6e-3),
-        d_radial=mnt.get("d_radial_m", 3.0e-3),
-        theta_min=math.radians(mnt.get("theta_min_deg", 12.0)),
-        theta_max=math.radians(mnt.get("theta_max_deg", 36.0)),
-        crossing_tolerance=mnt.get("crossing_tolerance_m", 10e-6),
-        linear_travel=mnt.get("linear_travel_m", 21e-3),
         laser_wavelength=b["laser_wavelength_m"],
+        **{key.rsplit("_", 1)[0]: math.radians(val) if key.endswith("_deg") else val
+           for key, val in num.get("mount", {}).items()},
     )
     return Scenario(trap=trap, drive=drive, beams=beams, thermal=thermal,
                     mount=mount, raw=merged)

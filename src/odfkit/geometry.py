@@ -25,11 +25,7 @@ from .constants import TWO_PI
 
 
 class GeometryInfeasibleError(ValueError):
-    """Requested pose cannot put both beams through trap center within limits."""
-
-
-class AngleRangeError(ValueError):
-    """Requested separation angle lies outside the mechanical travel window."""
+    """Requested angle or pose is outside the mount's window, travel or crossing tolerance."""
 
 
 @dataclass(frozen=True)
@@ -62,7 +58,8 @@ class ActuatorState:
     rotary_angle is the closed-loop rotary offset from the reference at
     which the reflected beam runs parallel to the bore axis; tip/tilt are
     the open-loop fine stages (tip moves the beam out of the crossing
-    plane, tilt adds to the rotary offset).
+    plane, tilt adds to the rotary offset).  The mount's linear_travel
+    bounds linear_pos; angle_from_actuators checks it.
     """
 
     rotary_angle: float  # degrees
@@ -75,21 +72,17 @@ class ActuatorState:
             raise ValueError(
                 f"rotary_angle {self.rotary_angle} outside the 100 degree travel window"
             )
-        if not 0.0 <= self.linear_pos <= 21e-3:
-            raise ValueError(f"linear_pos {self.linear_pos} outside 21 mm travel")
 
 
 @dataclass(frozen=True)
 class ActuatorBudget:
-    """Closed-loop repeatabilities and open-loop resolution of the stack."""
+    """Closed-loop repeatabilities of the stack."""
 
     rotary_repeatability: float = 0.0014  # degrees
     linear_repeatability: float = 30e-9  # m
-    openloop_resolution: float = 0.0001  # degrees
 
     def __post_init__(self):
-        if min(self.rotary_repeatability, self.linear_repeatability,
-               self.openloop_resolution) < 0:
+        if min(self.rotary_repeatability, self.linear_repeatability) < 0:
             raise ValueError("budget entries must be >= 0")
 
 
@@ -113,10 +106,15 @@ class MountGeometry:
     laser_wavelength: float = 313.1e-9  # m
 
     def __post_init__(self):
-        if self.d_axial <= 0 or self.d_radial <= 0:
-            raise ValueError("lever arms must be positive")
+        for name in ("d_axial", "d_radial", "linear_travel"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.crossing_tolerance < 0:
+            raise ValueError(f"crossing_tolerance must be >= 0, got {self.crossing_tolerance}")
         if not 0 < self.theta_min < self.theta_max < math.pi:
-            raise ValueError("need 0 < theta_min < theta_max < pi")
+            raise ValueError(f"need 0 < theta_min < theta_max < 180 deg, got theta_min "
+                             f"{math.degrees(self.theta_min)}, theta_max "
+                             f"{math.degrees(self.theta_max)} deg")
 
 
 def delta_k(geom: BeamGeometry) -> float | np.ndarray:
@@ -173,13 +171,17 @@ def angle_from_actuators(
     """Forward kinematics: mirror poses to the implied BeamGeometry.
 
     With `second` omitted the same pose is applied to both mirrors
-    (symmetric pair).  Raises GeometryInfeasibleError when a beam misses
-    trap center by more than the crossing tolerance or the implied angle
-    falls outside the mechanical window.
+    (symmetric pair).  Raises GeometryInfeasibleError when a linear stage
+    sits outside the mount's travel, a beam misses trap center by more
+    than the crossing tolerance, or the implied angle falls outside the
+    mechanical window.
     """
     states = (state, second if second is not None else state)
     halves = []
     for s in states:
+        if not 0.0 <= s.linear_pos <= mount.linear_travel:
+            raise GeometryInfeasibleError(
+                f"linear_pos {s.linear_pos} m outside [0, {mount.linear_travel}] m travel")
         half = _beam_half_angle(s)
         miss = _crossing_miss(s, mount, half)
         if miss > mount.crossing_tolerance:
@@ -208,10 +210,12 @@ def actuators_for_angle(target_theta: float, mount: MountGeometry) -> ActuatorSt
     """Inverse kinematics: symmetric pose realizing a full separation angle.
 
     Returns the per-mirror state (apply it to both mirrors); round-trips
-    through angle_from_actuators to better than 1e-9 rad.
+    through angle_from_actuators to better than 1e-9 rad.  Raises
+    GeometryInfeasibleError when the angle is outside the mechanical window
+    or its pose outside the linear travel.
     """
     if not mount.theta_min <= target_theta <= mount.theta_max:
-        raise AngleRangeError(
+        raise GeometryInfeasibleError(
             f"target {math.degrees(target_theta):.3f} deg outside "
             f"[{math.degrees(mount.theta_min):.1f}, {math.degrees(mount.theta_max):.1f}] deg"
         )

@@ -265,7 +265,6 @@ def force_turnover_angle(
     k0 = 2.0 * math.pi / laser_wavelength
     z0 = ground_state_extent(cfg)
     a = 2.0 * k0 * k0 * z0 * z0 * (2.0 * state.n_bar + 1.0)
-    x_star = 1.0 / math.sqrt(2.0 * a)
-    if x_star >= 1.0:
+    if 2.0 * a <= 1.0:  # x_star >= 1, also where a underflows to 0
         return math.nan
-    return 2.0 * math.asin(x_star)
+    return 2.0 * math.asin(1.0 / math.sqrt(2.0 * a))

@@ -19,13 +19,7 @@ import numpy as np
 
 from .core import OdfDrive, ThermalState, TrapIonConfig
 from .geometry import BeamGeometry
-from .interactions import (
-    force_magnitude,
-    gamma_decay_lineshape,
-    loop_phases,
-    precession_lineshape,
-    thermometry_lineshape,
-)
+from .interactions import gamma_decay_lineshape, precession_lineshape, thermometry_lineshape
 
 
 def _freeze_arrays(obj, names):
@@ -91,7 +85,7 @@ class ScanDataset:
 class Series:
     """Sample times t in s and the values there, plus provenance metadata.
 
-    Drift is in degrees, its probe signal is a P_up, path noise is in meters.
+    Drift is in degrees, path noise is in meters.
     """
 
     t: np.ndarray
@@ -357,36 +351,6 @@ def simulate_angle_drift(model: DriftModel, duration: float, dt: float) -> Serie
     meta = {"kind": "drift", "seed": model.seed, "linear_rate_deg_per_h": model.linear_rate,
             "rms_jitter_deg": model.rms_jitter}
     return Series(t=t, value=drift, meta=meta)
-
-
-def drift_probe_signal(
-    drift: Series,
-    geom: BeamGeometry,
-    drive: OdfDrive,
-    cfg: TrapIonConfig,
-    state: ThermalState,
-) -> Series:
-    """Convert an angle-drift series to the P_up probe measured on the ions.
-
-    Calibration model of the stability measurement: a tilt dtheta puts the
-    in-plane component delta_k sin(dtheta) of the lattice on the rotating
-    crystal, modeled as an effective force F0 sin(dtheta) on the mode at
-    the probe detuning delta = pi / tau (the lineshape peak); the crystal
-    rotation frequency does not enter.
-    """
-    strengths = force_magnitude(geom, drive, cfg, state)
-    delta_probe = math.pi / drive.tau
-    baseline = math.exp(-2.0 * drive.gamma * drive.tau)
-    f0_eff = strengths.f0 * np.abs(np.sin(np.radians(drift.value)))
-    phases = loop_phases(f0_eff, cfg, delta_probe, drive.tau, "spin_echo")
-    # in scalar arithmetic: np.abs, ** 2 and np.exp on arrays can each differ
-    # by 1 ulp from abs (hypot), pow and math.exp
-    occupation = 2.0 * state.n_bar + 1.0
-    c_sm = np.fromiter((math.exp(-2.0 * abs(a) ** 2 * occupation)
-                        for a in phases.alpha_total.tolist()), float, len(drift))
-    p = 0.5 * (1.0 - baseline * c_sm)
-    meta = dict(drift.meta, kind="drift_probe")
-    return Series(t=drift.t, value=p, meta=meta)
 
 
 def _one_pole_lowpass(x, a):

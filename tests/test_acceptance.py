@@ -12,34 +12,32 @@ import numpy as np
 import pytest
 
 import oracles
-from odfkit import (
-    CHI_TO_JBAR,
-    HBAR,
-    BeamGeometry,
-    DriftModel,
-    FitInputError,
+from odfkit.constants import HBAR
+from odfkit.core import (
     OdfDrive,
-    PathNoiseModel,
     ThermalState,
     TrapIonConfig,
-    delta_k,
-    effective_wavelength,
+    ground_state_extent,
+    thermal_extent_sq,
+)
+from odfkit.fitting import (
+    FitInputError,
     fit_far_detuned_gamma,
     fit_precession,
     fit_thermometry,
-    force_magnitude,
-    ground_state_extent,
-    j_bar,
-    loop_phases,
-    misalignment_phase,
     optimize_theta,
+)
+from odfkit.geometry import BeamGeometry, delta_k, effective_wavelength, misalignment_phase
+from odfkit.interactions import CHI_TO_JBAR, force_magnitude, j_bar, loop_phases
+from odfkit.simulate import (
+    DriftModel,
+    PathNoiseModel,
     path_noise_phase_rms,
     simulate_angle_drift,
     simulate_gamma_decay,
     simulate_path_noise,
     simulate_precession,
     simulate_thermometry,
-    thermal_extent_sq,
 )
 
 CFG = TrapIonConfig()

@@ -15,14 +15,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import odfkit
-from odfkit import (
-    BeamGeometry,
-    ThermalState,
-    force_magnitude,
-    load_config,
-    simulate_gamma_decay,
-)
 from odfkit.cli import build_parser, main
+from odfkit.configio import DEFAULT_CONFIG, load_config
+from odfkit.geometry import BeamGeometry, MountGeometry, actuators_for_angle
+from odfkit.interactions import force_magnitude, precession_lineshape
+from odfkit.simulate import simulate_gamma_decay
 
 import oracles
 
@@ -58,8 +55,6 @@ def test_geom_theta_outside_window(capsys):
 
 
 def test_geom_actuator_pose(capsys, tmp_path):
-    from odfkit import MountGeometry, actuators_for_angle
-
     state = actuators_for_angle(math.radians(28.0), MountGeometry())
     pose = tmp_path / "pose.json"
     pose.write_text(json.dumps({"rotary_angle_deg": state.rotary_angle,
@@ -81,6 +76,64 @@ def test_geom_one_pose_list_sets_both_mirrors(capsys, tmp_path):
     assert results[0] == results[1]
 
 
+WIDE_WINDOW = {"theta_min_deg": 5.0, "theta_max_deg": 60.0}
+
+
+@pytest.mark.parametrize("mount,theta,feasible", [
+    (WIDE_WINDOW, "8", False),  # the linear stage would sit before its outer stop
+    (WIDE_WINDOW, "50", False),  # past the 21 mm linear travel
+    ({"linear_travel_m": 0.005}, "28", False),
+    ({}, "12", True),  # the edges of the default window
+    ({}, "36", True),
+], ids=["wide-8", "wide-50", "short-travel-28", "default-12", "default-36"])
+def test_geom_feasible_means_the_mount_reaches_theta(capsys, tmp_path, mount, theta, feasible):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mount": mount}))
+    code, out, _ = run(capsys, "geom", "--config", str(cfg), "--theta", theta)
+    record = strict_json(out)
+    assert code == 0
+    assert record["feasible"] is feasible
+    assert record["angle_error_deg"] == pytest.approx(
+        4 * 0.0014 + math.degrees(math.atan(30e-9 / 28.6e-3)), rel=1e-12)
+    if not feasible:
+        assert record["pose"] is None
+        return
+    # the printed pose is what --actuators reads, and it lands on the same angle
+    pose = tmp_path / "pose.json"
+    pose.write_text(json.dumps(record["pose"]))
+    code, out, _ = run(capsys, "geom", "--config", str(cfg), "--actuators", str(pose))
+    back = strict_json(out)
+    assert code == 0
+    assert back["feasible"] is True
+    assert abs(back["theta_deg"] - record["theta_deg"]) < 1e-9
+
+
+def test_geom_actuators_past_21_mm_on_a_longer_mount(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mount": {"linear_travel_m": 0.03, "theta_max_deg": 50}}))
+    pose = tmp_path / "pose.json"
+    pose.write_text(json.dumps({"rotary_angle_deg": 11.25, "linear_pos_m": 0.02136}))
+    code, out, _ = run(capsys, "geom", "--config", str(cfg), "--actuators", str(pose))
+    assert code == 0
+    record = strict_json(out)
+    assert record["feasible"] is True
+    assert record["theta_deg"] == pytest.approx(45.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("d_axial_m", -1), ("d_radial_m", 0), ("linear_travel_m", -1), ("linear_travel_m", 0),
+    ("crossing_tolerance_m", -1), ("theta_min_deg", 0), ("theta_max_deg", 180),
+])
+def test_bad_mount_value_is_one_line_error_naming_field(capsys, tmp_path, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mount": {key: value}}))
+    code, out, err = run(capsys, "geom", "--config", str(cfg), "--theta", "28")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert key.rsplit("_", 1)[0] in err
+
+
 @pytest.mark.parametrize("doc", [[1, 2], [], 5, [{}, "pose"]],
                          ids=["numbers", "empty", "number", "string-pose"])
 def test_geom_actuators_not_poses_is_one_line_error(capsys, tmp_path, doc):
@@ -90,6 +143,22 @@ def test_geom_actuators_not_poses_is_one_line_error(capsys, tmp_path, doc):
     assert code == 1
     assert out == ""
     assert err.startswith("error: bad --actuators") and "JSON object" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"rotary_angle_deg": "7"}, "rotary_angle_deg"), ({"linear_pos_m": None}, "linear_pos_m"),
+    ({"tip_deg": True}, "tip_deg"), ({"tilt_deg": math.nan}, "tilt_deg"),
+    ({"rotary_deg": 7.0}, "rotary_deg"),
+], ids=["string", "null", "bool", "nan", "unknown-key"])
+def test_geom_actuators_bad_pose_value_names_key(capsys, tmp_path, doc, key):
+    # a string or null was a TypeError traceback, a NaN tip a JSON error, an unknown key ignored
+    pose = tmp_path / "pose.json"
+    pose.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "geom", "--actuators", str(pose))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bad --actuators") and key in err
     assert len(err.splitlines()) == 1
 
 
@@ -719,7 +788,7 @@ def test_shots_up_to_int64_are_drawn_by_stream_v1(capsys, tmp_path, shots):
     scn = load_config(None)
     j_bar = force_magnitude(scn.beams, scn.drive, scn.trap, scn.thermal).j_bar
     theta = np.radians(np.linspace(0.0, 330.0, 12))
-    p_true = odfkit.precession_lineshape(j_bar, scn.drive.gamma, scn.drive.tau, theta)
+    p_true = precession_lineshape(j_bar, scn.drive.gamma, scn.drive.tau, theta)
     data = np.loadtxt(tmp_path / "precession.csv", delimiter=",", skiprows=1)
     expect = oracles.per_point_binomial(p_true, shots, 9) / shots
     assert data[:, 1].tobytes() == expect.tobytes()
@@ -779,11 +848,115 @@ def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
 
 
 def test_cli_import_loads_no_scipy():
-    probe = "import sys, odfkit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          check=True,
-                          env={**os.environ, "PYTHONPATH": str(Path(odfkit.__file__).parents[1])})
-    assert done.stdout.strip() == "[]"
+    # odfkit.cli loads no scipy, and the bare package loads no numpy either
+    for module, prefix in (("odfkit.cli", "scipy"), ("odfkit", "numpy")):
+        probe = (f"import sys, {module}; "
+                 f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True, env={**os.environ,
+                                               "PYTHONPATH": str(Path(odfkit.__file__).parents[1])})
+        assert done.stdout.strip() == "[]", module
+
+
+# the trap, drive, beams and mount keys in config units, each at its default (DEFAULT_CONFIG
+# or the field default); the fuzz scales it, so most draws pass validation and reach the physics
+FUZZ_DEFAULTS = {
+    **{(section, key): value for section, body in DEFAULT_CONFIG.items()
+       for key, value in body.items() if section != "thermal"},
+    ("drive", "gamma_raman_per_s"): 100.0, ("drive", "gamma_elastic_per_s"): 100.0,
+    ("mount", "d_axial_m"): 28.6e-3, ("mount", "d_radial_m"): 3e-3,
+    ("mount", "theta_min_deg"): 12.0, ("mount", "theta_max_deg"): 36.0,
+    ("mount", "crossing_tolerance_m"): 1e-5, ("mount", "linear_travel_m"): 21e-3,
+}
+FUZZ_HOSTILE_FACTOR = st.one_of(st.sampled_from([1.0, 0.0, -1.0, 1e-300, 1e-3, 1e3, 1e300]),
+                                st.floats(0.1, 10.0))
+FUZZ_TEXT_NUMBER = st.one_of(st.floats(0.0, 60.0).map(repr),
+                             st.floats(-1e3, 1e3, allow_nan=False).map(repr),
+                             st.sampled_from(["0", "-0", "1e308", "5e-324", "nan", "inf", "x"]))
+
+
+@st.composite
+def fuzz_config(draw):
+    """About half the configs scale their keys by 0.5-2, the others also by 0, -1 and 1e+-300."""
+    factor = FUZZ_HOSTILE_FACTOR if draw(st.booleans()) else st.floats(0.5, 2.0)
+    doc = {}
+    for (section, key), default in FUZZ_DEFAULTS.items():
+        if not draw(st.booleans()):
+            continue
+        value = default * draw(factor)
+        doc.setdefault(section, {})[key] = int(value) if key == "n_ions" else value
+    return doc
+
+
+@st.composite
+def fuzz_argv(draw, out):
+    grid = st.builds(lambda a, b, n: f"{a}:{b}:{n}", FUZZ_TEXT_NUMBER, FUZZ_TEXT_NUMBER,
+                     st.integers(-2, 1000))
+    command = draw(st.sampled_from(["geom", "optimize-angle", "curves", "ratio-scan"]))
+    argv = [command]
+    if command == "geom":
+        argv += draw(st.sampled_from([[], ["--theta", draw(FUZZ_TEXT_NUMBER)],
+                                      ["--actuators", str(out / "pose.json")]]))
+    elif command == "optimize-angle":
+        if draw(st.booleans()):
+            argv += ["--window", f"{draw(FUZZ_TEXT_NUMBER)}:{draw(FUZZ_TEXT_NUMBER)}"]
+    else:
+        argv += ["--out", str(out)]
+        if draw(st.booleans()):
+            argv += ["--grid", draw(grid)]
+        if command == "curves" and draw(st.booleans()):
+            argv += ["--nbar", ",".join(draw(st.lists(FUZZ_TEXT_NUMBER, min_size=1, max_size=3)))]
+    return argv
+
+
+def fuzz_pose():
+    """An --actuators pose: mostly numbers in and around the stage travel, some not numbers."""
+    def value(lo, hi):
+        return st.one_of(st.floats(lo, hi), st.sampled_from([None, "7", True, 10 ** 400]))
+    return st.fixed_dictionaries({}, optional={
+        "rotary_angle_deg": value(-60.0, 60.0), "linear_pos_m": value(-0.01, 0.04),
+        "tip_deg": value(-1.0, 1.0), "tilt_deg": value(-1.0, 1.0), "rotary_deg": value(0, 1)})
+
+
+# derandomized: the same inputs on every run, so tier-1 stays deterministic
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), config=fuzz_config(), pose=fuzz_pose())
+def test_design_commands_on_random_input_exit_cleanly(tmp_path, data, config, pose):
+    argv = data.draw(fuzz_argv(tmp_path))
+    (tmp_path / "pose.json").write_text(json.dumps(pose))
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--config", str(tmp_path / "cfg.json")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1 and not err.getvalue().startswith("usage:"):
+        assert err.getvalue().startswith("error:") and len(err.getvalue().splitlines()) == 1
+    if code == 0 and argv[0] in ("geom", "optimize-angle"):
+        strict_json(out.getvalue())
+
+
+@pytest.mark.parametrize("config,command", [
+    ({"beams": {"laser_wavelength_m": 3.131e293}}, "optimize-angle"),
+    ({"trap": {"ion_mass_amu": 0.009012, "omega_com_hz": 1.1e-294}}, "curves"),
+    ({"trap": {"omega_com_hz": 1.1e306}, "beams": {"laser_wavelength_m": 3.131e-307}},
+     "ratio-scan"),
+    ({"trap": {"ion_mass_amu": 2.5e-280, "omega_com_hz": 2.5e-276}}, "curves"),
+], ids=["turnover-divides-by-zero", "jbar-zero-over-zero", "f0-overflows", "z0-divides-by-zero"])
+def test_out_of_range_config_exits_cleanly(capsys, tmp_path, config, command):
+    # a ZeroDivisionError traceback, and numpy invalid-value and overflow warnings
+    # beside a NaN or infinite output, before
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out_flag = [] if command == "optimize-angle" else ["--out", str(tmp_path)]
+    code, out, err = run(capsys, command, "--config", str(cfg), *out_flag)
+    if code == 1:
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+    else:
+        assert code == 0 and err == ""
+        assert math.isfinite(strict_json(out)["ratio_N_s"])
 
 
 def test_unknown_subcommand_fails(capsys):

@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from odfkit import ConfigError, load_config
-from odfkit.configio import DEFAULT_CONFIG, build_scenario
+from odfkit.configio import DEFAULT_CONFIG, ConfigError, build_scenario, load_config
+from odfkit.geometry import MountGeometry
 from odfkit.manifest import config_digest, make_manifest, write_manifest
 
 
@@ -101,6 +101,14 @@ def test_unit_conversion_at_the_boundary():
     assert scn.drive.tau == 500e-6
     assert scn.mount.theta_min == pytest.approx(math.radians(12.0))
     assert scn.mount.theta_max == pytest.approx(math.radians(36.0))
+
+
+def test_mount_keys_set_only_their_fields(tmp_path):
+    # an absent mount section leaves every MountGeometry default; a given key sets one field
+    assert load_config().mount == MountGeometry()
+    path = write(tmp_path, {"mount": {"theta_max_deg": 50, "linear_travel_m": 0.03}})
+    mount = load_config(path).mount
+    assert mount == MountGeometry(theta_max=math.radians(50.0), linear_travel=0.03)
 
 
 def test_int_config_values_become_floats():

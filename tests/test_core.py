@@ -3,10 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from odfkit import (
-    ATOMIC_MASS_UNIT,
-    BERYLLIUM_9_MASS,
-    HBAR,
+from odfkit.constants import ATOMIC_MASS_UNIT, BERYLLIUM_9_MASS, HBAR, TWO_PI
+from odfkit.core import (
     OdfDrive,
     ThermalState,
     TrapIonConfig,
@@ -14,7 +12,6 @@ from odfkit import (
     ground_state_extent,
     thermal_extent_sq,
 )
-from odfkit.constants import TWO_PI
 
 
 def test_codata_constants():

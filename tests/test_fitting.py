@@ -4,31 +4,29 @@ import numpy as np
 import pytest
 
 import oracles
-from odfkit import (
-    BeamGeometry,
+from odfkit.core import OdfDrive, ThermalState, TrapIonConfig
+from odfkit.fitting import (
     FitInputError,
     GammaDecayEstimator,
-    OdfDrive,
     PrecessionEstimator,
-    ScanDataset,
-    ThermalState,
     ThermometryEstimator,
-    TrapIonConfig,
     f0_from_jbar,
     fit_far_detuned_gamma,
     fit_precession,
     fit_thermometry,
+    optimize_theta,
+    weighted_f0,
+)
+from odfkit.geometry import BeamGeometry
+from odfkit.interactions import (
     force_magnitude,
     force_turnover_angle,
     gamma_decay_lineshape,
     j_bar,
-    optimize_theta,
     precession_lineshape,
-    simulate_precession,
-    simulate_thermometry,
     thermometry_lineshape,
-    weighted_f0,
 )
+from odfkit.simulate import ScanDataset, simulate_precession, simulate_thermometry
 
 CFG = TrapIonConfig()
 GEOM = BeamGeometry(theta_odf=math.radians(28.0))

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from odfkit import (
+from odfkit.geometry import (
     ActuatorBudget,
     ActuatorState,
-    AngleRangeError,
     BeamGeometry,
     GeometryInfeasibleError,
     MountGeometry,
@@ -150,11 +149,11 @@ def test_kinematics_round_trip_100_points():
 
 def test_angle_out_of_window_rejected():
     mount = MountGeometry()
-    with pytest.raises(AngleRangeError) as err:
+    with pytest.raises(GeometryInfeasibleError) as err:
         actuators_for_angle(math.radians(11.0), mount)
     # diagnostic names both limits
     assert "12.0" in str(err.value) and "36.0" in str(err.value)
-    with pytest.raises(AngleRangeError):
+    with pytest.raises(GeometryInfeasibleError):
         actuators_for_angle(math.radians(37.0), mount)
 
 
@@ -203,8 +202,30 @@ def test_tip_stages_tilt_delta_k():
 def test_actuator_travel_limits():
     with pytest.raises(ValueError):
         ActuatorState(rotary_angle=51.0, linear_pos=0.0)
-    with pytest.raises(ValueError):
-        ActuatorState(rotary_angle=0.0, linear_pos=22e-3)
+    # the linear travel is the mount's: 21 mm by default
+    for linear_pos in (-1e-6, 22e-3):
+        with pytest.raises(GeometryInfeasibleError, match="travel"):
+            angle_from_actuators(ActuatorState(rotary_angle=7.0, linear_pos=linear_pos),
+                                 MountGeometry())
+
+
+def test_longer_linear_travel_reaches_past_21_mm():
+    mount = MountGeometry(theta_max=math.radians(50.0), linear_travel=0.03)
+    state = actuators_for_angle(math.radians(45.0), mount)
+    assert 21e-3 < state.linear_pos < 0.03
+    assert angle_from_actuators(state, mount).theta_odf == pytest.approx(
+        math.radians(45.0), abs=1e-9)
+    with pytest.raises(GeometryInfeasibleError, match="travel"):
+        angle_from_actuators(state, MountGeometry(theta_max=math.radians(50.0)))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("d_axial", -1.0), ("d_radial", 0.0), ("linear_travel", 0.0), ("linear_travel", -1.0),
+    ("crossing_tolerance", -1e-6), ("theta_min", 0.0), ("theta_max", math.pi),
+])
+def test_mount_rejects_bad_field_by_name(field, value):
+    with pytest.raises(ValueError, match=field):
+        MountGeometry(**{field: value})
 
 
 # -- repeatability budget --------------------------------------------------------
@@ -217,8 +238,7 @@ def test_rotary_only_budget():
 
 
 def test_zero_budget():
-    budget = ActuatorBudget(rotary_repeatability=0.0, linear_repeatability=0.0,
-                            openloop_resolution=0.0)
+    budget = ActuatorBudget(rotary_repeatability=0.0, linear_repeatability=0.0)
     assert repeatability_to_angle_error(budget, MountGeometry()) == 0.0
 
 

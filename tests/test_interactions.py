@@ -5,23 +5,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from odfkit import (
-    CHI_TO_JBAR,
-    HBAR,
-    BeamGeometry,
+from odfkit.constants import HBAR
+from odfkit.core import (
     OdfDrive,
-    ResonanceSingularityError,
     ThermalState,
     TrapIonConfig,
-    delta_k,
-    force_magnitude,
-    force_turnover_angle,
     detuning,
     ground_state_extent,
+    thermal_extent_sq,
+)
+from odfkit.geometry import BeamGeometry, delta_k
+from odfkit.interactions import (
+    CHI_TO_JBAR,
+    ResonanceSingularityError,
+    force_magnitude,
+    force_turnover_angle,
     j_bar,
     loop_phases,
     precession_lineshape,
-    thermal_extent_sq,
     thermometry_lineshape,
 )
 from odfkit.interactions import _dq, _dr, _q, _r
