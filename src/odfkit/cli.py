@@ -89,10 +89,11 @@ def _shots(text: str) -> int:
 
 def _parse_grid(spec: str) -> np.ndarray:
     def build(start, stop, n):
-        start, stop = float(start), float(stop)
-        if not math.isfinite(stop - start):  # a non-finite end, or a span that overflows
+        start, stop, n = float(start), float(stop), int(n)
+        # a non-finite end, a span that overflows, or a grid without points
+        if not math.isfinite(stop - start) or n < 1:
             raise ValueError
-        return np.linspace(start, stop, int(n))
+        return np.linspace(start, stop, n)
     return _parse_fields("--grid", spec, "start:stop:n", build)
 
 
@@ -158,8 +159,8 @@ def cmd_geom(args, scn: Scenario):
     if args.actuators:
         with open(args.actuators) as fh:
             doc = json.load(fh)
-        states = doc[:2] if isinstance(doc, list) else [doc]
-        if not states or not all(isinstance(s, dict) for s in states):
+        states = doc if isinstance(doc, list) else [doc]
+        if not 1 <= len(states) <= 2 or not all(isinstance(s, dict) for s in states):
             raise ConfigError(f"bad --actuators {args.actuators}: expected one or two "
                               "poses, and each pose must be a JSON object")
         for key, value in (item for s in states for item in s.items()):
@@ -320,6 +321,8 @@ def cmd_fig4c(args, scn: Scenario):
     delta_ac_probe = max(scn.drive.delta_ac, TWO_PI * 2.5e3)
     drives = [OdfDrive(delta_ac=delta_ac_probe, mu=scn.trap.omega_com + delta,
                        tau=scn.drive.tau, gamma=scn.drive.gamma) for delta in deltas]
+    if any(drive.mu == scn.trap.omega_com for drive in drives):  # omega_com absorbs delta
+        raise FitInputError("precession needs a nonzero detuning mu - omega_com")
     geom = BeamGeometry(theta_odf=np.radians(theta_list),
                         laser_wavelength=scn.beams.laser_wavelength)
     cases = []  # (label, theta_deg, Jbar at each detuning, seed of the first detuning)
@@ -471,7 +474,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (ConfigError, FitInputError, GeometryInfeasibleError, ValueError,
-            FileNotFoundError, MemoryError) as err:
+            OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except ArithmeticError as err:  # a value so large or small that a result leaves floats

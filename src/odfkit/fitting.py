@@ -6,10 +6,9 @@ fit(dataset) returns a FitResult, all driven by one damped Gauss-Newton
 engine with analytic Jacobians; the models themselves live in
 `interactions`, shared with the simulators.  Parameter uncertainties come
 from the inverse normal equations at the optimum: FitResult.sigmas are
-always scaled by sqrt(chi2_reduced) when it exceeds one (the conservative
-convention), and FitResult.sigmas_unscaled hold the raw values.  The
-crossing-angle optimum is the closed-form Debye-Waller turnover of F0,
-clipped to the constraint window.
+scaled by sqrt(chi2_reduced) when it exceeds one (the conservative
+convention).  The crossing-angle optimum is the closed-form Debye-Waller
+turnover of F0, clipped to the constraint window.
 """
 
 from __future__ import annotations
@@ -40,11 +39,9 @@ class FitInputError(ValueError):
 class FitResult:
     params: dict  # name -> fitted value
     sigmas: dict  # name -> 1-sigma uncertainty, times sqrt(chi2_reduced) when that exceeds 1
-    sigmas_unscaled: dict  # name -> 1-sigma uncertainty from the inverse normal equations
     chi2_reduced: float
     converged: bool
     iterations: int
-    covariance: np.ndarray
     flags: tuple = ()
 
     def __post_init__(self):
@@ -144,11 +141,9 @@ def _build_result(names, p, converged, it, jtj, cost, n_points, bound_active):
     return FitResult(
         params=dict(zip(names, (float(v) for v in p))),
         sigmas=dict(zip(names, (float(s * scale) for s in sig_raw))),
-        sigmas_unscaled=dict(zip(names, (float(s) for s in sig_raw))),
         chi2_reduced=chi2_red,
         converged=bool(converged),
         iterations=it,
-        covariance=cov * scale * scale,
         flags=tuple(flags),
     )
 

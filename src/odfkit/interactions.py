@@ -1,4 +1,4 @@
-"""Spin-motion physics: force magnitude, coupling, loop phases, lineshapes.
+"""Spin-motion physics: force magnitude, coupling, lineshapes.
 
 The spin-dependent force on the COM mode has magnitude
 
@@ -19,8 +19,10 @@ half the uniform Ising coupling
 
     jbar = F0^2 / (4 hbar M omega_com delta),
 
-which fixes the convention: jbar = 2 chi_arm / tau (regression-tested
-against a numerical phase-space-trajectory oracle).
+which fixes the convention: jbar = 2 chi_arm / tau.  `thermometry_model`
+is the one implementation of alpha_total and chi_arm; the tests pin it to
+an RK4 integration of the phase-space trajectory and, at loop closure, to
+`j_bar`.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ from .constants import HBAR
 from .core import OdfDrive, ThermalState, TrapIonConfig, detuning, ground_state_extent, thermal_extent_sq
 from .geometry import BeamGeometry, delta_k
 
-# chi_arm / tau = jbar / 2 at loop closure (delta tau = 2 pi k); see module docstring
-CHI_TO_JBAR = 2.0
-
 
 class ResonanceSingularityError(ValueError):
     """Operation requires a nonzero detuning."""
@@ -45,16 +44,8 @@ class ResonanceSingularityError(ValueError):
 @dataclass(frozen=True)
 class InteractionStrengths:
     f0: float | np.ndarray  # N
-    debye_waller: float | np.ndarray  # dimensionless, in (0, 1]
-    lamb_dicke: float | np.ndarray  # dimensionless, delta_k * z0
     j_bar: float | np.ndarray | None = None  # rad/s; None exactly on resonance
     f0_over_gamma: float | np.ndarray | None = None  # N s; None when gamma = 0
-
-
-@dataclass(frozen=True)
-class LoopPhases:
-    alpha_total: complex | np.ndarray  # net displacement after the sequence, phase-space quanta
-    chi_arm: float | np.ndarray  # rad, geometric phase accumulated per arm
 
 
 def _taylor_guarded(s, exact, series):
@@ -112,20 +103,12 @@ def force_magnitude(
 ) -> InteractionStrengths:
     """Evaluate F0 and the derived coupling figures at each angle of geom."""
     dk = delta_k(geom)
-    z0 = ground_state_extent(cfg)
     zsq = thermal_extent_sq(cfg, state)
-    dw = _math_exp(-0.5 * dk * dk * zsq)
-    f0 = HBAR * abs(drive.delta_ac) * dk * dw
+    f0 = HBAR * abs(drive.delta_ac) * dk * _math_exp(-0.5 * dk * dk * zsq)
     delta = detuning(drive, cfg)
     jb = j_bar(f0, cfg, delta) if delta != 0.0 else None
     ratio = f0 / drive.gamma if drive.gamma > 0 else None
-    return InteractionStrengths(
-        f0=f0,
-        debye_waller=dw,
-        lamb_dicke=dk * z0,
-        j_bar=jb,
-        f0_over_gamma=ratio,
-    )
+    return InteractionStrengths(f0=f0, j_bar=jb, f0_over_gamma=ratio)
 
 
 def j_bar(f0: float | np.ndarray, cfg: TrapIonConfig, delta: float) -> float | np.ndarray:
@@ -133,43 +116,6 @@ def j_bar(f0: float | np.ndarray, cfg: TrapIonConfig, delta: float) -> float | n
     if delta == 0.0:
         raise ResonanceSingularityError("j_bar diverges at delta = 0")
     return f0 * f0 / (4.0 * HBAR * cfg.ion_mass * cfg.omega_com * delta)
-
-
-def loop_phases(
-    f0: float | np.ndarray,
-    cfg: TrapIonConfig,
-    delta: float,
-    tau: float,
-    sequence: str = "spin_echo",
-) -> LoopPhases:
-    """Spin-dependent displacement and geometric phase of the driven COM mode.
-
-    f0 is a force or an array of forces; delta and tau are scalars.
-    sequence is "single_arm" (one drive period tau) or "spin_echo" (two
-    arms with the drive sign flipped by the central pi pulse).  delta = 0
-    is handled by the analytic limits, not an error.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    if sequence not in ("single_arm", "spin_echo"):
-        raise ValueError(f"unknown sequence {sequence!r}")
-    z0 = ground_state_extent(cfg)
-    f = f0 * z0 / (2.0 * HBAR)  # rad/s
-    s = delta * tau
-    # (1 - e^{is}) / delta = tau (1 - e^{is}) / s with limit -i tau at s = 0
-    if abs(s) < 1e-8:
-        one_minus_eis_over_delta = tau * (-1j + s / 2.0 + 1j * s * s / 6.0)
-    else:
-        one_minus_eis_over_delta = (1.0 - np.exp(1j * s)) / delta
-    alpha_total = f * one_minus_eis_over_delta  # the first arm
-    if sequence == "spin_echo":
-        # times (1 - e^{is}), written out: numpy's array complex product fuses
-        # multiply-adds, so it can differ by 1 ulp from the scalar product
-        echo = 1.0 - np.exp(1j * s)
-        ar, ai = alpha_total.real, alpha_total.imag
-        alpha_total = (ar * echo.real - ai * echo.imag) + 1j * (ar * echo.imag + ai * echo.real)
-    chi = f * f * tau ** 2 * _r(s)
-    return LoopPhases(alpha_total=alpha_total, chi_arm=chi)
 
 
 def thermometry_model(mu, omega_com, n_bar, geom: BeamGeometry, drive: OdfDrive,
@@ -219,20 +165,6 @@ def thermometry_model(mu, omega_com, n_bar, geom: BeamGeometry, drive: OdfDrive,
     dp_w = -0.5 * baseline * (dcss * j_w * c_sm + c_ss * c_sm_w)
     dp_n = -0.5 * baseline * (dcss * j_n * c_sm + c_ss * c_sm_n)
     return p_up, np.column_stack([dp_w, dp_n])
-
-
-def thermometry_lineshape(
-    geom: BeamGeometry,
-    drive: OdfDrive,
-    cfg: TrapIonConfig,
-    state: ThermalState,
-    mu_grid,
-) -> np.ndarray:
-    """Bright-state population P_up(mu) of the spin-echo thermometry scan.
-
-    thermometry_model at the configured omega_com and the state's n_bar.
-    """
-    return thermometry_model(mu_grid, cfg.omega_com, state.n_bar, geom, drive, cfg)
 
 
 def precession_lineshape(j_bar: float, gamma: float, tau: float, theta1_grid) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import OdfDrive, ThermalState, TrapIonConfig
 from .geometry import BeamGeometry
-from .interactions import gamma_decay_lineshape, precession_lineshape, thermometry_lineshape
+from .interactions import gamma_decay_lineshape, precession_lineshape, thermometry_model
 
 
 def _freeze_arrays(obj, names):
@@ -298,7 +298,7 @@ def simulate_thermometry(
 ) -> ScanDataset:
     """Shot-noise-limited thermometry scan; abscissa stored as mu/2pi in Hz."""
     mu = np.asarray(mu_grid, dtype=float)
-    p_true = thermometry_lineshape(geom, drive, cfg, state, mu)
+    p_true = thermometry_model(mu, cfg.omega_com, state.n_bar, geom, drive, cfg)
     extra = {
         "omega_com_hz": cfg.omega_com / (2 * math.pi),
         "n_bar": state.n_bar,
@@ -408,9 +408,3 @@ def simulate_path_noise(model: PathNoiseModel, duration: float, rate: float) -> 
             "target_rms_m": model.target_rms}
     return Series(t=t, value=series, meta=meta)
 
-
-def path_noise_phase_rms(delta_l_rms: float, lambda_odf: float) -> float:
-    """Beat-note phase RMS in degrees: 360 * dl_rms / lambda_odf."""
-    if lambda_odf <= 0:
-        raise ValueError("lambda_odf must be > 0")
-    return 360.0 * delta_l_rms / lambda_odf

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -134,15 +135,17 @@ def test_bad_mount_value_is_one_line_error_naming_field(capsys, tmp_path, key, v
     assert key.rsplit("_", 1)[0] in err
 
 
-@pytest.mark.parametrize("doc", [[1, 2], [], 5, [{}, "pose"]],
-                         ids=["numbers", "empty", "number", "string-pose"])
+@pytest.mark.parametrize("doc", [[1, 2], [], 5, [{}, "pose"], [{}, {}, {"rotary_angle_deg": "x"}]],
+                         ids=["numbers", "empty", "number", "string-pose", "three-poses"])
 def test_geom_actuators_not_poses_is_one_line_error(capsys, tmp_path, doc):
+    # a third pose was ignored without a check before
     pose = tmp_path / "pose.json"
     pose.write_text(json.dumps(doc))
     code, out, err = run(capsys, "geom", "--actuators", str(pose))
     assert code == 1
     assert out == ""
-    assert err.startswith("error: bad --actuators") and "JSON object" in err
+    assert err.startswith(f"error: bad --actuators {pose}: expected one or two poses")
+    assert "JSON object" in err
     assert len(err.splitlines()) == 1
 
 
@@ -935,6 +938,96 @@ def test_design_commands_on_random_input_exit_cleanly(tmp_path, data, config, po
         assert err.getvalue().startswith("error:") and len(err.getvalue().splitlines()) == 1
     if code == 0 and argv[0] in ("geom", "optimize-angle"):
         strict_json(out.getvalue())
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "thermometry"], ["simulate", "precession"], ["curves"], ["ratio-scan"],
+    ["reproduce", "fig1de"],
+], ids=" ".join)
+def test_zero_point_grid_is_one_line_error(capsys, tmp_path, argv):
+    # exit 0 and a CSV holding only its header, which fit then rejected, before
+    code, out, err = run(capsys, *argv, "--grid", "1:2:0", "--out", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert err == "error: bad --grid '1:2:0', expected start:stop:n\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["curves", "--out", "{file}"],
+    ["curves", "--out", "{file}/sub"],
+    ["fit", "thermometry", "--data", "{dir}"],
+    ["geom", "--config", "{dir}", "--theta", "28"],
+    ["geom", "--actuators", "{dir}"],
+], ids=["out-is-file", "out-under-file", "data-is-dir", "config-is-dir", "actuators-is-dir"])
+def test_file_system_error_is_one_line_error(capsys, tmp_path, argv):
+    # FileExistsError, NotADirectoryError and IsADirectoryError tracebacks before
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    argv = [word.format(file=tmp_path / "file", dir=tmp_path / "dir") for word in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+FUZZ_RUN_NUMBER = st.one_of(FUZZ_TEXT_NUMBER, st.floats(1.09e6, 1.11e6).map(repr))
+
+
+@st.composite
+def fuzz_run_argv(draw):
+    """simulate and reproduce argv: grids of at most 1e3 points, series of at most 1e4 samples.
+
+    fig5 is left out: its series are fixed at 2e4 path-noise samples, and its one flag,
+    --seed, reaches the same generators as simulate drift and pathnoise.
+    """
+    words = draw(st.sampled_from([
+        ["simulate", "thermometry"], ["simulate", "precession"], ["simulate", "drift"],
+        ["simulate", "pathnoise"], ["reproduce", "fig1de"], ["reproduce", "fig3c"],
+        ["reproduce", "fig4c"]]))
+    argv = list(words)
+    name = words[1]
+    if name != "fig1de" and draw(st.booleans()):
+        argv += ["--seed", str(draw(st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))))]
+    if name in ("thermometry", "precession", "fig3c", "fig4c") and draw(st.booleans()):
+        argv += ["--shots", draw(st.one_of(st.integers(-1, 10 ** 6).map(str),
+                                           st.sampled_from(["x", "1e3", str(2 ** 63)])))]
+    if name in ("thermometry", "precession", "fig1de") and draw(st.booleans()):
+        argv += ["--grid", f"{draw(FUZZ_RUN_NUMBER)}:{draw(FUZZ_RUN_NUMBER)}:"
+                           f"{draw(st.integers(-2, 1000))}"]
+    if name in ("drift", "pathnoise"):
+        # duration = samples * spacing, so a series never exceeds 1e4 samples
+        spacing = draw(st.one_of(st.floats(1e-3, 1e3), st.sampled_from([0.0, -1.0, 1e-300])))
+        samples = draw(st.integers(-1, 10 ** 4))
+        if name == "drift":
+            argv += ["--duration", repr(samples * spacing), "--dt", repr(spacing)]
+            if draw(st.booleans()):
+                argv += ["--rate", draw(FUZZ_TEXT_NUMBER), "--jitter", draw(FUZZ_TEXT_NUMBER)]
+        else:
+            rate = 1.0 / spacing if spacing else 0.0
+            argv += ["--duration", repr(samples * spacing), "--sample-rate", repr(rate)]
+    return argv
+
+
+# derandomized: the same inputs on every run, so tier-1 stays deterministic
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=fuzz_run_argv(), config=st.one_of(st.just({}), fuzz_config()))
+# omega_com so large that mu = omega_com + delta rounds to omega_com: an AttributeError before
+@example(argv=["reproduce", "fig4c"], config={"trap": {"omega_com_hz": 1.1e306}})
+def test_run_commands_on_random_input_exit_cleanly(tmp_path, argv, config):
+    out_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+    (out_dir / "cfg.json").write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", str(out_dir / "out"), "--config", str(out_dir / "cfg.json")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1 and not err.getvalue().startswith("usage:"):
+        assert err.getvalue().startswith("error:") and len(err.getvalue().splitlines()) == 1
+    if code == 0:
+        csvs = list((out_dir / "out").glob("*.csv"))
+        assert csvs
+        for path in csvs:
+            assert len(path.read_text().splitlines()) >= 2, path.name
 
 
 @pytest.mark.parametrize("config,command", [

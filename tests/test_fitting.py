@@ -24,7 +24,7 @@ from odfkit.interactions import (
     gamma_decay_lineshape,
     j_bar,
     precession_lineshape,
-    thermometry_lineshape,
+    thermometry_model,
 )
 from odfkit.simulate import ScanDataset, simulate_precession, simulate_thermometry
 
@@ -35,7 +35,7 @@ MU = CFG.omega_com + 2 * math.pi * np.linspace(-3e3, 3e3, 30)
 
 
 def _thermometry_dataset(n_bar=1.27, sigma=1e-3, mu=MU):
-    p = thermometry_lineshape(GEOM, DRIVE, CFG, ThermalState(n_bar), mu)
+    p = thermometry_model(mu, CFG.omega_com, n_bar, GEOM, DRIVE, CFG)
     return ScanDataset(abscissa=mu / (2 * math.pi), p_up=p,
                        sigma=np.full(len(mu), sigma), meta={"kind": "thermometry"})
 
@@ -96,7 +96,7 @@ def test_simulators_sample_the_fitted_model(model):
     # the estimator's prediction at the true parameters
     if model == "thermometry":
         n_bar = 10.7
-        truth = thermometry_lineshape(GEOM, DRIVE, CFG, ThermalState(n_bar), MU)
+        truth = thermometry_model(MU, CFG.omega_com, n_bar, GEOM, DRIVE, CFG)
         fitted = ThermometryEstimator(GEOM, DRIVE, CFG).predict(MU, (CFG.omega_com, n_bar))
     elif model == "precession":
         grid = np.linspace(0, 2 * math.pi, 40)
@@ -177,16 +177,24 @@ def test_precession_permutation_invariance():
 
 
 def test_fit_result_reports_both_sigma_conventions():
+    # scaling the sigma column by c scales the raw sigmas by c and chi2_reduced by 1/c^2;
+    # FitResult.sigmas are raw while chi2_reduced <= 1 and raw * sqrt(chi2_reduced) above
     ds = simulate_thermometry(GEOM, DRIVE, CFG, ThermalState(1.27), MU, shots=500, seed=2)
-    result = fit_thermometry(ds, GEOM, DRIVE, CFG)
+
+    def fit(c):
+        scaled = ScanDataset(abscissa=ds.abscissa, p_up=ds.p_up, sigma=c * ds.sigma,
+                             meta=dict(ds.meta))
+        return fit_thermometry(scaled, GEOM, DRIVE, CFG)
+
+    wide, narrow = fit(8.0), fit(0.25)
+    assert wide.chi2_reduced <= 1.0 < narrow.chi2_reduced
+    assert narrow.chi2_reduced == pytest.approx(1024 * wide.chi2_reduced, rel=1e-6)
     for name in ("omega_com", "n_bar"):
-        assert result.sigmas[name] >= result.sigmas_unscaled[name] > 0
-    if result.chi2_reduced <= 1.0:
-        assert result.sigmas == result.sigmas_unscaled
-    assert result.chi2_reduced >= 0
-    # covariance is symmetric positive semidefinite
-    assert np.allclose(result.covariance, result.covariance.T)
-    assert np.all(np.linalg.eigvalsh(result.covariance) >= -1e-30)
+        assert narrow.params[name] == pytest.approx(wide.params[name], rel=1e-9)
+        raw_narrow = wide.sigmas[name] * 0.25 / 8.0
+        assert raw_narrow > 0
+        assert narrow.sigmas[name] == pytest.approx(
+            raw_narrow * math.sqrt(narrow.chi2_reduced), rel=1e-6)
 
 
 def test_thermometry_requires_six_points():

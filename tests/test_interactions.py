@@ -10,20 +10,17 @@ from odfkit.core import (
     OdfDrive,
     ThermalState,
     TrapIonConfig,
-    detuning,
     ground_state_extent,
     thermal_extent_sq,
 )
 from odfkit.geometry import BeamGeometry, delta_k
 from odfkit.interactions import (
-    CHI_TO_JBAR,
     ResonanceSingularityError,
     force_magnitude,
     force_turnover_angle,
     j_bar,
-    loop_phases,
     precession_lineshape,
-    thermometry_lineshape,
+    thermometry_model,
 )
 from odfkit.interactions import _dq, _dr, _q, _r
 
@@ -35,20 +32,31 @@ def geom(theta_deg):
     return BeamGeometry(theta_odf=np.radians(theta_deg))
 
 
+def debye_waller(geometry, drive, state):
+    """The Debye-Waller factor inside F0: f0 / (hbar |delta_ac| delta_k)."""
+    f0 = force_magnitude(geometry, drive, CFG, state).f0
+    return f0 / (HBAR * abs(drive.delta_ac) * delta_k(geometry))
+
+
+def p_up(drive, state, mu, theta_deg=28.0, cfg=CFG):
+    """thermometry_model at the trap's omega_com and the state's n_bar."""
+    return thermometry_model(mu, cfg.omega_com, state.n_bar, geom(theta_deg), drive, cfg)
+
+
 # -- force magnitude and Debye-Waller factor -----------------------------------
 
 
 @pytest.mark.parametrize("n_bar,expected", [(0.0, 0.976), (1.27, 0.918), (10.7, 0.584)])
 def test_debye_waller_frozen_values(n_bar, expected):
-    s = force_magnitude(geom(28.0), OdfDrive(), CFG, ThermalState(n_bar=n_bar))
-    assert s.debye_waller == pytest.approx(expected, abs=5e-4)
+    dw = debye_waller(geom(28.0), OdfDrive(), ThermalState(n_bar=n_bar))
+    assert dw == pytest.approx(expected, abs=5e-4)
 
 
 @pytest.mark.parametrize("n_bar", [0.0, 1.27, 10.7])
 def test_debye_waller_matches_monte_carlo_oracle(n_bar):
     # thermal average of cos(dk z) over the Gaussian wavepacket, 1e7 samples
     g = geom(28.0)
-    dw = force_magnitude(g, OdfDrive(), CFG, ThermalState(n_bar=n_bar)).debye_waller
+    dw = debye_waller(g, OdfDrive(), ThermalState(n_bar=n_bar))
     mc = oracles.mc_debye_waller(delta_k(g), thermal_extent_sq(CFG, ThermalState(n_bar=n_bar)))
     assert dw == pytest.approx(mc, abs=5e-4)  # 3 significant figures
 
@@ -56,17 +64,16 @@ def test_debye_waller_matches_monte_carlo_oracle(n_bar):
 def test_zero_delta_k_limit():
     s = force_magnitude(geom(0.0), OdfDrive(), CFG, ThermalState(1.27))
     assert s.f0 == 0.0
-    assert s.debye_waller == 1.0
-    assert s.lamb_dicke == 0.0
+    assert s.f0_over_gamma == 0.0
 
 
 def test_interaction_strengths_self_consistent():
     drive = OdfDrive(mu=CFG.omega_com + 2 * math.pi * 2e3)
     s = force_magnitude(geom(28.0), drive, CFG, ThermalState(1.27))
-    # debye_waller exactly reproduces f0 / (hbar |delta_ac| delta_k)
-    assert s.debye_waller == pytest.approx(
-        s.f0 / (HBAR * abs(drive.delta_ac) * delta_k(geom(28.0))), rel=1e-12)
-    assert s.lamb_dicke == pytest.approx(delta_k(geom(28.0)) * Z0, rel=1e-12)
+    dk = delta_k(geom(28.0))
+    assert s.f0 == pytest.approx(
+        HBAR * abs(drive.delta_ac) * dk * math.exp(-0.5 * dk * dk * Z0 * Z0 * (2 * 1.27 + 1)),
+        rel=1e-12)
     assert s.f0_over_gamma == pytest.approx(s.f0 / drive.gamma, rel=1e-12)
     assert s.j_bar is not None and s.j_bar > 0
 
@@ -83,26 +90,21 @@ def test_on_resonance_leaves_j_bar_unset():
     st.floats(min_value=0.0, max_value=50.0),
     st.floats(min_value=1.0, max_value=1e5),
     st.sampled_from([-1.0, 1.0]),
-    st.sampled_from(["single_arm", "spin_echo"]),
 )
-def test_angle_array_equals_scalar_calls(thetas, n_bar, detune_hz, sign, sequence):
+def test_angle_array_equals_scalar_calls(thetas, n_bar, detune_hz, sign):
     # one call on an angle grid gives the per-angle scalar results bit for bit
     drive = OdfDrive(mu=CFG.omega_com + sign * 2 * math.pi * detune_hz)
     state = ThermalState(n_bar)
     angles = BeamGeometry(theta_odf=np.array(thetas))
     grid = force_magnitude(angles, drive, CFG, state)
     points = [force_magnitude(BeamGeometry(theta_odf=t), drive, CFG, state) for t in thetas]
-    for name in ("f0", "debye_waller", "lamb_dicke", "j_bar", "f0_over_gamma"):
+    for name in ("f0", "j_bar", "f0_over_gamma"):
         assert np.array_equal(getattr(grid, name), [getattr(p, name) for p in points]), name
     # math.exp, not np.exp, which is 1 ulp off at some arguments
     zsq = thermal_extent_sq(CFG, state)
-    assert np.array_equal(grid.debye_waller,
-                          [math.exp(-0.5 * dk * dk * zsq) for dk in delta_k(angles).tolist()])
-    for delta in (detuning(drive, CFG), 0.0):
-        loops = loop_phases(grid.f0, CFG, delta, drive.tau, sequence)
-        per = [loop_phases(f0, CFG, delta, drive.tau, sequence) for f0 in grid.f0.tolist()]
-        assert np.array_equal(loops.alpha_total, [lp.alpha_total for lp in per])
-        assert np.array_equal(loops.chi_arm, [lp.chi_arm for lp in per])
+    scale = HBAR * abs(drive.delta_ac)
+    assert np.array_equal(grid.f0, [scale * dk * math.exp(-0.5 * dk * dk * zsq)
+                                    for dk in delta_k(angles).tolist()])
 
 
 # -- j_bar ---------------------------------------------------------------------
@@ -135,74 +137,94 @@ def test_j_bar_on_resonance_errors():
         j_bar(30e-24, CFG, 0.0)
 
 
-# -- loop phases -----------------------------------------------------------------
+# -- loop physics of thermometry_model ------------------------------------------------
+#
+# thermometry_model is the one implementation of the spin-echo displacement
+# |alpha_total|^2 and per-arm geometric phase chi_arm; with C_ss = cos(4 chi_arm)^(N-1)
+# and C_sm = exp(-2 |alpha_total|^2 (2 nbar + 1)), 1 - 2 P_up = e^{-2 Gamma tau} C_ss C_sm.
+
+
+def contrast(p, drive):
+    """1 - 2 P_up with the scattering baseline divided out: C_ss C_sm."""
+    return (1.0 - 2.0 * p) / math.exp(-2.0 * drive.gamma * drive.tau)
 
 
 def test_loop_closure_across_force_decades():
-    tau = 500e-6
+    # one ion (C_ss = 1) and a hot mode: any residual displacement shows in C_sm
+    cfg = TrapIonConfig(n_ions=1)
+    drive0 = OdfDrive()
+    f0_ref = force_magnitude(geom(28.0), drive0, cfg, ThermalState(10.7)).f0
+    mu = cfg.omega_com + 2 * math.pi * np.arange(1, 6) / drive0.tau
     for f0 in (3e-24, 3e-23, 3e-22):
-        for k in range(1, 6):
-            delta = 2 * math.pi * k / tau
-            lp = loop_phases(f0, CFG, delta, tau, "spin_echo")
-            assert abs(lp.alpha_total) < 1e-12
+        drive = OdfDrive(delta_ac=drive0.delta_ac * f0 / f0_ref)
+        p = p_up(drive, ThermalState(10.7), mu, cfg=cfg)
+        assert np.all(np.abs(contrast(p, drive) - 1.0) < 1e-12)
 
 
 def test_zero_force_is_trivial():
-    lp = loop_phases(0.0, CFG, 2 * math.pi * 2e3, 500e-6, "spin_echo")
-    assert lp.alpha_total == 0.0
-    assert lp.chi_arm == 0.0
+    # no AC-Stark drive: no displacement and no phase, only the scattering baseline
+    drive = OdfDrive(delta_ac=0.0)
+    mu = CFG.omega_com + 2 * math.pi * np.linspace(-3e3, 3e3, 13)
+    assert np.all(contrast(p_up(drive, ThermalState(1.27), mu), drive) == 1.0)
 
 
-def test_chi_to_jbar_convention_regression():
-    # at loop closure CHI_TO_JBAR * chi_arm / tau reproduces the Ising coupling
-    tau = 500e-6
-    f0 = 30e-24
-    delta = 2 * math.pi / tau  # delta tau = 2 pi
-    lp = loop_phases(f0, CFG, delta, tau, "spin_echo")
-    assert CHI_TO_JBAR * lp.chi_arm / tau == pytest.approx(
-        j_bar(f0, CFG, delta), rel=1e-9)
+def test_jbar_convention_at_loop_closure():
+    # at delta tau = 2 pi k, alpha_total = 0 and chi_arm = jbar tau / 2, with jbar from j_bar
+    state = ThermalState(1.27)
+    for k in (1, 2, 3):
+        delta = 2 * math.pi * k / OdfDrive().tau
+        drive = OdfDrive(mu=CFG.omega_com + delta)
+        jb = j_bar(force_magnitude(geom(28.0), drive, CFG, state).f0, CFG, delta)
+        expected = math.cos(2 * jb * drive.tau) ** (CFG.n_ions - 1)
+        assert contrast(p_up(drive, state, np.array([drive.mu])), drive)[0] == pytest.approx(
+            expected, rel=1e-12)
 
 
 def test_resonance_analytic_limit():
-    tau = 500e-6
-    f0 = 30e-24
-    f = f0 * Z0 / (2 * HBAR)
-    lp = loop_phases(f0, CFG, 0.0, tau, "single_arm")
-    assert abs(lp.alpha_total) == pytest.approx(f * tau, rel=1e-9)
-    assert lp.chi_arm == pytest.approx(0.0, abs=1e-12 * f * f * tau * tau)
-    # continuity against a tiny detuning
-    near = loop_phases(f0, CFG, 1e-6, tau, "single_arm")
-    assert abs(near.alpha_total) == pytest.approx(abs(lp.alpha_total), rel=1e-9)
+    # P_up and its Jacobian are continuous into delta = 0 and across the series branch at
+    # |delta tau| = 1e-2
+    drive = OdfDrive()
+    tau = drive.tau
+    scan = CFG.omega_com + 2 * math.pi * np.linspace(-3e3, 3e3, 61)
+    _, jac_scan = thermometry_model(scan, CFG.omega_com, 10.7, geom(28.0), drive, CFG, jac=True)
+    for center in (0.0, 1e-2, -1e-2):
+        mu = CFG.omega_com + (center + np.array([-1e-9, 0.0, 1e-9])) / tau
+        p, jac = thermometry_model(mu, CFG.omega_com, 10.7, geom(28.0), drive, CFG, jac=True)
+        assert np.allclose(p, p[1], rtol=1e-9, atol=0.0)
+        assert np.all(np.abs(jac - jac[1]) <= 1e-6 * np.abs(jac_scan).max(axis=0))
+    # the node at resonance: no displacement or phase, only the baseline
+    p0 = thermometry_model(np.array([CFG.omega_com]), CFG.omega_com, 10.7, geom(28.0), drive, CFG)
+    assert contrast(p0, drive)[0] == pytest.approx(1.0, abs=1e-15)
 
 
-def test_single_arm_vs_echo_magnitude():
-    tau = 500e-6
-    delta = math.pi / tau  # half-closure: echo doubles the displacement
-    one = loop_phases(30e-24, CFG, delta, tau, "single_arm")
-    two = loop_phases(30e-24, CFG, delta, tau, "spin_echo")
-    assert abs(two.alpha_total) == pytest.approx(2 * abs(one.alpha_total), rel=1e-12)
+def trajectory_oracle_residuals(n_ions_list=(2, 125)):
+    """Max |P_up - P_RK4| per ion number, over angle, n_bar, delta_ac and delta tau in [0.1, 20].
 
-
-def test_unknown_sequence_rejected():
-    with pytest.raises(ValueError):
-        loop_phases(30e-24, CFG, 1.0, 500e-6, "ramsey")
-    with pytest.raises(ValueError):
-        loop_phases(30e-24, CFG, 1.0, 0.0)
-
-
-def test_loop_phases_match_trajectory_oracle():
-    # 20x20 grid: delta tau in [0.1, 20] by force across two decades
-    tau = 500e-6
+    The oracle integrates the spin-echo trajectory at the drive scale
+    f = F0 z0 / (2 hbar) of force_magnitude and returns |alpha_total| and chi_arm.
+    """
+    tau = OdfDrive().tau
     s_vals = np.linspace(0.1, 20.0, 20)
-    f0_vals = np.logspace(math.log10(3e-24), math.log10(3e-22), 20)
-    S, F0 = np.meshgrid(s_vals, f0_vals)
-    delta = S / tau
-    f = F0 * Z0 / (2 * HBAR)
-    num_mag, num_chi = oracles.phase_space_trajectory(f, delta, tau, "spin_echo")
-    for j in range(20):
-        lp = loop_phases(F0[:, j], CFG, float(delta[0, j]), tau, "spin_echo")
-        assert np.abs(lp.alpha_total) == pytest.approx(num_mag[:, j], rel=1e-6)
-        assert lp.chi_arm == pytest.approx(num_chi[:, j], rel=1e-6)
+    cases = [(theta, n_bar, OdfDrive(delta_ac=2 * math.pi * delta_ac_hz))
+             for theta in (12.0, 28.0, 36.0) for n_bar in (0.1, 1.27, 10.7)
+             for delta_ac_hz in (800.0, 8000.0)]
+    f = np.array([force_magnitude(geom(theta), drive, CFG, ThermalState(n_bar)).f0
+                  for theta, n_bar, drive in cases]) * Z0 / (2 * HBAR)
+    mag, chi = oracles.phase_space_trajectory(f[:, None], s_vals[None, :] / tau, tau, "spin_echo")
+    worst = {}
+    for n_ions in n_ions_list:
+        cfg = TrapIonConfig(n_ions=n_ions)
+        for (theta, n_bar, drive), mag_i, chi_i in zip(cases, mag, chi):
+            p = p_up(drive, ThermalState(n_bar), cfg.omega_com + s_vals / tau, theta, cfg)
+            ref = 0.5 * (1.0 - math.exp(-2.0 * drive.gamma * tau)
+                         * np.cos(4.0 * chi_i) ** (n_ions - 1)
+                         * np.exp(-2.0 * mag_i ** 2 * (2.0 * n_bar + 1.0)))
+            worst[n_ions] = max(worst.get(n_ions, 0.0), float(np.max(np.abs(p - ref))))
+    return worst
+
+
+def test_thermometry_model_matches_trajectory_oracle():
+    assert all(residual < 1e-6 for residual in trajectory_oracle_residuals().values())
 
 
 @pytest.mark.parametrize("series_guarded,closed_form,rel", [
@@ -228,10 +250,9 @@ def test_taylor_series_branch_matches_closed_form(series_guarded, closed_form, r
     st.floats(min_value=0.0, max_value=1e3),
     st.floats(min_value=-1e4, max_value=1e4),
 )
-def test_thermometry_lineshape_bounded(theta_deg, n_bar, gamma, detune_hz):
+def test_thermometry_model_bounded(theta_deg, n_bar, gamma, detune_hz):
     drive = OdfDrive(mu=CFG.omega_com + 2 * math.pi * detune_hz, gamma=gamma)
-    p = thermometry_lineshape(geom(theta_deg), drive, CFG, ThermalState(n_bar),
-                              np.array([drive.mu]))
+    p = p_up(drive, ThermalState(n_bar), np.array([drive.mu]), theta_deg)
     assert 0.0 <= p[0] <= 1.0
 
 
@@ -249,7 +270,7 @@ def test_precession_lineshape_bounded(jb, gamma, theta1):
 def test_thermometry_far_detuned_baseline():
     drive = OdfDrive()
     mu = CFG.omega_com + 2 * math.pi * np.array([5e5, -5e5])
-    p = thermometry_lineshape(geom(28.0), drive, CFG, ThermalState(1.27), mu)
+    p = p_up(drive, ThermalState(1.27), mu)
     expected = 0.5 * (1 - math.exp(-2 * drive.gamma * drive.tau))
     assert np.allclose(p, expected, atol=1e-4)
 
@@ -257,8 +278,7 @@ def test_thermometry_far_detuned_baseline():
 def test_thermometry_node_at_resonance():
     # loop closes exactly at delta = 0, leaving only the scattering baseline
     drive = OdfDrive()
-    p = thermometry_lineshape(geom(28.0), drive, CFG, ThermalState(10.7),
-                              np.array([CFG.omega_com]))
+    p = p_up(drive, ThermalState(10.7), np.array([CFG.omega_com]))
     expected = 0.5 * (1 - math.exp(-2 * drive.gamma * drive.tau))
     assert p[0] == pytest.approx(expected, rel=1e-12)
 
@@ -266,7 +286,7 @@ def test_thermometry_node_at_resonance():
 def test_thermometry_full_decoherence():
     drive = OdfDrive(gamma=1e6)
     mu = CFG.omega_com + 2 * math.pi * np.linspace(-3e3, 3e3, 11)
-    p = thermometry_lineshape(geom(28.0), drive, CFG, ThermalState(1.27), mu)
+    p = p_up(drive, ThermalState(1.27), mu)
     assert np.allclose(p, 0.5, atol=1e-12)
 
 
@@ -276,8 +296,8 @@ def test_thermometry_contrast_grows_with_occupation():
     drive = OdfDrive()
     mu = cfg.omega_com + 2 * math.pi * np.linspace(-3e3, 3e3, 201)
     baseline = 0.5 * (1 - math.exp(-2 * drive.gamma * drive.tau))
-    hot = thermometry_lineshape(geom(28.0), drive, cfg, ThermalState(10.7), mu)
-    cold = thermometry_lineshape(geom(28.0), drive, cfg, ThermalState(1.27), mu)
+    hot = p_up(drive, ThermalState(10.7), mu, cfg=cfg)
+    cold = p_up(drive, ThermalState(1.27), mu, cfg=cfg)
     assert hot.max() - baseline >= cold.max() - baseline
 
 

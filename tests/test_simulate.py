@@ -12,14 +12,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from odfkit.core import OdfDrive, ThermalState, TrapIonConfig
-from odfkit.geometry import BeamGeometry, effective_wavelength
-from odfkit.interactions import precession_lineshape, thermometry_lineshape
+from odfkit.geometry import BeamGeometry
+from odfkit.interactions import precession_lineshape, thermometry_model
 from odfkit.simulate import (
     DriftModel,
     PathNoiseModel,
     ScanDataset,
     Series,
-    path_noise_phase_rms,
     simulate_angle_drift,
     simulate_gamma_decay,
     simulate_path_noise,
@@ -257,7 +256,7 @@ def test_scan_abscissa_units():
 
 def test_law_of_large_numbers():
     mu = CFG.omega_com + 2 * math.pi * np.linspace(-3e3, 3e3, 8)
-    truth = thermometry_lineshape(GEOM, DRIVE, CFG, ThermalState(1.27), mu)
+    truth = thermometry_model(mu, CFG.omega_com, 1.27, GEOM, DRIVE, CFG)
     ds = simulate_thermometry(GEOM, DRIVE, CFG, ThermalState(1.27), mu,
                               shots=10_000_000, seed=5)
     assert np.all(np.abs(ds.p_up - truth) < 1e-3)
@@ -273,7 +272,7 @@ def test_precession_law_of_large_numbers():
 def test_sigma_coverage_over_1000_seeds():
     # 1-sigma intervals contain the truth 60-75% of the time (normal regime)
     mu = CFG.omega_com + 2 * math.pi * np.linspace(-2.5e3, 2.5e3, 15)
-    truth = thermometry_lineshape(GEOM, DRIVE, CFG, ThermalState(1.27), mu)
+    truth = thermometry_model(mu, CFG.omega_com, 1.27, GEOM, DRIVE, CFG)
     hits = 0
     total = 0
     for seed in range(1000):
@@ -469,12 +468,3 @@ def test_path_noise_validation():
         simulate_path_noise(PathNoiseModel(), -1.0, 100.0)
     with pytest.raises(ValueError):
         PathNoiseModel(slow_amplitude=-1e-9)
-
-
-def test_phase_rms_conversion():
-    lam = effective_wavelength(GEOM)
-    phi = path_noise_phase_rms(12e-9, lam)
-    assert phi == pytest.approx(6.7, abs=0.5)
-    assert phi == pytest.approx(360.0 * 12e-9 / lam, rel=1e-12)
-    with pytest.raises(ValueError):
-        path_noise_phase_rms(12e-9, 0.0)
