@@ -18,20 +18,26 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# odfkit's BLAS work is 1x1 and 2x2 solves and dot products over n-vectors:
+# an OpenBLAS pool thread only adds start-up time, slows large fits, and makes
+# their last bits depend on the core count.  OpenBLAS reads the variable once,
+# when numpy loads it; it is removed again so that it reaches no process this
+# one starts.  A count the user set wins, and where numpy is already loaded
+# (a library process) this does nothing.
+_BLAS_ONE_THREAD = not any(
+    name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+if _BLAS_ONE_THREAD:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if _BLAS_ONE_THREAD:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
+# fitting, simulate and manifest are imported by the commands that call them
 from .configio import ConfigError, Scenario, load_config
 from .constants import TWO_PI
 from .core import OdfDrive, ThermalState
-from .fitting import (
-    FitInputError,
-    f0_from_jbar,
-    fit_far_detuned_gamma,
-    fit_precession,
-    fit_thermometry,
-    optimize_theta,
-    weighted_f0,
-)
 from .geometry import (
     ActuatorBudget,
     ActuatorState,
@@ -44,19 +50,7 @@ from .geometry import (
     misalignment_phase,
     repeatability_to_angle_error,
 )
-from .interactions import force_magnitude
-from .manifest import make_manifest, write_manifest
-from .simulate import (
-    DriftModel,
-    PathNoiseModel,
-    ScanDataset,
-    _precession_scans,
-    _write_rows,
-    simulate_angle_drift,
-    simulate_path_noise,
-    simulate_precession,
-    simulate_thermometry,
-)
+from .interactions import ResonanceSingularityError, force_magnitude
 
 
 def _parse_fields(flag: str, spec: str, form: str, build, sep=":"):
@@ -101,18 +95,21 @@ def _emit(args, name, data, scn: Scenario, seed=None):
     """Write <out>/<name>.csv and its manifest sidecar.
 
     data is a (header, columns) table, or a ScanDataset or Series, whose
-    metadata goes into the sidecar.
+    metadata goes into the sidecar as scan_meta.
     """
+    from .manifest import write_manifest
+    from .simulate import _write_rows
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
-    sidecar = scn.raw
+    scan_meta = None
     if isinstance(data, tuple):
         _write_rows(csv_path, *data)
     else:
         data.to_csv(csv_path)
-        sidecar = dict(scn.raw, scan_meta=dict(data.meta))
-    write_manifest(out / f"{name}.manifest.json", name, sidecar, seed)
+        scan_meta = dict(data.meta)
+    write_manifest(out / f"{name}.manifest.json", name, scn.raw, seed, scan_meta)
     print(f"wrote {csv_path}")
 
 
@@ -206,7 +203,7 @@ def cmd_geom(args, scn: Scenario):
 
 def cmd_curves(args, scn: Scenario):
     grid_deg = _parse_grid(args.grid or "1:40:80")
-    states = _parse_fields("--nbar", args.nbar or "0.1,1,10",
+    states = _parse_fields("--nbar", getattr(args, "nbar", None) or "0.1,1,10",  # fig1de has none
                            "comma-separated numbers >= 0",
                            lambda *fields: [ThermalState(n_bar=float(v)) for v in fields],
                            sep=",")
@@ -236,6 +233,15 @@ def cmd_ratio_scan(args, scn: Scenario):
 
 
 def cmd_simulate(args, scn: Scenario):
+    from .simulate import (
+        DriftModel,
+        PathNoiseModel,
+        simulate_angle_drift,
+        simulate_path_noise,
+        simulate_precession,
+        simulate_thermometry,
+    )
+
     if args.model == "thermometry":
         grid_hz = _parse_grid(args.grid) if args.grid else (
             scn.trap.omega_com / TWO_PI + np.linspace(-3e3, 3e3, 30))
@@ -246,7 +252,7 @@ def cmd_simulate(args, scn: Scenario):
         grid = np.radians(_parse_grid(args.grid)) if args.grid else np.linspace(0, 2 * math.pi, 40)
         strengths = force_magnitude(scn.beams, scn.drive, scn.trap, scn.thermal)
         if strengths.j_bar is None:
-            raise FitInputError("precession needs a nonzero detuning mu - omega_com")
+            raise ResonanceSingularityError("precession needs a nonzero detuning mu - omega_com")
         dataset = simulate_precession(
             strengths.j_bar, scn.drive.gamma, scn.drive.tau, grid,
             shots=args.shots, seed=args.seed)
@@ -261,6 +267,9 @@ def cmd_simulate(args, scn: Scenario):
 
 
 def cmd_fit(args, scn: Scenario):
+    from .fitting import fit_far_detuned_gamma, fit_precession, fit_thermometry
+    from .simulate import ScanDataset
+
     dataset = ScanDataset.from_csv(args.data, kind=args.model)
     if args.model == "thermometry":
         result = fit_thermometry(dataset, scn.beams, scn.drive, scn.trap)
@@ -276,6 +285,9 @@ def cmd_fit(args, scn: Scenario):
 
 
 def cmd_optimize_angle(args, scn: Scenario):
+    from .fitting import optimize_theta
+    from .manifest import make_manifest
+
     lo_deg, hi_deg = _parse_fields("--window", args.window, "lo:hi",
                                    lambda lo, hi: (float(lo), float(hi)))
     theta, ratio = optimize_theta(
@@ -298,6 +310,9 @@ def cmd_optimize_angle(args, scn: Scenario):
 
 
 def cmd_fig3c(args, scn: Scenario):
+    from .fitting import fit_thermometry
+    from .simulate import simulate_thermometry
+
     fits = {}
     for label, n_bar in (("doppler", 10.7), ("eit", 1.27)):
         state = ThermalState(n_bar=n_bar)
@@ -314,6 +329,9 @@ def cmd_fig3c(args, scn: Scenario):
 
 
 def cmd_fig4c(args, scn: Scenario):
+    from .fitting import FitInputError, f0_from_jbar, fit_precession, weighted_f0
+    from .simulate import _precession_scans
+
     theta_list = [14.0, 17.0, 20.0, 24.0, 28.0]
     deltas = [TWO_PI * delta_hz for delta_hz in (1.5e3, 2.0e3, 3.0e3)]
     # the coupling scales with delta_ac^2; floor the probe drive so the
@@ -357,6 +375,8 @@ def cmd_fig4c(args, scn: Scenario):
 
 
 def cmd_fig5(args, scn: Scenario):
+    from .simulate import DriftModel, PathNoiseModel, simulate_angle_drift, simulate_path_noise
+
     drift = simulate_angle_drift(
         DriftModel(linear_rate=0.002, rms_jitter=5e-4, seed=args.seed), 6000.0, 10.0)
     _emit(args, "fig5a_drift", drift, scn, args.seed)
@@ -381,71 +401,78 @@ _FLAGS = {
     "--jitter": dict(type=_finite_float, default=0.0, help="drift jitter in deg"),
     "--data": dict(required=True, help="dataset CSV (abscissa,p_up,sigma)"),
     "--window": dict(default="12:36", help="theta window lo:hi in degrees"),
+    "--theta": dict(type=_finite_float, help="full separation angle in degrees"),
+    "--actuators": dict(help="JSON file with one or two actuator poses"),
 }
 
 
-def _leaf(sub, name, func, summary, *flags):
-    """A command parser: --config, --scenario and the given flags, dispatching to func."""
-    p = sub.add_parser(name, help=summary, allow_abbrev=False)
-    p.add_argument("--config", help="JSON configuration file")
-    p.add_argument("--scenario", help="named scenario from the config file")
-    for flag in flags:
-        p.add_argument(flag, **_FLAGS[flag])
-    p.set_defaults(func=func)
-    return p
+# every command leaf: its words, function, help line and the flags it reads
+_LEAVES = [
+    (("geom",), cmd_geom, "beam geometry record for an angle or actuator pose",
+     ("--theta", "--actuators")),
+    (("curves",), cmd_curves, "F0 and Jbar versus angle per n_bar", ("--out", "--grid", "--nbar")),
+    (("ratio-scan",), cmd_ratio_scan, "F0/Gamma versus angle", ("--out", "--grid")),
+    *((("simulate", model), cmd_simulate, f"shot-noise {model} scan",
+       ("--out", "--seed", "--shots", "--grid")) for model in ("thermometry", "precession")),
+    (("simulate", "drift"), cmd_simulate, "crossing-angle drift series",
+     ("--out", "--seed", "--duration", "--dt", "--rate", "--jitter")),
+    (("simulate", "pathnoise"), cmd_simulate, "optical path-length noise series",
+     ("--out", "--seed", "--duration", "--sample-rate")),
+    *((("fit", model), cmd_fit, f"fit a {model} scan", ("--data",))
+      for model in ("thermometry", "precession", "gamma")),
+    (("optimize-angle",), cmd_optimize_angle, "maximize F0/Gamma over an angle window",
+     ("--window",)),
+    (("reproduce", "fig1de"), cmd_curves, "F0 and Jbar curves at n_bar 0.1, 1 and 10",
+     ("--out", "--grid")),
+    (("reproduce", "fig3c"), cmd_fig3c, "Doppler and EIT thermometry scans and fits",
+     ("--out", "--seed", "--shots")),
+    (("reproduce", "fig4c"), cmd_fig4c, "F0/Gamma from precession fits versus angle",
+     ("--out", "--seed", "--shots")),
+    (("reproduce", "fig5"), cmd_fig5, "angle drift and path-noise series", ("--out", "--seed")),
+]
+
+# the commands that take a model or figure name first: what their leaves are named, and help
+_GROUPS = {"simulate": ("MODEL", "generate a synthetic dataset"),
+           "fit": ("MODEL", "fit a dataset CSV"),
+           "reproduce": ("FIGURE", "regenerate a figure dataset end to end")}
 
 
-# the commands that take a model or figure name first, and what their leaves are named
-_GROUPS = {"simulate": "MODEL", "fit": "MODEL", "reproduce": "FIGURE"}
+def build_parser(argv=None):
+    """The odfkit parser; given the argv it is to parse, only the parts that argv reaches.
 
-
-def _group(sub, name, summary):
-    """The subparsers of a command whose leaves are models or figures."""
-    dest = _GROUPS[name].lower()
-    return sub.add_parser(name, help=summary, allow_abbrev=False).add_subparsers(
-        dest=dest, required=True)
-
-
-def build_parser():
+    The leaves of a group that argv does not name, and the flags of every leaf
+    but the one it names, are left out: no message of that parse shows them,
+    and they are half of the ~6 ms that building the whole parser takes.
+    """
+    wanted = None if not argv else tuple(argv[:2] if argv[0] in _GROUPS else argv[:1])
     parser = argparse.ArgumentParser(
         prog="odfkit",
         allow_abbrev=False,
         description="Tunable spin-spin interaction design toolkit for Penning-trap crystals",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _leaf(sub, "geom", cmd_geom, "beam geometry record for an angle or actuator pose")
-    pose = p.add_mutually_exclusive_group()
-    pose.add_argument("--theta", type=_finite_float, help="full separation angle in degrees")
-    pose.add_argument("--actuators", help="JSON file with one or two actuator poses")
-    _leaf(sub, "curves", cmd_curves, "F0 and Jbar versus angle per n_bar",
-          "--out", "--grid", "--nbar")
-    _leaf(sub, "ratio-scan", cmd_ratio_scan, "F0/Gamma versus angle", "--out", "--grid")
-
-    models = _group(sub, "simulate", "generate a synthetic dataset")
-    for model in ("thermometry", "precession"):
-        _leaf(models, model, cmd_simulate, f"shot-noise {model} scan",
-              "--out", "--seed", "--shots", "--grid")
-    _leaf(models, "drift", cmd_simulate, "crossing-angle drift series",
-          "--out", "--seed", "--duration", "--dt", "--rate", "--jitter")
-    _leaf(models, "pathnoise", cmd_simulate, "optical path-length noise series",
-          "--out", "--seed", "--duration", "--sample-rate")
-
-    models = _group(sub, "fit", "fit a dataset CSV")
-    for model in ("thermometry", "precession", "gamma"):
-        _leaf(models, model, cmd_fit, f"fit a {model} scan", "--data")
-
-    _leaf(sub, "optimize-angle", cmd_optimize_angle, "maximize F0/Gamma over an angle window",
-          "--window")
-
-    figures = _group(sub, "reproduce", "regenerate a figure dataset end to end")
-    _leaf(figures, "fig1de", cmd_curves, "F0 and Jbar curves at n_bar 0.1, 1 and 10",
-          "--out", "--grid").set_defaults(nbar=None)
-    _leaf(figures, "fig3c", cmd_fig3c, "Doppler and EIT thermometry scans and fits",
-          "--out", "--seed", "--shots")
-    _leaf(figures, "fig4c", cmd_fig4c, "F0/Gamma from precession fits versus angle",
-          "--out", "--seed", "--shots")
-    _leaf(figures, "fig5", cmd_fig5, "angle drift and path-noise series", "--out", "--seed")
+    groups = {}
+    for words, func, summary, flags in _LEAVES:
+        owner = sub
+        if len(words) == 2:
+            if words[0] not in groups:
+                name, help_line = _GROUPS[words[0]]
+                groups[words[0]] = sub.add_parser(
+                    words[0], help=help_line, allow_abbrev=False).add_subparsers(
+                        dest=name.lower(), required=True)
+            if wanted is not None and wanted[0] != words[0]:
+                continue
+            owner = groups[words[0]]
+        p = owner.add_parser(words[-1], help=summary, allow_abbrev=False)
+        p.set_defaults(func=func)
+        if wanted is not None and wanted != words:
+            continue
+        p.add_argument("--config", help="JSON configuration file")
+        p.add_argument("--scenario", help="named scenario from the config file")
+        # geom takes an angle or a pose, not both
+        target = p.add_mutually_exclusive_group() if words == ("geom",) else p
+        for flag in flags:
+            target.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -453,11 +480,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     flag = argv[1] if len(argv) > 1 and argv[0] in _GROUPS else ""
     if flag.startswith("-") and flag not in ("-h", "--help"):
-        name = _GROUPS[argv[0]]
+        name = _GROUPS[argv[0]][0]
         print(f"error: {flag.split('=')[0]} comes after the {name.lower()} name: "
               f"odfkit {argv[0]} {name} [flags]", file=sys.stderr)
         return 1
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:
@@ -473,8 +500,7 @@ def main(argv=None) -> int:
         # (the Python docs' note on SIGPIPE)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ConfigError, FitInputError, GeometryInfeasibleError, ValueError,
-            OSError, MemoryError) as err:
+    except (ConfigError, GeometryInfeasibleError, ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except ArithmeticError as err:  # a value so large or small that a result leaves floats

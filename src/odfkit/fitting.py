@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,7 +29,9 @@ from .interactions import (
     precession_lineshape,
     thermometry_model,
 )
-from .simulate import ScanDataset
+
+if TYPE_CHECKING:
+    from .simulate import ScanDataset
 
 
 class FitInputError(ValueError):

@@ -1,8 +1,10 @@
 """Run provenance: every output file gets a JSON manifest sidecar.
 
 The config digest is a SHA-256 of the canonicalized (sorted-keys, compact)
-configuration, so identical configs always hash identically and reruns can
-be checked for byte-identical outputs.
+configuration alone, so one config has one digest whatever the command,
+and reruns can be checked for byte-identical outputs.  A scan or series
+sidecar also records the dataset's metadata (seed, shots, ...) under
+`scan_meta`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,11 @@ def make_manifest(command: str, config: dict, seed: int | None = None) -> RunMan
     )
 
 
-def write_manifest(path, command: str, config: dict, seed: int | None = None) -> RunManifest:
+def write_manifest(path, command: str, config: dict, seed: int | None = None,
+                   scan_meta: dict | None = None) -> RunManifest:
     manifest = make_manifest(command, config, seed)
-    Path(path).write_text(json.dumps(asdict(manifest), indent=2, allow_nan=False) + "\n")
+    doc = asdict(manifest)
+    if scan_meta is not None:
+        doc["scan_meta"] = scan_meta
+    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return manifest

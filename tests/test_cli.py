@@ -203,6 +203,15 @@ def test_curves_on_resonance_writes_nan_coupling(capsys, tmp_path):
     assert all(r[3] == "nan" and float(r[2]) > 0 for r in rows)
 
 
+def test_simulate_precession_on_resonance_is_one_line_error(capsys, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"drive": {"mu_hz": 1.1e6}}))
+    code, out, err = run(capsys, "simulate", "precession", "--out", str(tmp_path),
+                         "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == "error: precession needs a nonzero detuning mu - omega_com\n"
+
+
 @pytest.mark.parametrize("command", ["curves", "ratio-scan"])
 def test_grid_outside_angle_range_is_one_line_error(capsys, tmp_path, command):
     code, out, err = run(capsys, command, "--out", str(tmp_path), "--grid", "0:200:50")
@@ -275,6 +284,29 @@ def test_simulate_is_byte_reproducible(capsys, tmp_path):
     mb = strict_json((b / "thermometry.manifest.json").read_text())
     assert ma["config_digest"] == mb["config_digest"]
     assert ma["seed"] == 11
+
+
+def test_one_config_has_one_digest(capsys, tmp_path):
+    # the digest hashes the config alone; a scan's metadata is its own field
+    docs = {}
+    for label, argv in (("500", ["simulate", "thermometry", "--shots", "500"]),
+                        ("200", ["simulate", "thermometry", "--shots", "200"]),
+                        ("curves", ["curves", "--grid", "1:40:3"])):
+        code, _, _ = run(capsys, *argv, "--out", str(tmp_path / label))
+        assert code == 0
+        name = "curves" if label == "curves" else "thermometry"
+        docs[label] = strict_json((tmp_path / label / f"{name}.manifest.json").read_text())
+    assert len({doc["config_digest"] for doc in docs.values()}) == 1
+    assert (docs["500"]["scan_meta"]["shots"], docs["200"]["scan_meta"]["shots"]) == (500, 200)
+    assert "scan_meta" not in docs["curves"]
+
+
+def test_negative_grid_start_takes_equals_form(capsys, tmp_path):
+    code, _, _ = run(capsys, "simulate", "precession", "--grid=-180:180:5", "--out", str(tmp_path))
+    assert code == 0
+    data = np.loadtxt(tmp_path / "precession.csv", delimiter=",", skiprows=1)
+    assert data.shape == (5, 3)
+    assert data[0, 0] == pytest.approx(-math.pi)
 
 
 def test_simulate_pathnoise_with_no_samples_is_one_line_error(capfd, tmp_path):
@@ -752,6 +784,18 @@ def _leaves(parser, words=()):
             yield from _leaves(child, (*words, name))
 
 
+@pytest.mark.parametrize("leaf", LEAF_FLAGS)
+def test_parser_for_an_argv_reads_it_as_the_full_parser(leaf):
+    # build_parser(argv) leaves out only what that argv never reaches
+    argv = [*leaf.split(), *(["--data", "x.csv"] if leaf.startswith("fit ") else [])]
+    full, part = build_parser(), build_parser(argv)
+    assert vars(part.parse_args(argv)) == vars(full.parse_args(argv))
+    assert part.format_help() == full.format_help()
+    full_leaf, part_leaf = (next(q for words, q in _leaves(p) if words == leaf.split())
+                            for p in (full, part))
+    assert part_leaf.format_help() == full_leaf.format_help()
+
+
 def test_abbreviated_flags_are_rejected(capsys, tmp_path, monkeypatch):
     # each leaf's flags are only spelled in full: a unique prefix is unrecognized
     monkeypatch.chdir(tmp_path)
@@ -859,6 +903,78 @@ def test_cli_import_loads_no_scipy():
                               check=True, env={**os.environ,
                                                "PYTHONPATH": str(Path(odfkit.__file__).parents[1])})
         assert done.stdout.strip() == "[]", module
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _child(argv, **env):
+    """Run a Python child on this checkout, none of the BLAS thread variables set but env's."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, check=True,
+                          timeout=120, env={**base, **env,
+                                            "PYTHONPATH": str(Path(odfkit.__file__).parents[1])})
+
+
+# runs `odfkit <argv>`, then prints its exit code and the odfkit modules it loaded
+MODULES_PROBE = """
+import contextlib, io, json, sys
+from odfkit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("odfkit."))]))
+"""
+CLI_BASE = ["configio", "constants", "core", "geometry", "interactions"]
+WRITES = ["manifest", "simulate"]
+DRAWS = ["_stream_v1", "manifest", "simulate"]
+
+
+@pytest.mark.parametrize("argv,loads", [
+    ("geom", []),
+    ("optimize-angle", ["fitting", "manifest"]),
+    ("curves --grid 1:40:3", WRITES),
+    ("ratio-scan --grid 12:36:3", WRITES),
+    ("reproduce fig1de --grid 1:40:3", WRITES),
+    ("simulate thermometry --grid 1.099e6:1.101e6:3", DRAWS),
+    ("simulate precession --grid 0:90:3", DRAWS),
+    ("simulate drift --duration 100", WRITES),
+    ("simulate pathnoise --duration 1", WRITES),
+    ("reproduce fig5", WRITES),
+    ("fit thermometry", ["fitting", "simulate"]),
+    ("fit precession", ["fitting", "simulate"]),
+    ("fit gamma", ["fitting", "simulate"]),
+    ("reproduce fig3c --shots 50", ["_stream_v1", "fitting", "manifest", "simulate"]),
+    ("reproduce fig4c --shots 50", ["_stream_v1", "fitting", "manifest", "simulate"]),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_each_command_loads_only_the_modules_it_calls(tmp_path, argv, loads):
+    argv = argv.split()
+    if argv[0] == "fit":
+        data = tmp_path / f"{argv[1]}.csv"
+        if argv[1] == "gamma":
+            simulate_gamma_decay(100.0, np.linspace(0.25e-3, 5e-3, 20), seed=1).to_csv(data)
+        else:
+            assert main(["simulate", argv[1], "--out", str(tmp_path)]) == 0
+        argv = [*argv, "--data", str(data)]
+    elif argv[0] not in ("geom", "optimize-angle"):
+        argv = [*argv, "--out", str(tmp_path)]
+    code, modules = json.loads(_child(["-c", MODULES_PROBE, *argv]).stdout)
+    assert code == 0
+    assert modules == sorted(f"odfkit.{m}" for m in ["cli", *CLI_BASE, *loads])
+
+
+@pytest.mark.parametrize("env,left", [({}, None), ({"OPENBLAS_NUM_THREADS": "3"}, "3"),
+                                      ({"OMP_NUM_THREADS": "2"}, None)])
+def test_cli_import_leaves_blas_thread_setting_as_found(env, left):
+    # the one-thread default is set only while numpy loads: children inherit none of it
+    probe = "import os, odfkit.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert _child(["-c", probe], **env).stdout.strip() == str(left)
+
+
+def test_fit_stdout_on_large_scan_is_that_of_one_blas_thread(tmp_path):
+    # 2e4 points: at two OpenBLAS threads the reductions split and the last bits move
+    assert main(["simulate", "precession", "--grid", "0:360:20000", "--out", str(tmp_path)]) == 0
+    argv = ["-m", "odfkit.cli", "fit", "precession", "--data", str(tmp_path / "precession.csv")]
+    assert _child(argv).stdout == _child(argv, OPENBLAS_NUM_THREADS="1").stdout
 
 
 # the trap, drive, beams and mount keys in config units, each at its default (DEFAULT_CONFIG

@@ -273,13 +273,13 @@ def test_sigma_coverage_over_1000_seeds():
     # 1-sigma intervals contain the truth 60-75% of the time (normal regime)
     mu = CFG.omega_com + 2 * math.pi * np.linspace(-2.5e3, 2.5e3, 15)
     truth = thermometry_model(mu, CFG.omega_com, 1.27, GEOM, DRIVE, CFG)
-    hits = 0
-    total = 0
-    for seed in range(1000):
-        ds = simulate_thermometry(GEOM, DRIVE, CFG, ThermalState(1.27), mu,
-                                  shots=100, seed=seed)
-        hits += int(np.sum(np.abs(ds.p_up - truth) <= ds.sigma))
-        total += len(mu)
+    # the 1000 scans in one sampler call: the draws of simulate_thermometry per seed
+    scans = _sample_scans(100, [(truth, seed, mu, "thermometry", {}) for seed in range(1000)])
+    for seed in (0, 999):
+        ds = simulate_thermometry(GEOM, DRIVE, CFG, ThermalState(1.27), mu, shots=100, seed=seed)
+        assert np.array_equal(scans[seed].p_up, ds.p_up)
+    hits = sum(int(np.sum(np.abs(ds.p_up - truth) <= ds.sigma)) for ds in scans)
+    total = len(scans) * len(mu)
     assert 0.60 <= hits / total <= 0.75
 
 
