@@ -300,7 +300,7 @@ def cmd_optimize_angle(args, scn: Scenario):
         "theta_deg": math.degrees(theta),
         "ratio_N_s": ratio,
         "ratio_yN_per_Hz": ratio * 1e24,
-        "provenance": make_manifest("optimize-angle", scn.raw).__dict__,
+        "provenance": make_manifest("optimize-angle", scn.raw),
     }
     print(_json(record))
     return 0
@@ -366,9 +366,8 @@ def cmd_fig4c(args, scn: Scenario):
                 max(result.sigmas["j_bar"], 1e-12 * abs(result.params["j_bar"])),
                 scn.trap, delta)
             estimates.append((delta, f0, sigma_f0))
-        combined = weighted_f0(estimates)
-        rows.append((label, theta_deg, combined.f0, scn.drive.gamma,
-                     combined.f0 / scn.drive.gamma))
+        f0, _ = weighted_f0(estimates)
+        rows.append((label, theta_deg, f0, scn.drive.gamma, f0 / scn.drive.gamma))
     _emit(args, "fig4c", (["scenario", "theta_deg", "F0_N", "Gamma_Hz", "ratio"], zip(*rows)),
           scn, args.seed)
     return 0

@@ -1,14 +1,15 @@
 """Weighted least-squares estimation and the beam-angle design optimizer.
 
-The three measurement models (thermometry scan, tipping-angle precession,
-far-detuned decoherence decay) are stateless estimator objects whose
-fit(dataset) returns a FitResult, all driven by one damped Gauss-Newton
-engine with analytic Jacobians; the models themselves live in
-`interactions`, shared with the simulators.  Parameter uncertainties come
-from the inverse normal equations at the optimum: FitResult.sigmas are
-scaled by sqrt(chi2_reduced) when it exceeds one (the conservative
-convention).  The crossing-angle optimum is the closed-form Debye-Waller
-turnover of F0, clipped to the constraint window.
+Each measurement (thermometry scan, tipping-angle precession, far-detuned
+decoherence decay) has one entry point, fit_thermometry, fit_precession or
+fit_far_detuned_gamma, which checks the scan, picks its start candidates
+and hands a model(x, p, jac=False) closure to `_fit`, the one damped
+Gauss-Newton engine.  The model functions, with their analytic
+derivatives, live in `interactions`, shared with the simulators.
+Parameter uncertainties come from the inverse normal equations at the
+optimum: FitResult.sigmas are scaled by sqrt(chi2_reduced) when it exceeds
+one (the conservative convention).  The crossing-angle optimum is the
+closed-form Debye-Waller turnover of F0, clipped to the constraint window.
 """
 
 from __future__ import annotations
@@ -52,40 +53,41 @@ class FitResult:
             raise ValueError("sigmas must be >= 0")
 
 
-@dataclass(frozen=True)
-class F0Estimate:
-    f0: float  # N
-    sigma: float  # N
+_MAX_ITER = 200
+_REL_STEP_TOL = 1e-10
+_REL_COST_TOL = 1e-12
 
 
-def _damped_gauss_newton(
-    predict,
-    jacobian,
-    y,
-    sigma,
-    p0,
-    lower=None,
-    max_iter=200,
-    rel_step_tol=1e-10,
-    rel_cost_tol=1e-12,
-):
-    """Levenberg-style damped Gauss-Newton on weighted residuals.
+def _fit(names, model, x, data, starts, lower=None) -> FitResult:
+    """Damped Gauss-Newton weighted least squares of model(x, p) to data.p_up.
 
-    predict(p) -> model values; jacobian(p) -> (n, k) model derivatives.
-    lower is an optional per-parameter lower bound enforced by projection.
-    Returns (p, converged, iterations, jtj, cost, bound_flags).
+    model(x, p) gives the model values and model(x, p, jac=True) the pair
+    (values, (n, k) derivatives).  The loop starts from the candidate in
+    starts with the lowest cost, damps Levenberg-style and enforces the
+    optional per-parameter lower bound by projection.  Sigmas come from
+    the inverse normal equations at the optimum, times sqrt(chi2_reduced)
+    when that exceeds one.
     """
-    y = np.asarray(y, float)
-    w = 1.0 / np.asarray(sigma, float)
-    p = np.array(p0, float)
+    y, sig = data.p_up, data.sigma
+    w = 1.0 / sig
+
+    def cost_at(p):
+        res = (y - model(x, p)) / sig
+        return float(res @ res)
+
+    def jacobian(p):
+        return model(x, p, jac=True)[1] * w[:, None]
+
+    p = np.array(min(starts, key=cost_at), float)
+    lower = None if lower is None else np.array(lower, float)
     lam = 1e-3
-    r = (y - predict(p)) * w
+    r = (y - model(x, p)) * w
     cost = 0.5 * float(r @ r)
     converged = False
     it = 0
     bound_active = np.zeros(len(p), bool)
-    for it in range(1, max_iter + 1):
-        jac = jacobian(p) * w[:, None]
+    for it in range(1, _MAX_ITER + 1):
+        jac = jacobian(p)
         jtj = jac.T @ jac
         g = jac.T @ r
         accepted = False
@@ -100,7 +102,7 @@ def _damped_gauss_newton(
             if lower is not None:
                 p_new = np.maximum(p_new, lower)
                 step = p_new - p
-            r_new = (y - predict(p_new)) * w
+            r_new = (y - model(x, p_new)) * w
             cost_new = 0.5 * float(r_new @ r_new)
             if cost_new <= cost:
                 accepted = True
@@ -114,17 +116,13 @@ def _damped_gauss_newton(
         p, r, cost = p_new, r_new, cost_new
         if lower is not None:
             bound_active = p <= lower + 1e-300
-        if rel_step < rel_step_tol or rel_drop < rel_cost_tol:
+        if rel_step < _REL_STEP_TOL or rel_drop < _REL_COST_TOL:
             converged = True
             break
-    jac = jacobian(p) * w[:, None]
+    jac = jacobian(p)
     jtj = jac.T @ jac
-    return p, converged, it, jtj, cost, bound_active
 
-
-def _build_result(names, p, converged, it, jtj, cost, n_points, bound_active):
-    k = len(names)
-    dof = max(n_points - k, 1)
+    dof = max(len(y) - len(names), 1)
     chi2_red = 2.0 * cost / dof
     flags = []
     diag = np.diag(jtj)
@@ -151,178 +149,93 @@ def _build_result(names, p, converged, it, jtj, cost, n_points, bound_active):
     )
 
 
-class _Estimator:
-    """Model-definition skeleton shared by the measurement models.
-
-    A subclass names its fitted parameters, their lower bounds (or None)
-    and the fewest points it accepts, and defines predict(x, params),
-    jacobian(x, params) and _starts(x, y), the candidate initial points.
-    fit() starts the damped Gauss-Newton engine from the candidate with
-    the lowest cost and returns the FitResult; the estimator keeps no
-    state.  The dataset abscissa, named by abscissa_name, times
-    abscissa_scale is x.
-    """
-
-    names = ()
-    lower = None
-    min_points = 1
-    abscissa_scale = 1.0
-
-    def fit(self, dataset: ScanDataset) -> FitResult:
-        if len(dataset) < self.min_points:
-            raise FitInputError(f"need at least {self.min_points} points, got {len(dataset)}")
-        largest = float(np.abs(dataset.abscissa).max()) * self.abscissa_scale
-        if not largest <= math.sqrt(np.finfo(float).max / len(dataset)):
-            raise FitInputError(f"{self._span(dataset.abscissa)}: too large to fit, "
-                                "its sum of squares overflows")
-        x = self.abscissa_scale * dataset.abscissa
-        y, sig = dataset.p_up, dataset.sigma
-
-        def cost_at(p):
-            res = (y - self.predict(x, p)) / sig
-            return float(res @ res)
-
-        start = min(self._starts(x, y), key=cost_at)
-        lower = None if self.lower is None else np.array(self.lower, float)
-        p, converged, it, jtj, cost, bounds = _damped_gauss_newton(
-            lambda p: self.predict(x, p),
-            lambda p: self.jacobian(x, p),
-            y, sig, start, lower=lower,
-        )
-        return _build_result(self.names, p, converged, it, jtj, cost, len(y), bounds)
-
-    def _span(self, abscissa):
-        return f"the abscissa ({self.abscissa_name}) spans [{abscissa.min():g}, {abscissa.max():g}]"
+def _span(abscissa, name):
+    return f"the abscissa ({name}) spans [{abscissa.min():g}, {abscissa.max():g}]"
 
 
-class ThermometryEstimator(_Estimator):
-    """Fit the spin-echo thermometry lineshape for (omega_com, n_bar).
-
-    Gamma, the ion number, and the force-determining inputs (geometry and
-    |delta_ac|) are fixed externally; see interactions.thermometry_model.
-    The dataset abscissa is mu/2pi in Hz; predict and jacobian take mu.
-    """
-
-    names = ("omega_com", "n_bar")
-    lower = (0.0, 0.0)
-    min_points = 6  # enough to span the resonance
-    abscissa_scale = TWO_PI
-    abscissa_name = "mu/2pi in Hz"
-
-    def __init__(self, geom: BeamGeometry, drive: OdfDrive, cfg: TrapIonConfig):
-        self.geom = geom
-        self.drive = drive
-        self.cfg = cfg
-
-    def _in_domain(self, omega_com, mu):
-        """z0^2 = hbar / (2 M omega_com) finite (2 M omega_com > 0, no underflow), and omega_com
-        in the scanned span of mu widened by itself on each side; farther out P_up is flat."""
-        lo, hi = float(mu.min()), float(mu.max())
-        return 2.0 * lo - hi <= omega_com <= 2.0 * hi - lo and 2.0 * self.cfg.ion_mass * omega_com > 0
-
-    def predict(self, mu, params):
-        # outside that domain the cost is infinite: a step there counts as a cost increase
-        if not self._in_domain(params[0], mu):
-            return np.full(len(mu), np.inf)
-        return thermometry_model(mu, *params, self.geom, self.drive, self.cfg)
-
-    def jacobian(self, mu, params):
-        """Analytic d P_up / d (omega_com, n_bar), shape (n, 2)."""
-        return thermometry_model(mu, *params, self.geom, self.drive, self.cfg, jac=True)[1]
-
-    def _starts(self, mu, p_up):
-        """Cheap multi-start grid: resonance from the lobe centroid, omega_com > 0."""
-        weight = np.clip(p_up - p_up.min(), 0.0, None)
-        centroid = float((weight * mu).sum() / weight.sum()) if weight.sum() > 0 else float(mu.mean())
-        peak = float(mu[np.argmax(p_up)])
-        half_lobe = math.pi / self.drive.tau
-        omegas = [w for w in (centroid, peak, peak - half_lobe, peak + half_lobe)
-                  if self._in_domain(w, mu)]
-        if not omegas:
-            raise FitInputError(f"no omega_com > 0 with a finite z0^2 near the scan to start from: "
-                                f"{self._span(mu / self.abscissa_scale)}")
-        return [(w, n) for w in omegas for n in (5.0, 1.0, 15.0)]
-
-
-class PrecessionEstimator(_Estimator):
-    """Single-parameter fit of the mean-field precession lineshape for jbar."""
-
-    names = ("j_bar",)
-    min_points = 2
-    abscissa_name = "theta1 in rad"
-
-    def __init__(self, gamma: float, tau: float, init_j_bar=None):
-        self.gamma = gamma
-        self.tau = tau
-        self.init_j_bar = init_j_bar
-
-    def predict(self, theta1, params):
-        return precession_lineshape(params[0], self.gamma, self.tau, theta1)
-
-    def jacobian(self, theta1, params):
-        (j_bar,) = params
-        theta1 = np.asarray(theta1, float)
-        baseline = math.exp(-2.0 * self.gamma * self.tau)
-        dp = 0.5 * baseline * np.sin(theta1) \
-            * np.cos(4.0 * j_bar * self.tau * np.cos(theta1)) \
-            * 4.0 * self.tau * np.cos(theta1)
-        return dp[:, None]
-
-    def _starts(self, theta1, p_up):
-        if self.init_j_bar is not None:
-            j0 = self.init_j_bar
-        else:
-            # slope of P_up near theta1 = 0: dP/dtheta1 -> 2 baseline jbar tau
-            if len(np.unique(theta1)) < 2:
-                raise FitInputError("need at least 2 distinct theta1 values")
-            mask = theta1 <= 0.5 * math.pi
-            if len(np.unique(theta1[mask])) < 2:
-                mask = np.ones(len(theta1), bool)
-            slope = np.polyfit(theta1[mask], p_up[mask], 1)[0]
-            j0 = slope / (2.0 * math.exp(-2.0 * self.gamma * self.tau) * self.tau)
-        # the sine argument wraps; probe a few scales around the slope init
-        return ([j0], [0.5 * j0], [2.0 * j0], [0.0])
-
-
-class GammaDecayEstimator(_Estimator):
-    """Fit the far-detuned decoherence decay P_up(tau) = (1 - e^{-2 Gamma tau}) / 2."""
-
-    names = ("gamma",)
-    lower = (0.0,)
-    min_points = 2
-    abscissa_name = "tau in s"
-
-    def predict(self, tau, params):
-        return gamma_decay_lineshape(params[0], tau)
-
-    def jacobian(self, tau, params):
-        (gamma,) = params
-        tau = np.asarray(tau, float)
-        return (tau * np.exp(-2.0 * gamma * tau))[:, None]
-
-    def _starts(self, tau, p_up):
-        if len(np.unique(tau)) < 2:
-            raise FitInputError("need at least 2 distinct tau values")
-        # linearize: -ln(1 - 2 P) = 2 Gamma tau
-        z = -np.log(np.clip(1.0 - 2.0 * p_up, 1e-6, None))
-        return [(max(float(np.polyfit(tau, z, 1)[0]) / 2.0, 0.0),)]
-
-
-# -- functional wrappers ----------------------------------------------------
+def _abscissa(data: ScanDataset, min_points, name, scale=1.0):
+    """The model's x, scale times data.abscissa, once the scan is checked to be fittable."""
+    if len(data) < min_points:
+        raise FitInputError(f"need at least {min_points} points, got {len(data)}")
+    largest = float(np.abs(data.abscissa).max()) * scale
+    if not largest <= math.sqrt(np.finfo(float).max / len(data)):
+        raise FitInputError(f"{_span(data.abscissa, name)}: too large to fit, "
+                            "its sum of squares overflows")
+    return scale * data.abscissa
 
 
 def fit_thermometry(data: ScanDataset, geom: BeamGeometry, drive: OdfDrive,
                     cfg: TrapIonConfig) -> FitResult:
-    return ThermometryEstimator(geom, drive, cfg).fit(data)
+    """Fit the spin-echo thermometry lineshape for (omega_com, n_bar).
+
+    Gamma, the ion number, and the force-determining inputs (geometry and
+    |delta_ac|) are fixed externally; see interactions.thermometry_model.
+    The dataset abscissa is mu/2pi in Hz; the model takes mu.
+    """
+    mu = _abscissa(data, 6, "mu/2pi in Hz", TWO_PI)  # 6 points span the resonance
+    lo, hi = float(mu.min()), float(mu.max())
+
+    def in_domain(omega_com):
+        """z0^2 = hbar / (2 M omega_com) finite (2 M omega_com > 0, no underflow), and omega_com
+        in the scanned span of mu widened by itself on each side; farther out P_up is flat."""
+        return 2.0 * lo - hi <= omega_com <= 2.0 * hi - lo and 2.0 * cfg.ion_mass * omega_com > 0
+
+    def model(mu, p, jac=False):
+        # outside that domain the cost is infinite: a step there counts as a cost increase
+        if not jac and not in_domain(p[0]):
+            return np.full(len(mu), np.inf)
+        return thermometry_model(mu, *p, geom, drive, cfg, jac=jac)
+
+    # cheap multi-start grid: resonance from the lobe centroid, omega_com > 0
+    p_up = data.p_up
+    weight = np.clip(p_up - p_up.min(), 0.0, None)
+    centroid = float((weight * mu).sum() / weight.sum()) if weight.sum() > 0 else float(mu.mean())
+    peak = float(mu[np.argmax(p_up)])
+    half_lobe = math.pi / drive.tau
+    omegas = [w for w in (centroid, peak, peak - half_lobe, peak + half_lobe) if in_domain(w)]
+    if not omegas:
+        raise FitInputError(f"no omega_com > 0 with a finite z0^2 near the scan to start from: "
+                            f"{_span(data.abscissa, 'mu/2pi in Hz')}")
+    starts = [(w, n) for w in omegas for n in (5.0, 1.0, 15.0)]
+    return _fit(("omega_com", "n_bar"), model, mu, data, starts, lower=(0.0, 0.0))
 
 
 def fit_precession(data: ScanDataset, gamma: float, tau: float,
                    init_j_bar=None) -> FitResult:
-    return PrecessionEstimator(gamma, tau, init_j_bar=init_j_bar).fit(data)
+    """Single-parameter fit of the mean-field precession lineshape for jbar."""
+    theta1 = _abscissa(data, 2, "theta1 in rad")
+
+    def model(theta1, p, jac=False):
+        return precession_lineshape(p[0], gamma, tau, theta1, jac=jac)
+
+    if init_j_bar is not None:
+        j0 = init_j_bar
+    else:
+        # slope of P_up near theta1 = 0: dP/dtheta1 -> 2 baseline jbar tau
+        if len(np.unique(theta1)) < 2:
+            raise FitInputError("need at least 2 distinct theta1 values")
+        mask = theta1 <= 0.5 * math.pi
+        if len(np.unique(theta1[mask])) < 2:
+            mask = np.ones(len(theta1), bool)
+        slope = np.polyfit(theta1[mask], data.p_up[mask], 1)[0]
+        j0 = slope / (2.0 * math.exp(-2.0 * gamma * tau) * tau)
+    # the sine argument wraps; probe a few scales around the slope init
+    return _fit(("j_bar",), model, theta1, data, ([j0], [0.5 * j0], [2.0 * j0], [0.0]))
 
 
 def fit_far_detuned_gamma(data: ScanDataset) -> FitResult:
-    return GammaDecayEstimator().fit(data)
+    """Fit the far-detuned decoherence decay P_up(tau) = (1 - e^{-2 Gamma tau}) / 2."""
+    tau = _abscissa(data, 2, "tau in s")
+
+    def model(tau, p, jac=False):
+        return gamma_decay_lineshape(p[0], tau, jac=jac)
+
+    if len(np.unique(tau)) < 2:
+        raise FitInputError("need at least 2 distinct tau values")
+    # linearize: -ln(1 - 2 P) = 2 Gamma tau
+    z = -np.log(np.clip(1.0 - 2.0 * data.p_up, 1e-6, None))
+    start = (max(float(np.polyfit(tau, z, 1)[0]) / 2.0, 0.0),)
+    return _fit(("gamma",), model, tau, data, [start], lower=(0.0,))
 
 
 def f0_from_jbar(j_bar: float, sigma_j: float, cfg: TrapIonConfig,
@@ -335,18 +248,22 @@ def f0_from_jbar(j_bar: float, sigma_j: float, cfg: TrapIonConfig,
     return f0, sigma_f0
 
 
-def weighted_f0(estimates) -> F0Estimate:
-    """Inverse-variance weighted mean of (delta, F0, sigma) entries."""
+def weighted_f0(estimates) -> tuple[float, float]:
+    """Inverse-variance weighted mean (F0, sigma) of (delta, F0, sigma) entries."""
     entries = tuple(estimates)
     if not entries:
         raise FitInputError("need at least one F0 estimate")
-    if any(s <= 0 for _, _, s in entries):
+    if not all(math.isfinite(f) for _, f, _ in entries):
+        raise FitInputError("all F0 values must be finite")
+    if not all(s > 0 for _, _, s in entries):  # NaN fails too
         raise FitInputError("all sigmas must be > 0")
     weights = np.array([1.0 / (s * s) for _, _, s in entries])
+    if not weights.sum() > 0:
+        raise FitInputError("every sigma is infinite: no F0 estimate has weight")
     values = np.array([f for _, f, _ in entries])
     mean = float((weights * values).sum() / weights.sum())
     sigma = float(math.sqrt(1.0 / weights.sum()))
-    return F0Estimate(f0=mean, sigma=sigma)
+    return mean, sigma
 
 
 # -- design optimizer --------------------------------------------------------

@@ -23,6 +23,11 @@ which fixes the convention: jbar = 2 chi_arm / tau.  `thermometry_model`
 is the one implementation of alpha_total and chi_arm; the tests pin it to
 an RK4 integration of the phase-space trajectory and, at loop closure, to
 `j_bar`.
+
+All three measurement lineshapes (`thermometry_model`,
+`precession_lineshape`, `gamma_decay_lineshape`) carry their own
+derivative: with jac=True each returns (P_up, d P_up / d params), the one
+function that both the simulators sample and the fits evaluate.
 """
 
 from __future__ import annotations
@@ -167,21 +172,35 @@ def thermometry_model(mu, omega_com, n_bar, geom: BeamGeometry, drive: OdfDrive,
     return p_up, np.column_stack([dp_w, dp_n])
 
 
-def precession_lineshape(j_bar: float, gamma: float, tau: float, theta1_grid) -> np.ndarray:
+def precession_lineshape(j_bar: float, gamma: float, tau: float, theta1_grid, jac=False):
     """Mean-field precession P_up(theta1) of the tipping-angle scan.
 
     P_up = (1 + e^{-2 Gamma tau} sin(theta1) sin(2 jbar cos(theta1) 2 tau)) / 2.
+    With jac=True also returns d P_up / d jbar, shape (n, 1).
     """
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
     theta1 = np.asarray(theta1_grid, dtype=float)
     baseline = math.exp(-2.0 * gamma * tau)
-    return 0.5 * (1.0 + baseline * np.sin(theta1) * np.sin(4.0 * j_bar * tau * np.cos(theta1)))
+    sin_t, cos_t = np.sin(theta1), np.cos(theta1)
+    p_up = 0.5 * (1.0 + baseline * sin_t * np.sin(4.0 * j_bar * tau * cos_t))
+    if not jac:
+        return p_up
+    dp = 0.5 * baseline * sin_t * np.cos(4.0 * j_bar * tau * cos_t) * 4.0 * tau * cos_t
+    return p_up, dp[:, None]
 
 
-def gamma_decay_lineshape(gamma: float, tau_grid) -> np.ndarray:
-    """Far-detuned decoherence decay P_up(tau) = (1 - e^{-2 Gamma tau}) / 2."""
-    return 0.5 * (1.0 - np.exp(-2.0 * gamma * np.asarray(tau_grid, dtype=float)))
+def gamma_decay_lineshape(gamma: float, tau_grid, jac=False):
+    """Far-detuned decoherence decay P_up(tau) = (1 - e^{-2 Gamma tau}) / 2.
+
+    With jac=True also returns d P_up / d Gamma, shape (n, 1).
+    """
+    tau = np.asarray(tau_grid, dtype=float)
+    decay = np.exp(-2.0 * gamma * tau)
+    p_up = 0.5 * (1.0 - decay)
+    if not jac:
+        return p_up
+    return p_up, (tau * decay)[:, None]
 
 
 def force_turnover_angle(

@@ -11,20 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_digest: str
-    seed: int | None
-    tool_version: str
-    timestamp: str
 
 
 def config_digest(config: dict) -> str:
@@ -32,21 +22,21 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def make_manifest(command: str, config: dict, seed: int | None = None) -> RunManifest:
-    return RunManifest(
-        command=command,
-        config_digest=config_digest(config),
-        seed=seed,
-        tool_version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
+def make_manifest(command: str, config: dict, seed: int | None = None) -> dict:
+    """The provenance record: command, config_digest, seed, tool_version, UTC timestamp."""
+    return {
+        "command": command,
+        "config_digest": config_digest(config),
+        "seed": seed,
+        "tool_version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
 
 
 def write_manifest(path, command: str, config: dict, seed: int | None = None,
-                   scan_meta: dict | None = None) -> RunManifest:
+                   scan_meta: dict | None = None) -> dict:
     manifest = make_manifest(command, config, seed)
-    doc = asdict(manifest)
     if scan_meta is not None:
-        doc["scan_meta"] = scan_meta
-    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+        manifest["scan_meta"] = scan_meta
+    Path(path).write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n")
     return manifest

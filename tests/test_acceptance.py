@@ -28,14 +28,20 @@ from odfkit.fitting import (
     optimize_theta,
 )
 from odfkit.geometry import BeamGeometry, delta_k, effective_wavelength, misalignment_phase
-from odfkit.interactions import force_magnitude, j_bar
+from odfkit.interactions import (
+    force_magnitude,
+    gamma_decay_lineshape,
+    j_bar,
+    precession_lineshape,
+    thermometry_model,
+)
 from odfkit.simulate import (
     DriftModel,
     PathNoiseModel,
+    _sample_scans,
     simulate_angle_drift,
     simulate_gamma_decay,
     simulate_path_noise,
-    simulate_precession,
     simulate_thermometry,
 )
 
@@ -122,16 +128,22 @@ def test_criterion_4_oracle_equivalence():
 
 def test_criterion_5_round_trip_estimation():
     start = time.time()
+    # each model's scans are drawn in one sampler call: the draws of its simulate_* per seed
     # thermometry: scan chosen for sensitivity to both occupations
     therm_geom = geom(14.0)
     therm_drive = OdfDrive(delta_ac=2 * math.pi * 1000.0)
     mu = CFG.omega_com + 2 * math.pi * np.linspace(-3e3, 3e3, 100)
     fractions = {}
     for n_bar, tol in ((10.7, 0.5), (1.27, 0.20)):
+        truth = thermometry_model(mu, CFG.omega_com, n_bar, therm_geom, therm_drive, CFG)
+        scans = _sample_scans(500, [(truth, seed, mu / (2 * math.pi), "thermometry", {})
+                                    for seed in range(300)])
+        one = simulate_thermometry(therm_geom, therm_drive, CFG, ThermalState(n_bar),
+                                   mu, shots=500, seed=299)
+        assert np.array_equal(scans[299].p_up, one.p_up)
+        assert np.array_equal(scans[299].sigma, one.sigma)
         hits = 0
-        for seed in range(300):
-            ds = simulate_thermometry(therm_geom, therm_drive, CFG, ThermalState(n_bar),
-                                      mu, shots=500, seed=seed)
+        for ds in scans:
             result = fit_thermometry(ds, therm_geom, therm_drive, CFG)
             hits += int(abs(result.params["n_bar"] - n_bar) <= tol)
         fractions[n_bar] = hits / 300.0
@@ -139,10 +151,10 @@ def test_criterion_5_round_trip_estimation():
 
     # precession: relative sigma below 10 percent
     jb_true = j_bar(30e-24, CFG, 2 * math.pi * 2e3)
+    theta1 = np.linspace(0, 2 * math.pi, 40)
+    truth = precession_lineshape(jb_true, 100.0, 500e-6, theta1)
     prec_ok = True
-    for seed in range(20):
-        ds = simulate_precession(jb_true, 100.0, 500e-6,
-                                 np.linspace(0, 2 * math.pi, 40), shots=500, seed=seed)
+    for ds in _sample_scans(500, [(truth, seed, theta1, "precession", {}) for seed in range(20)]):
         result = fit_precession(ds, 100.0, 500e-6)
         rel_sigma = result.sigmas["j_bar"] / abs(result.params["j_bar"])
         rel_err = abs(result.params["j_bar"] - jb_true) / jb_true
@@ -150,14 +162,14 @@ def test_criterion_5_round_trip_estimation():
 
     # decoherence rate across the characterized range
     tau_grid = np.linspace(0.25e-3, 5e-3, 20)
-    gamma_hits = 0
-    gamma_total = 0
-    for gamma in (80.0, 100.0, 120.0):
-        for seed in range(20):
-            ds = simulate_gamma_decay(gamma, tau_grid, shots=500, seed=seed)
-            result = fit_far_detuned_gamma(ds)
-            gamma_hits += int(abs(result.params["gamma"] - gamma) / gamma < 0.10)
-            gamma_total += 1
+    gammas = [gamma for gamma in (80.0, 100.0, 120.0) for _ in range(20)]
+    scans = _sample_scans(500, [(gamma_decay_lineshape(gamma, tau_grid), seed % 20, tau_grid,
+                                 "gamma", {}) for seed, gamma in enumerate(gammas)])
+    one = simulate_gamma_decay(120.0, tau_grid, shots=500, seed=19)
+    assert np.array_equal(scans[-1].p_up, one.p_up)
+    gamma_hits = sum(int(abs(fit_far_detuned_gamma(ds).params["gamma"] - gamma) / gamma < 0.10)
+                     for gamma, ds in zip(gammas, scans))
+    gamma_total = len(gammas)
     gamma_ok = gamma_hits / gamma_total >= 0.90
     elapsed = time.time() - start
     report(5, "round-trip estimation", therm_ok and prec_ok and gamma_ok and elapsed < 300.0,

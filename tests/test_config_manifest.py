@@ -138,10 +138,11 @@ def test_config_digest_is_canonical():
 
 def test_manifest_fields():
     m = make_manifest("curves", DEFAULT_CONFIG, seed=3)
-    assert m.command == "curves"
-    assert m.seed == 3
-    assert m.config_digest == config_digest(DEFAULT_CONFIG)
-    assert m.timestamp.endswith("+00:00")  # UTC ISO-8601
+    assert list(m) == ["command", "config_digest", "seed", "tool_version", "timestamp"]
+    assert m["command"] == "curves"
+    assert m["seed"] == 3
+    assert m["config_digest"] == config_digest(DEFAULT_CONFIG)
+    assert m["timestamp"].endswith("+00:00")  # UTC ISO-8601
 
 
 def test_write_manifest_round_trip(tmp_path):
@@ -150,5 +151,5 @@ def test_write_manifest_round_trip(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["command"] == "geom"
     assert doc["seed"] == 9
-    assert doc["config_digest"] == m.config_digest
+    assert doc == m
     assert doc["tool_version"]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +8,6 @@ import oracles
 from odfkit.core import OdfDrive, ThermalState, TrapIonConfig
 from odfkit.fitting import (
     FitInputError,
-    GammaDecayEstimator,
-    PrecessionEstimator,
-    ThermometryEstimator,
     f0_from_jbar,
     fit_far_detuned_gamma,
     fit_precession,
@@ -40,21 +38,34 @@ def _thermometry_dataset(n_bar=1.27, sigma=1e-3, mu=MU):
                        sigma=np.full(len(mu), sigma), meta={"kind": "thermometry"})
 
 
-def _check_jacobian(est, x, params, rel_steps):
-    """Central finite differences against the analytic Jacobian.
+def _thermometry(x, params, jac=False):
+    return thermometry_model(x, *params, GEOM, DRIVE, CFG, jac=jac)
+
+
+def _precession(x, params, jac=False):
+    return precession_lineshape(params[0], 100.0, 500e-6, x, jac=jac)
+
+
+def _gamma(x, params, jac=False):
+    return gamma_decay_lineshape(params[0], x, jac=jac)
+
+
+def _check_jacobian(model, x, params, rel_steps):
+    """Central finite differences of model(x, p) against model(x, p, jac=True).
 
     Comparison is elementwise at 1e-5 relative with the denominator floored
     at a small fraction of the column scale, which keeps near-zero entries
     from amplifying finite-difference roundoff.
     """
-    analytic = est.jacobian(x, params)
+    _, analytic = model(x, params, jac=True)
+    assert analytic.shape == (len(x), len(params))
     for k, rel in enumerate(rel_steps):
         h = rel * max(abs(params[k]), 1e-30)
         up = list(params)
         dn = list(params)
         up[k] += h
         dn[k] -= h
-        fd = (est.predict(x, up) - est.predict(x, dn)) / (up[k] - dn[k])
+        fd = (model(x, up) - model(x, dn)) / (up[k] - dn[k])
         scale = max(np.max(np.abs(fd)), 1e-300)
         denom = np.maximum(np.abs(fd), 1e-2 * scale)
         assert np.max(np.abs(analytic[:, k] - fd) / denom) < 1e-5
@@ -64,49 +75,38 @@ def _check_jacobian(est, x, params, rel_steps):
 
 
 def test_thermometry_jacobian_matches_fd():
-    est = ThermometryEstimator(GEOM, DRIVE, CFG)
     params = (CFG.omega_com + 2 * math.pi * 120.0, 2.1)
-    _check_jacobian(est, MU, params, rel_steps=(1e-9, 1e-6))
+    _check_jacobian(_thermometry, MU, params, rel_steps=(1e-9, 1e-6))
 
 
 def test_thermometry_jacobian_matches_fd_hot():
-    est = ThermometryEstimator(GEOM, DRIVE, CFG)
     params = (CFG.omega_com - 2 * math.pi * 75.0, 9.4)
-    _check_jacobian(est, MU, params, rel_steps=(1e-9, 1e-6))
+    _check_jacobian(_thermometry, MU, params, rel_steps=(1e-9, 1e-6))
 
 
 def test_precession_jacobian_matches_fd():
-    est = PrecessionEstimator(gamma=100.0, tau=500e-6)
     grid = np.linspace(0.05, 2 * math.pi, 40)
-    _check_jacobian(est, grid, (1500.0,), rel_steps=(1e-6,))
+    _check_jacobian(_precession, grid, (1500.0,), rel_steps=(1e-6,))
 
 
 def test_gamma_jacobian_matches_fd():
-    est = GammaDecayEstimator()
     grid = np.linspace(0.25e-3, 5e-3, 20)
-    _check_jacobian(est, grid, (95.0,), rel_steps=(1e-6,))
+    _check_jacobian(_gamma, grid, (95.0,), rel_steps=(1e-6,))
 
 
-# -- one model shared by simulation and fitting ---------------------------------------
+# -- one model function per measurement -----------------------------------------------
 
 
-@pytest.mark.parametrize("model", ["thermometry", "precession", "gamma"])
-def test_simulators_sample_the_fitted_model(model):
-    # the noiseless P_up the simulate_* functions sample is bit-identical to
-    # the estimator's prediction at the true parameters
-    if model == "thermometry":
-        n_bar = 10.7
-        truth = thermometry_model(MU, CFG.omega_com, n_bar, GEOM, DRIVE, CFG)
-        fitted = ThermometryEstimator(GEOM, DRIVE, CFG).predict(MU, (CFG.omega_com, n_bar))
-    elif model == "precession":
-        grid = np.linspace(0, 2 * math.pi, 40)
-        truth = precession_lineshape(1641.5, 100.0, 500e-6, grid)
-        fitted = PrecessionEstimator(gamma=100.0, tau=500e-6).predict(grid, (1641.5,))
-    else:
-        grid = np.linspace(0.25e-3, 5e-3, 20)
-        truth = gamma_decay_lineshape(95.0, grid)
-        fitted = GammaDecayEstimator().predict(grid, (95.0,))
-    assert np.array_equal(truth, fitted)
+@pytest.mark.parametrize("model,x,params", [
+    (_thermometry, MU, (CFG.omega_com, 10.7)),
+    (_precession, np.linspace(0, 2 * math.pi, 40), (1641.5,)),
+    (_gamma, np.linspace(0.25e-3, 5e-3, 20), (95.0,)),
+], ids=["thermometry", "precession", "gamma"])
+def test_simulators_sample_the_fitted_model(model, x, params):
+    # the simulate_* functions sample the jac=False P_up of the model function
+    # the fits evaluate; its jac=True P_up is the same bit for bit
+    p_up, _ = model(x, params, jac=True)
+    assert np.array_equal(p_up, model(x, params))
 
 
 # -- zero-noise round trips -----------------------------------------------------------
@@ -207,38 +207,48 @@ def test_thermometry_requires_six_points():
 
 
 def test_weighted_f0_frozen_example():
-    est = weighted_f0([(1.0, 28.0, 2.0), (2.0, 34.0, 4.0)])
-    assert est.f0 == pytest.approx(29.2, rel=1e-12)
-    assert est.sigma == pytest.approx(1.7888543819998317, rel=1e-12)
+    f0, sigma = weighted_f0([(1.0, 28.0, 2.0), (2.0, 34.0, 4.0)])
+    assert f0 == pytest.approx(29.2, rel=1e-12)
+    assert sigma == pytest.approx(1.7888543819998317, rel=1e-12)
 
 
 def test_weighted_f0_is_inverse_variance_mean():
     entries = [(1.0, 30.0, 1.5), (2.0, 31.0, 2.5), (3.0, 29.5, 1.0)]
-    est = weighted_f0(entries)
+    f0, _ = weighted_f0(entries)
     w = np.array([1 / s ** 2 for _, _, s in entries])
     v = np.array([f for _, f, _ in entries])
-    assert est.f0 == pytest.approx(float((w * v).sum() / w.sum()), rel=1e-14)
+    assert f0 == pytest.approx(float((w * v).sum() / w.sum()), rel=1e-14)
 
 
 def test_weighted_f0_permutation_invariant():
     entries = [(1.0, 30.0, 1.5), (2.0, 31.0, 2.5), (3.0, 29.5, 1.0)]
     a = weighted_f0(entries)
     b = weighted_f0(entries[::-1])
-    assert a.f0 == pytest.approx(b.f0, rel=1e-14)
-    assert a.sigma == pytest.approx(b.sigma, rel=1e-14)
+    assert a == pytest.approx(b, rel=1e-14)
 
 
 def test_weighted_f0_sigma_shrinks_with_entries():
     entries = [(1.0, 30.0, 2.0), (2.0, 30.1, 2.0), (3.0, 29.9, 2.0), (4.0, 30.0, 2.0)]
-    sigmas = [weighted_f0(entries[:k]).sigma for k in range(1, 5)]
+    sigmas = [weighted_f0(entries[:k])[1] for k in range(1, 5)]
     assert all(b < a for a, b in zip(sigmas, sigmas[1:]))
 
 
 def test_weighted_f0_validation():
-    with pytest.raises(FitInputError):
+    with pytest.raises(FitInputError, match="at least one"):
         weighted_f0([])
-    with pytest.raises(FitInputError):
+    with pytest.raises(FitInputError, match="sigmas must be > 0"):
         weighted_f0([(1.0, 30.0, 0.0)])
+    with pytest.raises(FitInputError, match="sigmas must be > 0"):
+        weighted_f0([(1.0, 30.0, 2.0), (2.0, 31.0, math.nan)])
+    for f0 in (math.nan, math.inf):
+        with pytest.raises(FitInputError, match="F0 values must be finite"):
+            weighted_f0([(1.0, f0, 2.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way to the error
+        with pytest.raises(FitInputError, match="every sigma is infinite"):
+            weighted_f0([(1.0, 30.0, math.inf), (2.0, 31.0, math.inf)])
+    # an infinite sigma among finite ones carries no weight
+    assert weighted_f0([(1.0, 30.0, 2.0), (2.0, 99.0, math.inf)]) == (30.0, 2.0)
 
 
 def test_f0_from_jbar_inverts_coupling():
