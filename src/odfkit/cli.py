@@ -34,7 +34,7 @@ finally:
     if _BLAS_ONE_THREAD:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-# fitting, simulate and manifest are imported by the commands that call them
+# csvio, fitting, simulate and manifest are imported by the commands that call them
 from .configio import ConfigError, Scenario, load_config
 from .constants import TWO_PI
 from .core import OdfDrive, ThermalState
@@ -50,7 +50,7 @@ from .geometry import (
     misalignment_phase,
     repeatability_to_angle_error,
 )
-from .interactions import ResonanceSingularityError, force_magnitude
+from .interactions import ResonanceSingularityError, force_magnitude, optimize_theta
 
 
 def _parse_fields(flag: str, spec: str, form: str, build, sep=":"):
@@ -97,15 +97,15 @@ def _emit(args, name, data, scn: Scenario, seed=None):
     data is a (header, columns) table, or a ScanDataset or Series, whose
     metadata goes into the sidecar as scan_meta.
     """
+    from .csvio import write_rows
     from .manifest import write_manifest
-    from .simulate import _write_rows
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
     scan_meta = None
     if isinstance(data, tuple):
-        _write_rows(csv_path, *data)
+        write_rows(csv_path, *data)
     else:
         data.to_csv(csv_path)
         scan_meta = dict(data.meta)
@@ -267,8 +267,8 @@ def cmd_simulate(args, scn: Scenario):
 
 
 def cmd_fit(args, scn: Scenario):
+    from .csvio import ScanDataset
     from .fitting import fit_far_detuned_gamma, fit_precession, fit_thermometry
-    from .simulate import ScanDataset
 
     dataset = ScanDataset.from_csv(args.data, kind=args.model)
     if args.model == "thermometry":
@@ -285,7 +285,6 @@ def cmd_fit(args, scn: Scenario):
 
 
 def cmd_optimize_angle(args, scn: Scenario):
-    from .fitting import optimize_theta
     from .manifest import make_manifest
 
     lo_deg, hi_deg = _parse_fields("--window", args.window, "lo:hi",

@@ -120,6 +120,11 @@ def load_config(path=None, scenario: str | None = None) -> Scenario:
             known = ", ".join(sorted(scenarios)) or "(none defined)"
             raise ConfigError(f"unknown scenario {scenario!r}; known: {known}")
         merged = _merge(merged, scenarios[scenario])
+    drive = merged["drive"]  # Gamma given only as its two parts: their mean, not the default
+    layers = (doc, scenarios.get(scenario, {}))
+    if {"gamma_raman_per_s", "gamma_elastic_per_s"} <= drive.keys() and not any(
+            "gamma_per_s" in layer.get("drive", {}) for layer in layers):
+        del drive["gamma_per_s"]
     return build_scenario(merged)
 
 

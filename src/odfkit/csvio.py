@@ -1,0 +1,221 @@
+"""odfkit's one file format: a header row of column names, then one row per point.
+
+Fields are joined by "," and lines end in CRLF; floats are '%.17e', which reads
+back to the same bits, and text is '%s', unquoted.  `ScanDataset.from_csv` reads
+a scan back, and a fault in the file is one ValueError that names the file.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import warnings
+from dataclasses import dataclass, field
+
+import numpy as np
+
+
+def _freeze_arrays(obj, names):
+    """Set the named fields to read-only float views (not copies), equal-length and finite."""
+    arrays = [np.asarray(getattr(obj, name), dtype=float).view() for name in names]
+    if len({len(arr) for arr in arrays}) > 1:
+        raise ValueError(f"{', '.join(names)} must have equal lengths")
+    for name, arr in zip(names, arrays):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+    return arrays
+
+
+@dataclass(frozen=True)
+class ScanDataset:
+    """A binomial P_up scan: abscissa / p_up / sigma triples plus provenance metadata.
+
+    The abscissa is mu/2pi in Hz (thermometry), theta1 in rad (precession)
+    or tau in s (gamma decay); p_up is a fraction in [0, 1] and sigma its
+    standard error, > 0.
+    """
+
+    abscissa: np.ndarray
+    p_up: np.ndarray
+    sigma: np.ndarray
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        _, p_up, sigma = _freeze_arrays(self, ("abscissa", "p_up", "sigma"))
+        if np.any((p_up < 0) | (p_up > 1)):
+            raise ValueError("p_up must lie in [0, 1]")
+        if np.any(sigma <= 0):
+            raise ValueError("sigma must be > 0 elementwise")
+
+    def __len__(self):
+        return len(self.abscissa)
+
+    def to_csv(self, path):
+        """Write header + rows; full-precision scientific notation."""
+        write_rows(path, ["abscissa", "p_up", "sigma"], (self.abscissa, self.p_up, self.sigma))
+
+    @classmethod
+    def from_csv(cls, path, kind):
+        """Read a CSV written by to_csv; a malformed file is a ValueError naming it."""
+        try:
+            with open(path) as fh, warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: the error below
+                width = len(fh.readline().split(","))
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            if len(data) == 0:
+                raise ValueError("no data rows")
+            if width < 3 or data.shape[1] != width:
+                raise ValueError("every row must have as many fields as the header, at least 3")
+            return cls(abscissa=data[:, 0], p_up=data[:, 1], sigma=data[:, 2],
+                       meta={"kind": kind, "source": str(path)})
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
+
+
+@dataclass(frozen=True)
+class Series:
+    """Sample times t in s and the values there, plus provenance metadata.
+
+    Drift is in degrees, path noise is in meters.
+    """
+
+    t: np.ndarray
+    value: np.ndarray
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        _freeze_arrays(self, ("t", "value"))
+
+    def __len__(self):
+        return len(self.t)
+
+    def to_csv(self, path):
+        """Write the t_s,value header + rows; full-precision scientific notation."""
+        write_rows(path, ["t_s", "value"], (self.t, self.value))
+
+
+_BLOCK_ROWS = 2048  # rows per write; at 4 float columns a block's buffers stay under 1 MiB
+_TENS = bytes(48 + v // 10 % 10 for v in range(256))  # translate tables: a value 0-99 to
+_ONES = bytes(48 + v % 10 for v in range(256))  # its tens and its ones character
+_POW10 = {}  # q -> 10**q as a double-double, filled on first use
+
+
+def _pow10(q):
+    """(hi, hi's high and low 26 bits, lo, e), 10**q = (hi + lo) 2**e to ~2**-106, from ints."""
+    if q not in _POW10:
+        num, den = (10 ** q, 1) if q >= 0 else (1, 10 ** -q)
+        shift = 111 - num.bit_length() + den.bit_length()
+        m = (num << shift) // den if shift >= 0 else num // (den << -shift)
+        top = m.bit_length() - 1
+        hi = math.ldexp(float(m), -top)
+        hh = 134217729.0 * hi - (134217729.0 * hi - hi)  # Veltkamp split
+        _POW10[q] = (hi, hh, hi - hh, math.ldexp(float(m - int(float(m))), -top), top - shift)
+    return _POW10[q]
+
+
+def _scaled(a, k):
+    """a 10**(17 - k) = p + f + frac to ~1e-14, p integer-valued, f = floor(rest), 0 <= frac < 1.
+
+    Dekker's exact product of frexp's mantissa and the double-double power of ten, then ldexp.
+    """
+    k_min = int(k.min())
+    table = np.array([_pow10(17 - q) for q in range(k_min, int(k.max()) + 1)]).T
+    hi, hh, hl, lo, e = table.take((k - k_min).astype(np.intp), axis=1)
+    m, scale = np.frexp(a)
+    np.add(scale, e, out=scale, casting="unsafe")  # e: a whole number held as a float
+    mh = m * 134217729.0 - (m * 134217729.0 - m)  # Veltkamp split
+    ml = m - mh
+    p = m * hi
+    r1 = np.ldexp(((mh * hh - p) + mh * hl + ml * hh) + ml * hl, scale)
+    r2 = np.ldexp(m * lo, scale)
+    f = np.floor(r1 + r2)
+    return np.ldexp(p, scale), f, (r1 - f) + r2
+
+
+def _decimal(x):
+    """|x| rounded to (high 1e8 + low) 10**(k - 17), high of 10 digits and low of 8, exact floats.
+
+    Also returns the indices left to Python: zeros, non-finite values, values within
+    1e-6 of a tie (which rounds half-even) and those that round up to a power of ten.
+    """
+    a = np.abs(x)
+    special = ~((a > 0.0) & (a < np.inf))  # zero, infinite or nan
+    a[special] = 1.0
+    k = np.floor(np.log10(a))
+    p, f, frac = _scaled(a, k)
+    off = np.flatnonzero(((p - 1e17) + f < 0.0) | ((p - 1e18) + f >= 0.0))  # log10 a decade off
+    if off.size:
+        k[off] += np.where(p[off] < 5e17, -1.0, 1.0)
+        p[off], f[off], frac[off] = _scaled(a[off], k[off])
+    f += np.floor(frac + 0.5)  # to nearest: ties are escaped
+    high = np.floor(p / 1e8)  # an exact product and a Sterbenz difference, then a carry
+    low = (p - high * 1e8) + f
+    carry = np.floor(low / 1e8)
+    high += carry
+    low -= carry * 1e8
+    return high, low, k, np.flatnonzero(special | (np.abs(frac - 0.5) < 1e-6) | (high >= 1e10))
+
+
+def _format_floats(x, out, used):
+    """Write '%.17e' % v of each v in x into the (n, 25) byte slots out and mark the bytes used.
+
+    Returns the indices of the fields left to Python (see `_decimal`).  The digits are
+    nine floored quotients 0-99 of high and low plus the exponent's last two; row by
+    row, since a broadcast divide allocates numpy's casting buffers.
+    """
+    high, low, k, escape = _decimal(x)
+    hundreds = np.floor(np.abs(k) / 100.0)
+    pairs = np.empty((10, len(x)))
+    for rows, value in ((pairs[:5], high), (pairs[5:9], low)):
+        for row, divisor in zip(rows, (1e8, 1e6, 1e4, 1e2, 1.0)[-len(rows):]):
+            np.floor(np.divide(value, divisor, out=row), out=row)
+        rows[1:] -= 100.0 * rows[:-1]
+    np.subtract(np.abs(k), 100.0 * hundreds, out=pairs[9])
+    pairs = pairs.T.astype(np.uint8, order="C").tobytes()
+    tens, ones = (np.frombuffer(pairs.translate(t), np.uint8).reshape(-1, 10)
+                  for t in (_TENS, _ONES))
+    out[:, 0], out[:, 2], out[:, 20] = ord("-"), ord("."), ord("e")
+    out[:, 1], out[:, 4:20:2] = tens[:, 0], tens[:, 1:9]  # d.dd...: pair 0 around the point
+    out[:, 3], out[:, 5:20:2] = ones[:, 0], ones[:, 1:9]
+    out[:, 21] = ord("+")
+    out[k < 0.0, 21] = ord("-")
+    out[:, 22], out[:, 23], out[:, 24] = hundreds + ord("0"), tens[:, 9], ones[:, 9]
+    used[:, 1:] = True
+    used[:, 0], used[:, 22] = x < 0.0, hundreds > 0.0
+    return escape
+
+
+def write_rows(path, header, columns):
+    """The one CSV writer: header, then rows of %.17e floats and %s others; CRLF line ends.
+
+    A block of rows is one byte matrix with a slot per field and a mask of the bytes in use;
+    `_format_floats` fills the float slots, Python's % the fields it leaves and text fields.
+    """
+    columns = [np.asarray(col) for col in columns]
+    n_rows = len(columns[0])
+    with open(path, "w", newline="") as text:
+        fh, encoding = text.buffer, text.encoding
+        fh.write((",".join(header) + "\r\n").encode(encoding))
+        cells = [None if col.dtype.kind == "f"
+                 else [("%s" % v).encode(encoding) for v in col.tolist()] for col in columns]
+        widths = [25 if c is None else max(map(len, c), default=0) for c in cells]
+        starts = list(itertools.accumulate([w + 1 for w in widths], initial=0))
+        out = np.empty((min(n_rows, _BLOCK_ROWS), starts[-1] + 1), np.uint8)
+        used = np.ones(out.shape, bool)
+        out[:, [s - 1 for s in starts[1:]]] = ord(",")
+        out[:, -2:] = (ord("\r"), ord("\n"))
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            o, u = out[:n_rows - start], used[:n_rows - start]
+            for col, col_cells, s, w in zip(columns, cells, starts, widths):
+                if col_cells is None:
+                    x = np.asarray(col[start:start + len(o)], float)
+                    rows = _format_floats(x, o[:, s:s + w], u[:, s:s + w])
+                    fill = [("%.17e" % v).encode(encoding) for v in x[rows].tolist()]
+                else:
+                    rows, fill = range(len(o)), col_cells[start:start + len(o)]
+                for i, field in zip(rows, fill):
+                    o[i, s:s + len(field)] = np.frombuffer(field, np.uint8)
+                    u[i, s:s + w] = np.arange(w) < len(field)
+            fh.write(o[u])

@@ -1,4 +1,4 @@
-"""Weighted least-squares estimation and the beam-angle design optimizer.
+"""Weighted least-squares estimation of the measurement models.
 
 Each measurement (thermometry scan, tipping-angle precession, far-detuned
 decoherence decay) has one entry point, fit_thermometry, fit_precession or
@@ -8,31 +8,22 @@ Gauss-Newton engine.  The model functions, with their analytic
 derivatives, live in `interactions`, shared with the simulators.
 Parameter uncertainties come from the inverse normal equations at the
 optimum: FitResult.sigmas are scaled by sqrt(chi2_reduced) when it exceeds
-one (the conservative convention).  The crossing-angle optimum is the
-closed-form Debye-Waller turnover of F0, clipped to the constraint window.
+one (the conservative convention).  f0_from_jbar and weighted_f0 turn
+fitted couplings into one force estimate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .constants import HBAR, TWO_PI
-from .core import OdfDrive, ThermalState, TrapIonConfig
+from .core import OdfDrive, TrapIonConfig
+from .csvio import ScanDataset
 from .geometry import BeamGeometry
-from .interactions import (
-    force_magnitude,
-    force_turnover_angle,
-    gamma_decay_lineshape,
-    precession_lineshape,
-    thermometry_model,
-)
-
-if TYPE_CHECKING:
-    from .simulate import ScanDataset
+from .interactions import gamma_decay_lineshape, precession_lineshape, thermometry_model
 
 
 class FitInputError(ValueError):
@@ -257,6 +248,9 @@ def weighted_f0(estimates) -> tuple[float, float]:
         raise FitInputError("all F0 values must be finite")
     if not all(s > 0 for _, _, s in entries):  # NaN fails too
         raise FitInputError("all sigmas must be > 0")
+    if not all(s * s > 0 for _, _, s in entries) or not sum(
+            1.0 / (s * s) for _, _, s in entries) < math.inf:
+        raise FitInputError("a sigma is too small to weight: 1/sigma^2 or their sum overflows")
     weights = np.array([1.0 / (s * s) for _, _, s in entries])
     if not weights.sum() > 0:
         raise FitInputError("every sigma is infinite: no F0 estimate has weight")
@@ -264,35 +258,3 @@ def weighted_f0(estimates) -> tuple[float, float]:
     mean = float((weights * values).sum() / weights.sum())
     sigma = float(math.sqrt(1.0 / weights.sum()))
     return mean, sigma
-
-
-# -- design optimizer --------------------------------------------------------
-
-
-def optimize_theta(cfg: TrapIonConfig, drive: OdfDrive, state: ThermalState,
-                   constraints=(math.radians(12.0), math.radians(36.0)),
-                   laser_wavelength: float = 313.1e-9,
-                   hard_limits=(math.radians(12.0), math.radians(36.0)),
-                   ) -> tuple[float, float]:
-    """Maximize F0(theta)/Gamma over the constraint window; returns (theta, ratio).
-
-    Gamma does not depend on theta, and F0 rises with delta_k up to the
-    Debye-Waller turnover (interactions.force_turnover_angle) and falls
-    after it, so the argmax is that turnover clipped to the window, or the
-    upper edge when F0 is monotone.
-    """
-    lo, hi = constraints
-    if not lo < hi:
-        raise FitInputError("constraint window is empty")
-    if lo < hard_limits[0] - 1e-12 or hi > hard_limits[1] + 1e-12:
-        raise FitInputError(
-            f"window [{math.degrees(lo):.2f}, {math.degrees(hi):.2f}] deg outside the "
-            f"mechanical limits [{math.degrees(hard_limits[0]):.1f}, "
-            f"{math.degrees(hard_limits[1]):.1f}] deg"
-        )
-    if drive.gamma <= 0:
-        raise FitInputError("gamma must be > 0")
-    turnover = force_turnover_angle(cfg, state, laser_wavelength)
-    theta = hi if math.isnan(turnover) else min(max(turnover, lo), hi)
-    geom = BeamGeometry(theta_odf=theta, laser_wavelength=laser_wavelength)
-    return theta, force_magnitude(geom, drive, cfg, state).f0 / drive.gamma

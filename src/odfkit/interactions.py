@@ -27,7 +27,8 @@ an RK4 integration of the phase-space trajectory and, at loop closure, to
 All three measurement lineshapes (`thermometry_model`,
 `precession_lineshape`, `gamma_decay_lineshape`) carry their own
 derivative: with jac=True each returns (P_up, d P_up / d params), the one
-function that both the simulators sample and the fits evaluate.
+function that both the simulators sample and the fits evaluate.  The angle
+design rule, `optimize_theta`, is the F0 turnover clipped to the window.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .constants import HBAR
 from .core import OdfDrive, ThermalState, TrapIonConfig, detuning, ground_state_extent, thermal_extent_sq
-from .geometry import BeamGeometry, delta_k
+from .geometry import BeamGeometry, GeometryInfeasibleError, delta_k
 
 
 class ResonanceSingularityError(ValueError):
@@ -219,3 +220,32 @@ def force_turnover_angle(
     if 2.0 * a <= 1.0:  # x_star >= 1, also where a underflows to 0
         return math.nan
     return 2.0 * math.asin(1.0 / math.sqrt(2.0 * a))
+
+
+def optimize_theta(cfg: TrapIonConfig, drive: OdfDrive, state: ThermalState,
+                   constraints=(math.radians(12.0), math.radians(36.0)),
+                   laser_wavelength: float = 313.1e-9,
+                   hard_limits=(math.radians(12.0), math.radians(36.0)),
+                   ) -> tuple[float, float]:
+    """Maximize F0(theta)/Gamma over the constraint window; returns (theta, ratio).
+
+    Gamma does not depend on theta, and F0 rises with delta_k up to the
+    Debye-Waller turnover (force_turnover_angle) and falls after it, so the
+    argmax is that turnover clipped to the window, or the upper edge when
+    F0 is monotone.  A window empty or outside hard_limits is infeasible.
+    """
+    lo, hi = constraints
+    if not lo < hi:
+        raise GeometryInfeasibleError("constraint window is empty")
+    if lo < hard_limits[0] - 1e-12 or hi > hard_limits[1] + 1e-12:
+        raise GeometryInfeasibleError(
+            f"window [{math.degrees(lo):.2f}, {math.degrees(hi):.2f}] deg outside the "
+            f"mechanical limits [{math.degrees(hard_limits[0]):.1f}, "
+            f"{math.degrees(hard_limits[1]):.1f}] deg"
+        )
+    if drive.gamma <= 0:
+        raise ValueError("gamma must be > 0")
+    turnover = force_turnover_angle(cfg, state, laser_wavelength)
+    theta = hi if math.isnan(turnover) else min(max(turnover, lo), hi)
+    geom = BeamGeometry(theta_odf=theta, laser_wavelength=laser_wavelength)
+    return theta, force_magnitude(geom, drive, cfg, state).f0 / drive.gamma

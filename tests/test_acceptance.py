@@ -20,18 +20,19 @@ from odfkit.core import (
     ground_state_extent,
     thermal_extent_sq,
 )
-from odfkit.fitting import (
-    FitInputError,
-    fit_far_detuned_gamma,
-    fit_precession,
-    fit_thermometry,
-    optimize_theta,
+from odfkit.fitting import fit_far_detuned_gamma, fit_precession, fit_thermometry
+from odfkit.geometry import (
+    BeamGeometry,
+    GeometryInfeasibleError,
+    delta_k,
+    effective_wavelength,
+    misalignment_phase,
 )
-from odfkit.geometry import BeamGeometry, delta_k, effective_wavelength, misalignment_phase
 from odfkit.interactions import (
     force_magnitude,
     gamma_decay_lineshape,
     j_bar,
+    optimize_theta,
     precession_lineshape,
     thermometry_model,
 )
@@ -250,7 +251,7 @@ def test_criterion_8_optimizer():
         optimize_theta(CFG, drive, ThermalState(1.27),
                        constraints=(math.radians(10.0), math.radians(36.0)))
         rejects = False
-    except FitInputError:
+    except GeometryInfeasibleError:
         rejects = True
     elapsed = time.time() - start
     report(8, "angle optimizer", worst < 0.01 and rejects,

@@ -253,6 +253,22 @@ def test_ratio_scan_zero_gamma_names_key(capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
+def test_ratio_scan_gamma_from_its_two_parts(capsys, tmp_path):
+    # gamma_per_s set nowhere: Gamma is (raman + elastic)/2, not the default 100
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"drive": {"gamma_raman_per_s": 10, "gamma_elastic_per_s": 20},
+                               "scenarios": {"set": {"drive": {"gamma_per_s": 100}}}}))
+    argv = ["ratio-scan", "--out", str(tmp_path), "--config", str(cfg), "--grid", "12:36:3"]
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    rows = np.loadtxt(tmp_path / "ratio_scan.csv", delimiter=",", skiprows=1)
+    assert (rows[:, 2] == 15.0).all()
+    assert "gamma_per_s" not in load_config(str(cfg)).raw["drive"]  # the manifest's config
+    # a gamma_per_s that the scenario sets is kept, and must agree with the parts
+    code, _, err = run(capsys, *argv, "--scenario", "set")
+    assert code == 1 and "got 100.0 vs 15.0" in err
+
+
 @pytest.mark.parametrize("text,argv,key", [
     ('{"thermal": {"n_bar": NaN}}', ["ratio-scan"], "config.thermal.n_bar"),
     ('{"drive": {"tau_s": NaN}}', ["simulate", "thermometry"], "config.drive.tau_s"),
@@ -602,10 +618,16 @@ def test_optimize_angle_output(capsys):
     assert "config_digest" in record["provenance"]
 
 
-def test_optimize_angle_rejects_bad_window(capsys):
-    code, _, err = run(capsys, "optimize-angle", "--window", "10:36")
-    assert code == 1
-    assert "error:" in err
+def test_optimize_angle_rejects_bad_window(capsys, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"drive": {"gamma_per_s": 0}}))
+    for argv, message in (
+            (["--window", "20:20"], "constraint window is empty"),
+            (["--window", "10:36"],
+             "window [10.00, 36.00] deg outside the mechanical limits [12.0, 36.0] deg"),
+            (["--config", str(cfg)], "gamma must be > 0")):
+        code, out, err = run(capsys, "optimize-angle", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("window", ["20", "12:20:36", "a:36"])
@@ -925,26 +947,28 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("odfkit."))]))
 """
 CLI_BASE = ["configio", "constants", "core", "geometry", "interactions"]
-WRITES = ["manifest", "simulate"]
-DRAWS = ["_stream_v1", "manifest", "simulate"]
+WRITES = ["csvio", "manifest"]
+SERIES = ["csvio", "manifest", "simulate"]
+DRAWS = ["_stream_v1", "csvio", "manifest", "simulate"]
+FITS = ["csvio", "fitting"]
 
 
 @pytest.mark.parametrize("argv,loads", [
     ("geom", []),
-    ("optimize-angle", ["fitting", "manifest"]),
+    ("optimize-angle", ["manifest"]),
     ("curves --grid 1:40:3", WRITES),
     ("ratio-scan --grid 12:36:3", WRITES),
     ("reproduce fig1de --grid 1:40:3", WRITES),
     ("simulate thermometry --grid 1.099e6:1.101e6:3", DRAWS),
     ("simulate precession --grid 0:90:3", DRAWS),
-    ("simulate drift --duration 100", WRITES),
-    ("simulate pathnoise --duration 1", WRITES),
-    ("reproduce fig5", WRITES),
-    ("fit thermometry", ["fitting", "simulate"]),
-    ("fit precession", ["fitting", "simulate"]),
-    ("fit gamma", ["fitting", "simulate"]),
-    ("reproduce fig3c --shots 50", ["_stream_v1", "fitting", "manifest", "simulate"]),
-    ("reproduce fig4c --shots 50", ["_stream_v1", "fitting", "manifest", "simulate"]),
+    ("simulate drift --duration 100", SERIES),
+    ("simulate pathnoise --duration 1", SERIES),
+    ("reproduce fig5", SERIES),
+    ("fit thermometry", FITS),
+    ("fit precession", FITS),
+    ("fit gamma", FITS),
+    ("reproduce fig3c --shots 50", ["_stream_v1", "csvio", "fitting", "manifest", "simulate"]),
+    ("reproduce fig4c --shots 50", ["_stream_v1", "csvio", "fitting", "manifest", "simulate"]),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_each_command_loads_only_the_modules_it_calls(tmp_path, argv, loads):
     argv = argv.split()

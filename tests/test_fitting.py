@@ -12,19 +12,20 @@ from odfkit.fitting import (
     fit_far_detuned_gamma,
     fit_precession,
     fit_thermometry,
-    optimize_theta,
     weighted_f0,
 )
-from odfkit.geometry import BeamGeometry
+from odfkit.csvio import ScanDataset
+from odfkit.geometry import BeamGeometry, GeometryInfeasibleError
 from odfkit.interactions import (
     force_magnitude,
     force_turnover_angle,
     gamma_decay_lineshape,
     j_bar,
+    optimize_theta,
     precession_lineshape,
     thermometry_model,
 )
-from odfkit.simulate import ScanDataset, simulate_precession, simulate_thermometry
+from odfkit.simulate import simulate_precession, simulate_thermometry
 
 CFG = TrapIonConfig()
 GEOM = BeamGeometry(theta_odf=math.radians(28.0))
@@ -243,6 +244,12 @@ def test_weighted_f0_validation():
     for f0 in (math.nan, math.inf):
         with pytest.raises(FitInputError, match="F0 values must be finite"):
             weighted_f0([(1.0, f0, 2.0)])
+    # a sigma whose square underflows to 0, and two whose weights 1/sigma^2 overflow
+    for entries in ([(1.0, 30.0, 1e-200)], [(1.0, 30.0, 1e-160), (2.0, 31.0, 1e-160)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitInputError, match="too small to weight"):
+                weighted_f0(entries)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy RuntimeWarning on the way to the error
         with pytest.raises(FitInputError, match="every sigma is infinite"):
@@ -298,10 +305,10 @@ def test_optimize_theta_is_the_turnover_clipped_to_the_window():
 
 def test_optimize_theta_rejects_windows_outside_limits():
     for window in ((11.0, 30.0), (14.0, 37.0)):
-        with pytest.raises(FitInputError):
+        with pytest.raises(GeometryInfeasibleError):
             optimize_theta(CFG, DRIVE, ThermalState(1.27),
                            constraints=tuple(math.radians(v) for v in window))
-    with pytest.raises(FitInputError):
+    with pytest.raises(GeometryInfeasibleError):
         optimize_theta(CFG, DRIVE, ThermalState(1.27),
                        constraints=(math.radians(20.0), math.radians(20.0)))
 
