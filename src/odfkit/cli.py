@@ -39,7 +39,6 @@ from .configio import ConfigError, Scenario, load_config
 from .constants import TWO_PI
 from .core import OdfDrive, ThermalState
 from .geometry import (
-    ActuatorBudget,
     ActuatorState,
     BeamGeometry,
     GeometryInfeasibleError,
@@ -194,8 +193,7 @@ def cmd_geom(args, scn: Scenario):
         "feasible": pose is not None,
         "phase_at_edge_deg": misalignment_phase(geom, scn.trap.crystal_radius),
         "pose": pose,
-        "angle_error_deg": math.degrees(
-            repeatability_to_angle_error(ActuatorBudget(), scn.mount)),
+        "angle_error_deg": math.degrees(repeatability_to_angle_error(scn.mount)),
     }
     print(_json(record))
     return 0
@@ -287,14 +285,11 @@ def cmd_fit(args, scn: Scenario):
 def cmd_optimize_angle(args, scn: Scenario):
     from .manifest import make_manifest
 
-    lo_deg, hi_deg = _parse_fields("--window", args.window, "lo:hi",
-                                   lambda lo, hi: (float(lo), float(hi)))
-    theta, ratio = optimize_theta(
-        scn.trap, scn.drive, scn.thermal,
-        constraints=(math.radians(lo_deg), math.radians(hi_deg)),
-        laser_wavelength=scn.beams.laser_wavelength,
-        hard_limits=(scn.mount.theta_min, scn.mount.theta_max),
-    )
+    window = None  # the mount's window
+    if args.window is not None:
+        window = _parse_fields("--window", args.window, "lo:hi",
+                               lambda lo, hi: (math.radians(float(lo)), math.radians(float(hi))))
+    theta, ratio = optimize_theta(scn.trap, scn.drive, scn.thermal, scn.mount, window)
     record = {
         "theta_deg": math.degrees(theta),
         "ratio_N_s": ratio,
@@ -333,9 +328,11 @@ def cmd_fig4c(args, scn: Scenario):
 
     theta_list = [14.0, 17.0, 20.0, 24.0, 28.0]
     deltas = [TWO_PI * delta_hz for delta_hz in (1.5e3, 2.0e3, 3.0e3)]
-    # the coupling scales with delta_ac^2; floor the probe drive so the
-    # weakest operating point still precesses above the shot noise
-    delta_ac_probe = max(scn.drive.delta_ac, TWO_PI * 2.5e3)
+    if scn.drive.gamma <= 0:  # checked before any scan is drawn: the ratio divides by it
+        raise ConfigError("reproduce fig4c needs drive.gamma_per_s > 0")
+    # the coupling scales with delta_ac^2, and F0 with |delta_ac|; floor the probe
+    # drive so the weakest operating point still precesses above the shot noise
+    delta_ac_probe = max(abs(scn.drive.delta_ac), TWO_PI * 2.5e3)
     drives = [OdfDrive(delta_ac=delta_ac_probe, mu=scn.trap.omega_com + delta,
                        tau=scn.drive.tau, gamma=scn.drive.gamma) for delta in deltas]
     if any(drive.mu == scn.trap.omega_com for drive in drives):  # omega_com absorbs delta
@@ -398,7 +395,7 @@ _FLAGS = {
     "--rate": dict(type=_finite_float, default=0.002, help="drift rate in deg/h"),
     "--jitter": dict(type=_finite_float, default=0.0, help="drift jitter in deg"),
     "--data": dict(required=True, help="dataset CSV (abscissa,p_up,sigma)"),
-    "--window": dict(default="12:36", help="theta window lo:hi in degrees"),
+    "--window": dict(help="theta window lo:hi in degrees (default: the mount's window)"),
     "--theta": dict(type=_finite_float, help="full separation angle in degrees"),
     "--actuators": dict(help="JSON file with one or two actuator poses"),
 }

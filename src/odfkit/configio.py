@@ -129,6 +129,7 @@ def load_config(path=None, scenario: str | None = None) -> Scenario:
 
 
 def build_scenario(merged: dict) -> Scenario:
+    """The Scenario of a merged config, in SI; Gamma is gamma_per_s or the mean of its parts."""
     num = {section: {key: val if key == "n_ions" else float(val) for key, val in body.items()}
            for section, body in merged.items()}  # so an int config writes %.17e CSV columns
     t = num["trap"]
@@ -140,14 +141,19 @@ def build_scenario(merged: dict) -> Scenario:
         n_ions=t["n_ions"],
         crystal_radius=t["crystal_radius_m"],
     )
-    drive = OdfDrive(
-        delta_ac=TWO_PI * d["delta_ac_hz"],
-        mu=TWO_PI * d["mu_hz"],
-        tau=d["tau_s"],
-        gamma=d.get("gamma_per_s"),
-        gamma_raman=d.get("gamma_raman_per_s"),
-        gamma_elastic=d.get("gamma_elastic_per_s"),
-    )
+    parts = [d[key] for key in ("gamma_raman_per_s", "gamma_elastic_per_s") if key in d]
+    if len(parts) == 1:
+        raise ConfigError("drive: give both gamma_raman_per_s and gamma_elastic_per_s, or neither")
+    if parts:  # Gamma = (Gamma_Raman + Gamma_elastic) / 2
+        composed = 0.5 * (parts[0] + parts[1])
+        gamma = d.get("gamma_per_s", composed)
+        if abs(gamma - composed) > 1e-12 * max(abs(composed), 1e-300):
+            raise ConfigError("gamma must equal (gamma_raman + gamma_elastic)/2: "
+                              f"got {gamma} vs {composed}")
+    else:
+        gamma = d["gamma_per_s"]
+    drive = OdfDrive(delta_ac=TWO_PI * d["delta_ac_hz"], mu=TWO_PI * d["mu_hz"],
+                     tau=d["tau_s"], gamma=gamma)
     beams = BeamGeometry(
         theta_odf=math.radians(b["theta_odf_deg"]),
         laser_wavelength=b["laser_wavelength_m"],

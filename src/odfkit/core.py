@@ -54,30 +54,18 @@ class OdfDrive:
     input, not derived from optical power), mu the beat frequency of the
     two beams, tau the per-arm duration of the spin-echo sequence, and
     gamma the total off-resonant scattering decoherence rate
-    Gamma = (Gamma_Raman + Gamma_elastic) / 2.
+    Gamma = (Gamma_Raman + Gamma_elastic) / 2; a config given the two
+    parts composes it (configio.build_scenario).
     """
 
     delta_ac: float = TWO_PI * 800.0  # rad/s
     mu: float = TWO_PI * 1.1e6  # rad/s
     tau: float = 500e-6  # s
-    gamma: float | None = 100.0  # 1/s
-    gamma_raman: float | None = None
-    gamma_elastic: float | None = None
+    gamma: float = 100.0  # 1/s
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
-        if self.gamma_raman is not None and self.gamma_elastic is not None:
-            composed = 0.5 * (self.gamma_raman + self.gamma_elastic)
-            if self.gamma is None:
-                object.__setattr__(self, "gamma", composed)
-            elif abs(self.gamma - composed) > 1e-12 * max(abs(composed), 1e-300):
-                raise ValueError(
-                    "gamma must equal (gamma_raman + gamma_elastic)/2: "
-                    f"got {self.gamma} vs {composed}"
-                )
-        if self.gamma is None:
-            raise ValueError("gamma is required unless both partial rates are given")
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 

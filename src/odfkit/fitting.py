@@ -255,6 +255,9 @@ def weighted_f0(estimates) -> tuple[float, float]:
     if not weights.sum() > 0:
         raise FitInputError("every sigma is infinite: no F0 estimate has weight")
     values = np.array([f for _, f, _ in entries])
-    mean = float((weights * values).sum() / weights.sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an input error below
+        mean = float((weights * values).sum() / weights.sum())
+    if not math.isfinite(mean):
+        raise FitInputError("the F0 values are too large to weight: their weighted sum overflows")
     sigma = float(math.sqrt(1.0 / weights.sum()))
     return mean, sigma

@@ -11,7 +11,9 @@ off a mirror sitting on a rotary + linear piezo stack: rotating a mirror
 by phi deflects its beam by 2 phi, and the linear stage slides the mirror
 along the bore axis so the deflected beam still passes through trap
 center.  The kinematic closure here maps actuator poses to theta_odf and
-back, and propagates the actuator repeatability budget to an angle error.
+back, and propagates the stages' fixed repeatabilities to an angle error.
+`MountGeometry` owns the mechanical angle window and the laser wavelength
+that the angle design (interactions.optimize_theta) works in.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TWO_PI
+
+# closed-loop repeatabilities of the rotary and linear stages of each mirror stack
+ROTARY_REPEATABILITY_DEG = 0.0014
+LINEAR_REPEATABILITY_M = 30e-9
 
 
 class GeometryInfeasibleError(ValueError):
@@ -75,26 +81,15 @@ class ActuatorState:
 
 
 @dataclass(frozen=True)
-class ActuatorBudget:
-    """Closed-loop repeatabilities of the stack."""
-
-    rotary_repeatability: float = 0.0014  # degrees
-    linear_repeatability: float = 30e-9  # m
-
-    def __post_init__(self):
-        if min(self.rotary_repeatability, self.linear_repeatability) < 0:
-            raise ValueError("budget entries must be >= 0")
-
-
-@dataclass(frozen=True)
 class MountGeometry:
     """Fixed lever arms of the mirror stack relative to the ion crystal.
 
     d_axial is the mirror-to-ion distance along the bore axis when the
     linear stage sits at 0; d_radial is the lateral mirror offset from the
     axis.  Defaults are chosen so the 12-36 degree window fits inside the
-    21 mm linear travel; the mechanical angle limits themselves are
-    configurable.
+    21 mm linear travel.  [theta_min, theta_max] bounds every pose and is
+    the window optimize_theta searches unless given a narrower one;
+    laser_wavelength is the beams' own (build_scenario copies it).
     """
 
     d_axial: float = 28.6e-3  # m
@@ -230,14 +225,14 @@ def actuators_for_angle(target_theta: float, mount: MountGeometry) -> ActuatorSt
     return ActuatorState(rotary_angle=rotary, linear_pos=linear)
 
 
-def repeatability_to_angle_error(budget: ActuatorBudget, mount: MountGeometry) -> float:
-    """Worst-case theta_odf uncertainty, in radians, from the actuator budget.
+def repeatability_to_angle_error(mount: MountGeometry) -> float:
+    """Worst-case theta_odf uncertainty, in radians, from the stage repeatabilities.
 
     Worst-case (not quadrature) sum: the rotary repeatability enters with
     a factor 2 per mirror for the mirror-to-beam deflection and once per
     mirror; the linear repeatability tilts the effective crossing by its
     angular equivalent at the d_axial lever arm.
     """
-    rotary_term = 2.0 * 2.0 * math.radians(budget.rotary_repeatability)
-    linear_term = math.atan(budget.linear_repeatability / mount.d_axial)
+    rotary_term = 2.0 * 2.0 * math.radians(ROTARY_REPEATABILITY_DEG)
+    linear_term = math.atan(LINEAR_REPEATABILITY_M / mount.d_axial)
     return rotary_term + linear_term

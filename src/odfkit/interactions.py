@@ -28,7 +28,8 @@ All three measurement lineshapes (`thermometry_model`,
 `precession_lineshape`, `gamma_decay_lineshape`) carry their own
 derivative: with jac=True each returns (P_up, d P_up / d params), the one
 function that both the simulators sample and the fits evaluate.  The angle
-design rule, `optimize_theta`, is the F0 turnover clipped to the window.
+design rule, `optimize_theta`, is the F0 turnover clipped to an angle
+window, by default the mount's mechanical one.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from .constants import HBAR
 from .core import OdfDrive, ThermalState, TrapIonConfig, detuning, ground_state_extent, thermal_extent_sq
-from .geometry import BeamGeometry, GeometryInfeasibleError, delta_k
+from .geometry import BeamGeometry, GeometryInfeasibleError, MountGeometry, delta_k
 
 
 class ResonanceSingularityError(ValueError):
@@ -204,11 +205,7 @@ def gamma_decay_lineshape(gamma: float, tau_grid, jac=False):
     return p_up, (tau * decay)[:, None]
 
 
-def force_turnover_angle(
-    cfg: TrapIonConfig,
-    state: ThermalState,
-    laser_wavelength: float = 313.1e-9,
-) -> float:
+def force_turnover_angle(cfg: TrapIonConfig, state: ThermalState, laser_wavelength: float) -> float:
     """Angle theta* where dF0/dtheta = 0, or nan when F0 is monotone below pi.
 
     With x = sin(theta/2), F0 is proportional to x exp(-a x^2) with
@@ -223,29 +220,28 @@ def force_turnover_angle(
 
 
 def optimize_theta(cfg: TrapIonConfig, drive: OdfDrive, state: ThermalState,
-                   constraints=(math.radians(12.0), math.radians(36.0)),
-                   laser_wavelength: float = 313.1e-9,
-                   hard_limits=(math.radians(12.0), math.radians(36.0)),
-                   ) -> tuple[float, float]:
-    """Maximize F0(theta)/Gamma over the constraint window; returns (theta, ratio).
+                   mount: MountGeometry, window=None) -> tuple[float, float]:
+    """Maximize F0(theta)/Gamma over a window in rad; returns (theta, ratio).
 
-    Gamma does not depend on theta, and F0 rises with delta_k up to the
-    Debye-Waller turnover (force_turnover_angle) and falls after it, so the
-    argmax is that turnover clipped to the window, or the upper edge when
-    F0 is monotone.  A window empty or outside hard_limits is infeasible.
+    The window defaults to the mount's mechanical window, and a window that
+    is empty or reaches outside it is infeasible; the beams have the mount's
+    laser wavelength.  Gamma does not depend on theta, and F0 rises with
+    delta_k up to the Debye-Waller turnover (force_turnover_angle) and falls
+    after it, so the argmax is that turnover clipped to the window, or the
+    upper edge when F0 is monotone.
     """
-    lo, hi = constraints
+    lo, hi = (mount.theta_min, mount.theta_max) if window is None else window
     if not lo < hi:
         raise GeometryInfeasibleError("constraint window is empty")
-    if lo < hard_limits[0] - 1e-12 or hi > hard_limits[1] + 1e-12:
+    if lo < mount.theta_min - 1e-12 or hi > mount.theta_max + 1e-12:
         raise GeometryInfeasibleError(
             f"window [{math.degrees(lo):.2f}, {math.degrees(hi):.2f}] deg outside the "
-            f"mechanical limits [{math.degrees(hard_limits[0]):.1f}, "
-            f"{math.degrees(hard_limits[1]):.1f}] deg"
+            f"mechanical limits [{math.degrees(mount.theta_min):.1f}, "
+            f"{math.degrees(mount.theta_max):.1f}] deg"
         )
     if drive.gamma <= 0:
         raise ValueError("gamma must be > 0")
-    turnover = force_turnover_angle(cfg, state, laser_wavelength)
+    turnover = force_turnover_angle(cfg, state, mount.laser_wavelength)
     theta = hi if math.isnan(turnover) else min(max(turnover, lo), hi)
-    geom = BeamGeometry(theta_odf=theta, laser_wavelength=laser_wavelength)
+    geom = BeamGeometry(theta_odf=theta, laser_wavelength=mount.laser_wavelength)
     return theta, force_magnitude(geom, drive, cfg, state).f0 / drive.gamma

@@ -5,7 +5,8 @@ lineshapes into a `ScanDataset`; every point gets its own counter-based RNG
 substream derived from (seed, point index), so datasets are reproducible
 byte-for-byte and independent of evaluation order.  The stability generators
 return a `Series` and model the slow angular drift and the differential
-beam-path fluctuation of the in-bore optics.  Both containers live in `csvio`.
+beam-path fluctuation of the in-bore optics, the latter always rescaled to
+its model's target RMS.  Both containers live in `csvio`.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class PathNoiseModel:
     slow_amplitude: float = 20e-9  # m
     slow_cutoff: float = 0.1  # Hz, well below 1 Hz
     fast_amplitude: float = 5e-9  # m
-    target_rms: float | None = 12e-9  # m; None leaves the raw sum unscaled
+    target_rms: float = 12e-9  # m, RMS of the summed series
     seed: int = 0
 
     def __post_init__(self):
@@ -166,7 +167,7 @@ def simulate_path_noise(model: PathNoiseModel, duration: float, rate: float) -> 
 
     Slow band: a random walk through a one-pole low-pass at slow_cutoff,
     scaled to slow_amplitude RMS.  Fast band: white at fast_amplitude RMS.
-    The sum is rescaled to target_rms when set.
+    The sum is rescaled to target_rms RMS (an all-zero sum stays zero).
     """
     if duration <= 0 or rate <= 0:
         raise ValueError("duration and rate must be > 0")
@@ -193,10 +194,9 @@ def simulate_path_noise(model: PathNoiseModel, duration: float, rate: float) -> 
         fast = rng.standard_normal(n)
         fast *= model.fast_amplitude
         series += fast
-    if model.target_rms is not None:
-        rms = math.sqrt(float(np.mean(series * series)))
-        if rms > 0:
-            series *= model.target_rms / rms
+    rms = math.sqrt(float(np.mean(series * series)))
+    if rms > 0:
+        series *= model.target_rms / rms
     t = np.arange(n, dtype=float)
     t *= dt
     meta = {"kind": "pathnoise", "seed": model.seed, "rate_hz": rate,

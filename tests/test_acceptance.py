@@ -24,6 +24,7 @@ from odfkit.fitting import fit_far_detuned_gamma, fit_precession, fit_thermometr
 from odfkit.geometry import (
     BeamGeometry,
     GeometryInfeasibleError,
+    MountGeometry,
     delta_k,
     effective_wavelength,
     misalignment_phase,
@@ -237,9 +238,8 @@ def test_criterion_8_optimizer():
         lo = float(rng.uniform(12.0, 20.0))
         hi = float(rng.uniform(lo + 2.0, 36.0))
         state = ThermalState(n_bar)
-        theta_star, _ = optimize_theta(
-            CFG, drive, state, constraints=(math.radians(lo), math.radians(hi)),
-            laser_wavelength=lam)
+        theta_star, _ = optimize_theta(CFG, drive, state, MountGeometry(laser_wavelength=lam),
+                                       (math.radians(lo), math.radians(hi)))
 
         def ratio(thetas):
             g = BeamGeometry(theta_odf=thetas, laser_wavelength=lam)
@@ -248,8 +248,8 @@ def test_criterion_8_optimizer():
         grid_theta, _ = oracles.grid_max(ratio, math.radians(lo), math.radians(hi))
         worst = max(worst, abs(math.degrees(theta_star - grid_theta)))
     try:
-        optimize_theta(CFG, drive, ThermalState(1.27),
-                       constraints=(math.radians(10.0), math.radians(36.0)))
+        optimize_theta(CFG, drive, ThermalState(1.27), MountGeometry(),
+                       (math.radians(10.0), math.radians(36.0)))
         rejects = False
     except GeometryInfeasibleError:
         rejects = True

@@ -246,11 +246,12 @@ def test_ratio_scan_hot_rows_are_the_force_model(capsys, tmp_path):
 def test_ratio_scan_zero_gamma_names_key(capsys, tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"drive": {"gamma_per_s": 0}}))
-    code, out, err = run(capsys, "ratio-scan", "--out", str(tmp_path), "--config", str(cfg))
-    assert code == 1
-    assert out == "" and not (tmp_path / "ratio_scan.csv").exists()
-    assert err.startswith("error:") and "gamma_per_s" in err
-    assert len(err.splitlines()) == 1
+    # fig4c checks before it draws a scan; it ended in a float division by zero before
+    for argv, name in ((["ratio-scan"], "ratio_scan"), (["reproduce", "fig4c"], "fig4c")):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path), "--config", str(cfg))
+        assert code == 1
+        assert out == "" and not (tmp_path / f"{name}.csv").exists()
+        assert err == f"error: {' '.join(argv)} needs drive.gamma_per_s > 0\n"
 
 
 def test_ratio_scan_gamma_from_its_two_parts(capsys, tmp_path):
@@ -267,6 +268,24 @@ def test_ratio_scan_gamma_from_its_two_parts(capsys, tmp_path):
     # a gamma_per_s that the scenario sets is kept, and must agree with the parts
     code, _, err = run(capsys, *argv, "--scenario", "set")
     assert code == 1 and "got 100.0 vs 15.0" in err
+
+
+@pytest.mark.parametrize("key", ["gamma_raman_per_s", "gamma_elastic_per_s"])
+def test_lone_gamma_part_is_an_error(capsys, tmp_path, key):
+    # one part alone ran with the default Gamma of 100 before; the merged config decides
+    cfg = tmp_path / "config.json"
+    other = ({"gamma_raman_per_s", "gamma_elastic_per_s"} - {key}).pop()
+    cfg.write_text(json.dumps({"drive": {key: 10},
+                               "scenarios": {"both": {"drive": {other: 20}}}}))
+    argv = ["ratio-scan", "--out", str(tmp_path), "--config", str(cfg), "--grid", "12:36:3"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and not (tmp_path / "ratio_scan.csv").exists()
+    assert err == ("error: drive: give both gamma_raman_per_s and gamma_elastic_per_s, "
+                   "or neither\n")
+    code, _, err = run(capsys, *argv, "--scenario", "both")
+    assert code == 0, err
+    rows = np.loadtxt(tmp_path / "ratio_scan.csv", delimiter=",", skiprows=1)
+    assert (rows[:, 2] == 15.0).all()
 
 
 @pytest.mark.parametrize("text,argv,key", [
@@ -618,6 +637,19 @@ def test_optimize_angle_output(capsys):
     assert "config_digest" in record["provenance"]
 
 
+def test_optimize_angle_searches_the_mount_window(capsys, tmp_path):
+    # without --window the window is the mount's: a narrower mount ran into a 12:36
+    # default before, and a wider one was searched only up to 36 deg
+    cfg = tmp_path / "config.json"
+    for doc, theta in (({"mount": {"theta_min_deg": 15}}, 36.0),
+                       ({"mount": {"theta_max_deg": 50, "linear_travel_m": 0.03},
+                         "thermal": {"n_bar": 0.1}}, 50.0)):
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "optimize-angle", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        assert strict_json(out)["theta_deg"] == pytest.approx(theta, abs=1e-12)
+
+
 def test_optimize_angle_rejects_bad_window(capsys, tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"drive": {"gamma_per_s": 0}}))
@@ -625,6 +657,7 @@ def test_optimize_angle_rejects_bad_window(capsys, tmp_path):
             (["--window", "20:20"], "constraint window is empty"),
             (["--window", "10:36"],
              "window [10.00, 36.00] deg outside the mechanical limits [12.0, 36.0] deg"),
+            (["--window", ""], "bad --window '', expected lo:hi"),  # not the mount's window
             (["--config", str(cfg)], "gamma must be > 0")):
         code, out, err = run(capsys, "optimize-angle", *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -664,6 +697,20 @@ def test_reproduce_fig4c(capsys, tmp_path):
     rows = [r.split(",") for r in (tmp_path / "fig4c.csv").read_text().splitlines()[1:]]
     eit = {float(r[1]): float(r[4]) for r in rows if r[0] == "eit"}
     assert eit[28.0] / eit[14.0] == pytest.approx(1.9, abs=0.3)
+
+
+def test_fig4c_probe_drive_is_set_by_the_size_of_delta_ac(capsys, tmp_path):
+    # F0 depends on |delta_ac| alone: a negative delta_ac was floored to 2.5 kHz before
+    digests = []
+    for delta_ac_hz in (-5000.0, 5000.0):
+        out = tmp_path / str(delta_ac_hz)
+        out.mkdir()
+        (out / "config.json").write_text(json.dumps({"drive": {"delta_ac_hz": delta_ac_hz}}))
+        argv = ["reproduce", "fig4c", "--shots", "50", "--out", str(out),
+                "--config", str(out / "config.json")]
+        assert run(capsys, *argv)[0] == 0
+        digests.append(hashlib.sha256((out / "fig4c.csv").read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_reproduce_fig5(capsys, tmp_path):

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
-from odfkit.configio import DEFAULT_CONFIG, ConfigError, build_scenario, load_config
-from odfkit.geometry import MountGeometry
+from odfkit.configio import _SCHEMA, DEFAULT_CONFIG, ConfigError, build_scenario, load_config
+from odfkit.core import OdfDrive, ThermalState, TrapIonConfig
+from odfkit.geometry import BeamGeometry, MountGeometry
 from odfkit.manifest import config_digest, make_manifest, write_manifest
 
 
@@ -109,6 +111,58 @@ def test_mount_keys_set_only_their_fields(tmp_path):
     path = write(tmp_path, {"mount": {"theta_max_deg": 50, "linear_travel_m": 0.03}})
     mount = load_config(path).mount
     assert mount == MountGeometry(theta_max=math.radians(50.0), linear_travel=0.03)
+
+
+def test_gamma_composition_consistency(tmp_path):
+    # Gamma = (raman + elastic) / 2 when both parts are given, in one layer or across two
+    parts = {"gamma_raman_per_s": 150.0, "gamma_elastic_per_s": 30.0}
+    assert load_config(write(tmp_path, {"drive": parts})).drive.gamma == 90.0
+    split = {"drive": {"gamma_raman_per_s": 150.0},
+             "scenarios": {"s": {"drive": {"gamma_elastic_per_s": 30.0}}}}
+    assert load_config(write(tmp_path, split), "s").drive.gamma == 90.0
+    assert load_config(write(tmp_path, {"drive": {**parts, "gamma_per_s": 90}})).drive.gamma == 90.0
+    with pytest.raises(ConfigError, match=r"\(gamma_raman \+ gamma_elastic\)/2: got 100.0 vs 90.0"):
+        load_config(write(tmp_path, {"drive": {**parts, "gamma_per_s": 100.0}}))
+    # one part alone is an input error naming both keys, not the default Gamma
+    with pytest.raises(ConfigError, match="gamma_raman_per_s and gamma_elastic_per_s"):
+        load_config(write(tmp_path, split))
+
+
+# a valid value, unlike the default, of each config key; the two Gamma parts go as a pair
+KEY_VALUES = {
+    ("trap", "ion_mass_amu"): 9.1, ("trap", "omega_com_hz"): 1.2e6, ("trap", "n_ions"): 126,
+    ("trap", "crystal_radius_m"): 100e-6, ("drive", "delta_ac_hz"): 900.0,
+    ("drive", "mu_hz"): 1.2e6, ("drive", "tau_s"): 400e-6, ("drive", "gamma_per_s"): 50.0,
+    ("beams", "laser_wavelength_m"): 300e-9, ("beams", "theta_odf_deg"): 20.0,
+    ("beams", "tilt_error_deg"): 1.0, ("thermal", "n_bar"): 2.0,
+    ("mount", "d_axial_m"): 30e-3, ("mount", "d_radial_m"): 4e-3,
+    ("mount", "theta_min_deg"): 13.0, ("mount", "theta_max_deg"): 35.0,
+    ("mount", "crossing_tolerance_m"): 20e-6, ("mount", "linear_travel_m"): 22e-3,
+}
+GAMMA_PARTS = {"gamma_raman_per_s": 30.0, "gamma_elastic_per_s": 10.0}
+
+
+def test_every_key_sets_a_field_and_every_field_has_a_key(tmp_path):
+    # a key that moves no Scenario field is dead; a field that no key moves is out of reach
+    cases = [{section: {key: value}} for (section, key), value in KEY_VALUES.items()]
+    cases.append({"drive": GAMMA_PARTS})
+    assert ({(section, key) for case in cases for section, body in case.items() for key in body}
+            == {(section, key) for section, keys in _SCHEMA.items() for key in keys})
+    base = load_config()
+    parts = ("trap", "drive", "beams", "thermal", "mount")
+    reached = set()
+    for case in cases:
+        scn = load_config(write(tmp_path, case))
+        moved = {(type(getattr(base, part)).__name__, field.name) for part in parts
+                 for field in dataclasses.fields(getattr(base, part))
+                 if getattr(getattr(scn, part), field.name)
+                 != getattr(getattr(base, part), field.name)}
+        assert moved, case
+        reached |= moved
+    assert reached == {(cls.__name__, field.name)
+                       for cls in (TrapIonConfig, OdfDrive, BeamGeometry, ThermalState,
+                                   MountGeometry)
+                       for field in dataclasses.fields(cls)}
 
 
 def test_int_config_values_become_floats():

@@ -84,17 +84,3 @@ def test_drive_invariants():
         OdfDrive(tau=0.0)
     with pytest.raises(ValueError):
         OdfDrive(gamma=-1.0)
-
-
-def test_gamma_composition_consistency():
-    # gamma = (raman + elastic) / 2 when both partial rates are given
-    drive = OdfDrive(gamma=None, gamma_raman=150.0, gamma_elastic=50.0)
-    assert drive.gamma == pytest.approx(100.0, rel=1e-14)
-    OdfDrive(gamma=100.0, gamma_raman=150.0, gamma_elastic=50.0)  # consistent
-    with pytest.raises(ValueError):
-        OdfDrive(gamma=90.0, gamma_raman=150.0, gamma_elastic=50.0)
-
-
-def test_gamma_required_without_partials():
-    with pytest.raises(ValueError):
-        OdfDrive(gamma=None)

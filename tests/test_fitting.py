@@ -15,7 +15,7 @@ from odfkit.fitting import (
     weighted_f0,
 )
 from odfkit.csvio import ScanDataset
-from odfkit.geometry import BeamGeometry, GeometryInfeasibleError
+from odfkit.geometry import BeamGeometry, GeometryInfeasibleError, MountGeometry
 from odfkit.interactions import (
     force_magnitude,
     force_turnover_angle,
@@ -30,6 +30,7 @@ from odfkit.simulate import simulate_precession, simulate_thermometry
 CFG = TrapIonConfig()
 GEOM = BeamGeometry(theta_odf=math.radians(28.0))
 DRIVE = OdfDrive()
+MOUNT = MountGeometry()  # the 12-36 degree window
 MU = CFG.omega_com + 2 * math.pi * np.linspace(-3e3, 3e3, 30)
 
 
@@ -254,6 +255,12 @@ def test_weighted_f0_validation():
         warnings.simplefilter("error")  # no numpy RuntimeWarning on the way to the error
         with pytest.raises(FitInputError, match="every sigma is infinite"):
             weighted_f0([(1.0, 30.0, math.inf), (2.0, 31.0, math.inf)])
+    # an F0 whose weighted sum overflows, alone or against one of the other sign
+    for entries in ([(1.0, 1e308, 0.1)], [(1.0, 1e308, 0.1), (2.0, -1e308, 0.1)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitInputError, match="too large to weight"):
+                weighted_f0(entries)
     # an infinite sigma among finite ones carries no weight
     assert weighted_f0([(1.0, 30.0, 2.0), (2.0, 99.0, math.inf)]) == (30.0, 2.0)
 
@@ -279,9 +286,8 @@ def test_optimize_theta_matches_grid_oracle_50_cases():
         lo = float(rng.uniform(12.0, 20.0))
         hi = float(rng.uniform(lo + 2.0, 36.0))
         state = ThermalState(n_bar)
-        theta_star, _ = optimize_theta(
-            CFG, DRIVE, state, constraints=(math.radians(lo), math.radians(hi)),
-            laser_wavelength=lam)
+        theta_star, _ = optimize_theta(CFG, DRIVE, state, MountGeometry(laser_wavelength=lam),
+                                       (math.radians(lo), math.radians(hi)))
 
         def ratio(thetas):
             g = BeamGeometry(theta_odf=thetas, laser_wavelength=lam)
@@ -293,41 +299,41 @@ def test_optimize_theta_matches_grid_oracle_50_cases():
 
 def test_optimize_theta_is_the_turnover_clipped_to_the_window():
     hot = ThermalState(10.7)
-    theta, ratio = optimize_theta(CFG, DRIVE, hot)
-    assert theta == force_turnover_angle(CFG, hot)
+    theta, ratio = optimize_theta(CFG, DRIVE, hot, MOUNT)
+    assert theta == force_turnover_angle(CFG, hot, MOUNT.laser_wavelength)
     assert ratio == force_magnitude(BeamGeometry(theta_odf=theta), DRIVE, CFG, hot).f0 / DRIVE.gamma
     for window, edge in (((12.0, 20.0), 20.0), ((30.0, 36.0), 30.0)):
         window = tuple(math.radians(v) for v in window)
-        assert optimize_theta(CFG, DRIVE, hot, constraints=window)[0] == math.radians(edge)
+        assert optimize_theta(CFG, DRIVE, hot, MOUNT, window)[0] == math.radians(edge)
     # no turnover below the upper edge: F0 rises across the whole window
-    assert optimize_theta(CFG, DRIVE, ThermalState(0.0))[0] == math.radians(36.0)
+    assert optimize_theta(CFG, DRIVE, ThermalState(0.0), MOUNT)[0] == math.radians(36.0)
 
 
 def test_optimize_theta_rejects_windows_outside_limits():
     for window in ((11.0, 30.0), (14.0, 37.0)):
         with pytest.raises(GeometryInfeasibleError):
-            optimize_theta(CFG, DRIVE, ThermalState(1.27),
-                           constraints=tuple(math.radians(v) for v in window))
+            optimize_theta(CFG, DRIVE, ThermalState(1.27), MOUNT,
+                           tuple(math.radians(v) for v in window))
     with pytest.raises(GeometryInfeasibleError):
-        optimize_theta(CFG, DRIVE, ThermalState(1.27),
-                       constraints=(math.radians(20.0), math.radians(20.0)))
+        optimize_theta(CFG, DRIVE, ThermalState(1.27), MOUNT,
+                       (math.radians(20.0), math.radians(20.0)))
 
 
 def test_optimize_theta_boundary_for_cold_crystal():
     # cold-crystal turnover sits far above the window, so the edge wins
-    theta, _ = optimize_theta(CFG, DRIVE, ThermalState(1.27))
+    theta, _ = optimize_theta(CFG, DRIVE, ThermalState(1.27), MOUNT)
     assert theta == pytest.approx(math.radians(36.0), abs=1e-9)
 
 
 def test_optimize_theta_interior_for_hot_crystal():
     # hot-crystal rolloff pulls the optimum inside the window
-    theta, _ = optimize_theta(CFG, DRIVE, ThermalState(10.7))
+    theta, _ = optimize_theta(CFG, DRIVE, ThermalState(10.7), MOUNT)
     assert math.radians(12.0) < theta < math.radians(36.0)
     assert math.degrees(theta) == pytest.approx(26.97, abs=0.01)
 
 
 def test_optimize_theta_gamma_invariance():
     # argmax of F0/Gamma equals argmax of F0 for constant Gamma
-    a, _ = optimize_theta(CFG, OdfDrive(gamma=50.0), ThermalState(10.7))
-    b, _ = optimize_theta(CFG, OdfDrive(gamma=200.0), ThermalState(10.7))
+    a, _ = optimize_theta(CFG, OdfDrive(gamma=50.0), ThermalState(10.7), MOUNT)
+    b, _ = optimize_theta(CFG, OdfDrive(gamma=200.0), ThermalState(10.7), MOUNT)
     assert a == pytest.approx(b, abs=1e-9)

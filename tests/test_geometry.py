@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 import oracles
 from odfkit.geometry import (
-    ActuatorBudget,
+    LINEAR_REPEATABILITY_M,
+    ROTARY_REPEATABILITY_DEG,
     ActuatorState,
     BeamGeometry,
     GeometryInfeasibleError,
@@ -232,23 +233,17 @@ def test_mount_rejects_bad_field_by_name(field, value):
 
 
 def test_rotary_only_budget():
-    budget = ActuatorBudget(rotary_repeatability=0.0014, linear_repeatability=0.0)
-    err = repeatability_to_angle_error(budget, MountGeometry())
-    assert math.degrees(err) == pytest.approx(0.0056, rel=1e-9)
-
-
-def test_zero_budget():
-    budget = ActuatorBudget(rotary_repeatability=0.0, linear_repeatability=0.0)
-    assert repeatability_to_angle_error(budget, MountGeometry()) == 0.0
+    # at the default 28.6 mm lever arm: the rotary part is 2 x 2 x 0.0014 deg
+    assert (ROTARY_REPEATABILITY_DEG, LINEAR_REPEATABILITY_M) == (0.0014, 30e-9)
+    err = repeatability_to_angle_error(MountGeometry())
+    linear = math.atan(30e-9 / 28.6e-3)
+    assert math.degrees(err - linear) == pytest.approx(0.0056, rel=1e-9)
 
 
 def test_linear_only_budget_at_50mm():
-    budget = ActuatorBudget(rotary_repeatability=0.0, linear_repeatability=30e-9)
-    err = repeatability_to_angle_error(budget, MountGeometry(d_axial=50e-3))
-    assert err == pytest.approx(math.atan(30e-9 / 50e-3), rel=1e-12)
-    assert err == pytest.approx(6e-7, rel=1e-3)
-
-
-def test_budget_rejects_negative():
-    with pytest.raises(ValueError):
-        ActuatorBudget(rotary_repeatability=-0.001)
+    # the linear part shrinks with the lever arm; the rotary part does not move
+    err = repeatability_to_angle_error(MountGeometry(d_axial=50e-3))
+    linear = err - 4.0 * math.radians(0.0014)
+    assert linear == pytest.approx(math.atan(30e-9 / 50e-3), rel=1e-9)
+    assert linear == pytest.approx(6e-7, rel=1e-3)
+    assert err < repeatability_to_angle_error(MountGeometry())

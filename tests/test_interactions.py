@@ -26,6 +26,7 @@ from odfkit.interactions import _dq, _dr, _q, _r
 
 CFG = TrapIonConfig()
 Z0 = ground_state_extent(CFG)
+LAMBDA = BeamGeometry(theta_odf=0.0).laser_wavelength  # the default beams'
 
 
 def geom(theta_deg):
@@ -337,17 +338,17 @@ def test_ratio_curve_requires_positive_gamma():
 
 
 def test_turnover_angle_frozen_values():
-    assert math.degrees(force_turnover_angle(CFG, ThermalState(10.7))) == pytest.approx(
+    assert math.degrees(force_turnover_angle(CFG, ThermalState(10.7), LAMBDA)) == pytest.approx(
         26.97, abs=0.01)
-    assert math.degrees(force_turnover_angle(CFG, ThermalState(1.27))) == pytest.approx(
+    assert math.degrees(force_turnover_angle(CFG, ThermalState(1.27), LAMBDA)) == pytest.approx(
         71.8, abs=0.1)
-    assert math.isnan(force_turnover_angle(CFG, ThermalState(0.0)))
+    assert math.isnan(force_turnover_angle(CFG, ThermalState(0.0), LAMBDA))
 
 
 def test_turnover_angle_is_stationary_point():
     # central finite difference of F0(theta) vanishes at theta*
     state = ThermalState(10.7)
-    theta_star = force_turnover_angle(CFG, state)
+    theta_star = force_turnover_angle(CFG, state, LAMBDA)
 
     def f0(theta):
         return force_magnitude(BeamGeometry(theta_odf=theta), OdfDrive(), CFG, state).f0

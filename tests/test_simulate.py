@@ -408,7 +408,7 @@ def test_drift_validation():
 
 
 def test_path_noise_zero_amplitudes():
-    model = PathNoiseModel(slow_amplitude=0.0, fast_amplitude=0.0, target_rms=None)
+    model = PathNoiseModel(slow_amplitude=0.0, fast_amplitude=0.0)
     ds = simulate_path_noise(model, 10.0, 100.0)
     assert np.all(ds.value == 0.0)
 
@@ -427,8 +427,9 @@ def test_path_noise_deterministic():
 
 
 def test_path_noise_spectral_split():
-    # with the fast band off, >=80% of the variance sits below the cutoff
-    model = PathNoiseModel(fast_amplitude=0.0, target_rms=None, seed=11)
+    # with the fast band off, >=80% of the variance sits below the cutoff;
+    # the rescale to target_rms scales the whole spectrum and keeps that share
+    model = PathNoiseModel(fast_amplitude=0.0, seed=11)
     ds = simulate_path_noise(model, 400.0, 100.0)
     series = ds.value - ds.value.mean()
     spectrum = np.abs(np.fft.rfft(series)) ** 2
