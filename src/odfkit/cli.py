@@ -112,6 +112,9 @@ def _emit(args, name, data, scn: Scenario, seed=None):
     print(f"wrote {csv_path}")
 
 
+# the tipping angles theta1, in rad, of a precession scan without --grid
+_THETA1_GRID = np.linspace(0, 2 * math.pi, 40)
+
 # fitted thermometry parameters in the CLI's units: omega_com as Hz
 _THERMOMETRY_UNITS = {"omega_com": ("omega_com_hz", 1.0 / TWO_PI), "n_bar": ("n_bar", 1.0)}
 
@@ -165,8 +168,7 @@ def cmd_geom(args, scn: Scenario):
             if not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
                 raise ConfigError(f"bad --actuators {args.actuators}: {key} must be a finite "
                                   f"number, got {value!r}")
-        mirror = [ActuatorState(**{"rotary_angle": 0.0, "linear_pos": 0.0,
-                                   **{_POSE_FIELDS[key]: value for key, value in s.items()}})
+        mirror = [ActuatorState(**{_POSE_FIELDS[key]: value for key, value in s.items()})
                   for s in states]
         try:
             geom = angle_from_actuators(mirror[0], scn.mount, mirror[-1])
@@ -232,8 +234,6 @@ def cmd_ratio_scan(args, scn: Scenario):
 
 def cmd_simulate(args, scn: Scenario):
     from .simulate import (
-        DriftModel,
-        PathNoiseModel,
         simulate_angle_drift,
         simulate_path_noise,
         simulate_precession,
@@ -247,7 +247,7 @@ def cmd_simulate(args, scn: Scenario):
             scn.beams, scn.drive, scn.trap, scn.thermal,
             TWO_PI * grid_hz, shots=args.shots, seed=args.seed)
     elif args.model == "precession":
-        grid = np.radians(_parse_grid(args.grid)) if args.grid else np.linspace(0, 2 * math.pi, 40)
+        grid = np.radians(_parse_grid(args.grid)) if args.grid else _THETA1_GRID
         strengths = force_magnitude(scn.beams, scn.drive, scn.trap, scn.thermal)
         if strengths.j_bar is None:
             raise ResonanceSingularityError("precession needs a nonzero detuning mu - omega_com")
@@ -255,11 +255,9 @@ def cmd_simulate(args, scn: Scenario):
             strengths.j_bar, scn.drive.gamma, scn.drive.tau, grid,
             shots=args.shots, seed=args.seed)
     elif args.model == "drift":
-        model = DriftModel(linear_rate=args.rate, rms_jitter=args.jitter, seed=args.seed)
-        dataset = simulate_angle_drift(model, args.duration, args.dt)
+        dataset = simulate_angle_drift(args.duration, args.dt, args.rate, args.jitter, args.seed)
     else:
-        model = PathNoiseModel(seed=args.seed)
-        dataset = simulate_path_noise(model, args.duration, args.sample_rate)
+        dataset = simulate_path_noise(args.duration, args.sample_rate, args.seed)
     _emit(args, args.model, dataset, scn, args.seed)
     return 0
 
@@ -350,7 +348,7 @@ def cmd_fig4c(args, scn: Scenario):
     # all 30 scans in one sampler call; every drive has the scenario's gamma and tau
     datasets = iter(_precession_scans(
         [j_bar for case in cases for j_bar in case[2]], scn.drive.gamma, scn.drive.tau,
-        np.linspace(0, 2 * math.pi, 40), args.shots,
+        _THETA1_GRID, args.shots,
         [case[3] + j for case in cases for j in range(len(deltas))]))
     rows = []
     for label, theta_deg, j_bar_i, _ in cases:
@@ -370,12 +368,11 @@ def cmd_fig4c(args, scn: Scenario):
 
 
 def cmd_fig5(args, scn: Scenario):
-    from .simulate import DriftModel, PathNoiseModel, simulate_angle_drift, simulate_path_noise
+    from .simulate import simulate_angle_drift, simulate_path_noise
 
-    drift = simulate_angle_drift(
-        DriftModel(linear_rate=0.002, rms_jitter=5e-4, seed=args.seed), 6000.0, 10.0)
+    drift = simulate_angle_drift(6000.0, 10.0, 0.002, 5e-4, args.seed)
     _emit(args, "fig5a_drift", drift, scn, args.seed)
-    noise = simulate_path_noise(PathNoiseModel(seed=args.seed), 200.0, 100.0)
+    noise = simulate_path_noise(200.0, 100.0, args.seed)
     _emit(args, "fig5b_pathnoise", noise, scn, args.seed)
     return 0
 

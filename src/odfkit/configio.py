@@ -68,13 +68,15 @@ class Scenario:
     raw: dict  # merged section dict, for manifests
 
 
-def _validate_sections(doc: dict, path: str = "config"):
+def _validate_sections(doc, path: str = "config", what: str = "sections"):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a table of {what}")
     for section, body in doc.items():
-        if section == "scenarios":
+        if section == "scenarios" and path == "config":  # a scenario holds no scenarios
             if not isinstance(body, dict):
                 raise ConfigError(f"{path}: 'scenarios' must be a table of overrides")
             for name, overrides in body.items():
-                _validate_sections(overrides, f"{path}.scenarios.{name}")
+                _validate_sections(overrides, f"{path}.scenarios.{name}", "overrides")
             continue
         if section not in _SCHEMA:
             raise ConfigError(f"{path}: unknown section {section!r}")
@@ -84,7 +86,7 @@ def _validate_sections(doc: dict, path: str = "config"):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{path}.{section}: unknown key {key!r}")
             if key == "n_ions":
-                if not isinstance(value, int):
+                if not isinstance(value, int) or isinstance(value, bool):
                     raise ConfigError(f"{path}.{section}.{key}: expected integer, "
                                       f"got {type(value).__name__}")
             elif not isinstance(value, (int, float)) or isinstance(value, bool):

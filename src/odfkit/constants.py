@@ -10,6 +10,4 @@ import math
 HBAR = 1.054571817e-34  # J s
 ATOMIC_MASS_UNIT = 1.66053906660e-27  # kg
 
-BERYLLIUM_9_MASS = 9.012 * ATOMIC_MASS_UNIT  # kg, configurable per species
-
 TWO_PI = 2.0 * math.pi

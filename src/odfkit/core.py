@@ -12,17 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import BERYLLIUM_9_MASS, HBAR, TWO_PI
+from .constants import HBAR
 
 
 @dataclass(frozen=True)
 class TrapIonConfig:
     """Physical substrate: ion species, COM mode and crystal size."""
 
-    ion_mass: float = BERYLLIUM_9_MASS  # kg
-    omega_com: float = TWO_PI * 1.1e6  # rad/s
-    n_ions: int = 125
-    crystal_radius: float = 150e-6  # m
+    ion_mass: float  # kg
+    omega_com: float  # rad/s
+    n_ions: int
+    crystal_radius: float  # m
 
     def __post_init__(self):
         if self.ion_mass <= 0:
@@ -39,7 +39,7 @@ class TrapIonConfig:
 class ThermalState:
     """Mean phonon occupation of the COM mode (proxy for effective temperature)."""
 
-    n_bar: float = 1.27
+    n_bar: float
 
     def __post_init__(self):
         if not (math.isfinite(self.n_bar) and self.n_bar >= 0):
@@ -55,13 +55,14 @@ class OdfDrive:
     two beams, tau the per-arm duration of the spin-echo sequence, and
     gamma the total off-resonant scattering decoherence rate
     Gamma = (Gamma_Raman + Gamma_elastic) / 2; a config given the two
-    parts composes it (configio.build_scenario).
+    parts composes it (configio.build_scenario).  No field has a default:
+    load_config().drive, 2 kHz above the COM mode, is the configured one.
     """
 
-    delta_ac: float = TWO_PI * 800.0  # rad/s
-    mu: float = TWO_PI * 1.1e6  # rad/s
-    tau: float = 500e-6  # s
-    gamma: float = 100.0  # 1/s
+    delta_ac: float  # rad/s
+    mu: float  # rad/s
+    tau: float  # s
+    gamma: float  # 1/s
 
     def __post_init__(self):
         if self.tau <= 0:

@@ -43,7 +43,7 @@ class BeamGeometry:
     """
 
     theta_odf: float | np.ndarray  # rad, full separation angle of the two ODF beams
-    laser_wavelength: float = 313.1e-9  # m
+    laser_wavelength: float  # m
     tilt_error: float = 0.0  # rad, angle between delta_k and the rotation axis
 
     def __post_init__(self):
@@ -68,8 +68,8 @@ class ActuatorState:
     bounds linear_pos; angle_from_actuators checks it.
     """
 
-    rotary_angle: float  # degrees
-    linear_pos: float  # m, along the bore axis, 0 at the outermost stop
+    rotary_angle: float = 0.0  # degrees
+    linear_pos: float = 0.0  # m, along the bore axis, 0 at the outermost stop
     tip: float = 0.0  # degrees
     tilt: float = 0.0  # degrees
 
@@ -92,13 +92,13 @@ class MountGeometry:
     laser_wavelength is the beams' own (build_scenario copies it).
     """
 
+    laser_wavelength: float  # m
     d_axial: float = 28.6e-3  # m
     d_radial: float = 3.0e-3  # m
     theta_min: float = math.radians(12.0)  # rad
     theta_max: float = math.radians(36.0)  # rad
     crossing_tolerance: float = 10e-6  # m
     linear_travel: float = 21e-3  # m
-    laser_wavelength: float = 313.1e-9  # m
 
     def __post_init__(self):
         for name in ("d_axial", "d_radial", "linear_travel"):

@@ -6,14 +6,14 @@ substream derived from (seed, point index), so datasets are reproducible
 byte-for-byte and independent of evaluation order.  The stability generators
 return a `Series` and model the slow angular drift and the differential
 beam-path fluctuation of the in-bore optics, the latter always rescaled to
-its model's target RMS.  Both containers live in `csvio`.
+TARGET_RMS.  Both containers live in `csvio`.  Shots, seed and run parameters
+are plain arguments without defaults: the CLI's flags own those.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,33 +22,10 @@ from .csvio import ScanDataset, Series
 from .geometry import BeamGeometry
 from .interactions import gamma_decay_lineshape, precession_lineshape, thermometry_model
 
-
-@dataclass(frozen=True)
-class DriftModel:
-    """Slow angular drift of the beam pair: linear trend plus white jitter."""
-
-    linear_rate: float = 0.002  # degrees per hour
-    rms_jitter: float = 0.0  # degrees, white per sample
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.rms_jitter < 0:
-            raise ValueError("rms_jitter must be >= 0")
-
-
-@dataclass(frozen=True)
-class PathNoiseModel:
-    """Differential beam-path fluctuation: slow band plus white fast band."""
-
-    slow_amplitude: float = 20e-9  # m
-    slow_cutoff: float = 0.1  # Hz, well below 1 Hz
-    fast_amplitude: float = 5e-9  # m
-    target_rms: float = 12e-9  # m, RMS of the summed series
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.slow_amplitude < 0 or self.fast_amplitude < 0:
-            raise ValueError("amplitudes must be >= 0")
+SLOW_AMPLITUDE = 20e-9  # m, RMS of the path-noise slow band
+SLOW_CUTOFF = 0.1  # Hz, the slow band's low-pass cutoff, well below 1 Hz
+FAST_AMPLITUDE = 5e-9  # m, RMS of the white fast band
+TARGET_RMS = 12e-9  # m, RMS of the summed path-noise series
 
 
 def _sample_scans(shots, scans):
@@ -88,8 +65,8 @@ def simulate_thermometry(
     cfg: TrapIonConfig,
     state: ThermalState,
     mu_grid,
-    shots: int = 500,
-    seed: int = 0,
+    shots: int,
+    seed: int,
 ) -> ScanDataset:
     """Shot-noise-limited thermometry scan; abscissa stored as mu/2pi in Hz."""
     mu = np.asarray(mu_grid, dtype=float)
@@ -107,8 +84,8 @@ def simulate_precession(
     gamma: float,
     tau: float,
     theta1_grid,
-    shots: int = 500,
-    seed: int = 0,
+    shots: int,
+    seed: int,
 ) -> ScanDataset:
     """Shot-noise-limited tipping-angle scan; abscissa is theta1 in rad."""
     return _precession_scans([j_bar], gamma, tau, theta1_grid, shots, [seed])[0]
@@ -125,8 +102,8 @@ def _precession_scans(j_bars, gamma, tau, theta1_grid, shots, seeds):
 def simulate_gamma_decay(
     gamma: float,
     tau_grid,
-    shots: int = 500,
-    seed: int = 0,
+    shots: int,
+    seed: int,
 ) -> ScanDataset:
     """Far-detuned decoherence scan P_up(tau) = (1 - e^{-2 Gamma tau}) / 2."""
     tau = np.asarray(tau_grid, dtype=float)
@@ -134,17 +111,20 @@ def simulate_gamma_decay(
     return _sample_scan(p_true, shots, seed, tau, "gamma", {"gamma": gamma})
 
 
-def simulate_angle_drift(model: DriftModel, duration: float, dt: float) -> Series:
-    """Angular misalignment series dtheta(t), degrees, over [0, duration]."""
+def simulate_angle_drift(duration: float, dt: float, linear_rate: float, rms_jitter: float,
+                         seed: int) -> Series:
+    """dtheta(t) in degrees over [0, duration]: linear_rate deg/h plus white rms_jitter deg."""
     if duration <= 0 or dt <= 0:
         raise ValueError("duration and dt must be > 0")
+    if rms_jitter < 0:
+        raise ValueError("rms_jitter must be >= 0")
     t = np.arange(0.0, duration + 0.5 * dt, dt)
-    drift = model.linear_rate * t / 3600.0
-    if model.rms_jitter > 0:
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(model.seed % 2 ** 64)))
-        drift = drift + model.rms_jitter * rng.standard_normal(len(t))
-    meta = {"kind": "drift", "seed": model.seed, "linear_rate_deg_per_h": model.linear_rate,
-            "rms_jitter_deg": model.rms_jitter}
+    drift = linear_rate * t / 3600.0
+    if rms_jitter > 0:
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed % 2 ** 64)))
+        drift = drift + rms_jitter * rng.standard_normal(len(t))
+    meta = {"kind": "drift", "seed": seed, "linear_rate_deg_per_h": linear_rate,
+            "rms_jitter_deg": rms_jitter}
     return Series(t=t, value=drift, meta=meta)
 
 
@@ -162,12 +142,12 @@ def _one_pole_lowpass(x, a):
     return out
 
 
-def simulate_path_noise(model: PathNoiseModel, duration: float, rate: float) -> Series:
+def simulate_path_noise(duration: float, rate: float, seed: int) -> Series:
     """Differential path-length series dl(t), meters, sampled at `rate`.
 
-    Slow band: a random walk through a one-pole low-pass at slow_cutoff,
-    scaled to slow_amplitude RMS.  Fast band: white at fast_amplitude RMS.
-    The sum is rescaled to target_rms RMS (an all-zero sum stays zero).
+    Slow band: a random walk through a one-pole low-pass at SLOW_CUTOFF,
+    scaled to SLOW_AMPLITUDE RMS.  Fast band: white at FAST_AMPLITUDE RMS.
+    The sum is rescaled to TARGET_RMS RMS.
     """
     if duration <= 0 or rate <= 0:
         raise ValueError("duration and rate must be > 0")
@@ -175,30 +155,26 @@ def simulate_path_noise(model: PathNoiseModel, duration: float, rate: float) -> 
     if n < 1:
         raise ValueError(f"duration {duration:g} s at sample rate {rate:g} Hz gives no samples")
     dt = 1.0 / rate
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(model.seed % 2 ** 64)))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed % 2 ** 64)))
     series = np.zeros(n)
     # in place wherever that keeps the bits: at most three arrays of n at once
-    if model.slow_amplitude > 0:
-        walk = rng.standard_normal(n)
-        np.cumsum(walk, out=walk)
-        a = math.exp(-2.0 * math.pi * model.slow_cutoff * dt)
-        slow = _one_pole_lowpass(walk, a)
-        del walk
-        slow -= slow.mean()
-        rms = math.sqrt(float(np.mean(slow * slow)))
-        if rms > 0:
-            slow *= model.slow_amplitude / rms
-            series += slow
-        del slow
-    if model.fast_amplitude > 0:
-        fast = rng.standard_normal(n)
-        fast *= model.fast_amplitude
-        series += fast
+    walk = rng.standard_normal(n)
+    np.cumsum(walk, out=walk)
+    slow = _one_pole_lowpass(walk, math.exp(-2.0 * math.pi * SLOW_CUTOFF * dt))
+    del walk
+    slow -= slow.mean()
+    rms = math.sqrt(float(np.mean(slow * slow)))
+    if rms > 0:  # one sample has no slow band
+        slow *= SLOW_AMPLITUDE / rms
+        series += slow
+    del slow
+    fast = rng.standard_normal(n)
+    fast *= FAST_AMPLITUDE
+    series += fast
     rms = math.sqrt(float(np.mean(series * series)))
     if rms > 0:
-        series *= model.target_rms / rms
+        series *= TARGET_RMS / rms
     t = np.arange(n, dtype=float)
     t *= dt
-    meta = {"kind": "pathnoise", "seed": model.seed, "rate_hz": rate,
-            "target_rms_m": model.target_rms}
+    meta = {"kind": "pathnoise", "seed": seed, "rate_hz": rate, "target_rms_m": TARGET_RMS}
     return Series(t=t, value=series, meta=meta)

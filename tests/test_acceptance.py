@@ -7,19 +7,15 @@ heavier statistical checks reuse the independent oracles in oracles.py.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
 from odfkit.constants import HBAR
-from odfkit.core import (
-    OdfDrive,
-    ThermalState,
-    TrapIonConfig,
-    ground_state_extent,
-    thermal_extent_sq,
-)
+from odfkit.configio import load_config
+from odfkit.core import ThermalState, ground_state_extent, thermal_extent_sq
 from odfkit.fitting import fit_far_detuned_gamma, fit_precession, fit_thermometry
 from odfkit.geometry import (
     BeamGeometry,
@@ -38,8 +34,6 @@ from odfkit.interactions import (
     thermometry_model,
 )
 from odfkit.simulate import (
-    DriftModel,
-    PathNoiseModel,
     _sample_scans,
     simulate_angle_drift,
     simulate_gamma_decay,
@@ -47,7 +41,9 @@ from odfkit.simulate import (
     simulate_thermometry,
 )
 
-CFG = TrapIonConfig()
+SCN = load_config()  # the default config
+CFG = SCN.trap
+LAMBDA = SCN.beams.laser_wavelength
 Z0 = ground_state_extent(CFG)
 
 
@@ -59,7 +55,7 @@ def report(number, label, condition, detail=""):
 
 
 def geom(theta_deg, **kw):
-    return BeamGeometry(theta_odf=math.radians(theta_deg), **kw)
+    return BeamGeometry(theta_odf=math.radians(theta_deg), laser_wavelength=LAMBDA, **kw)
 
 
 def test_criterion_1_geometry_identities():
@@ -74,7 +70,7 @@ def test_criterion_1_geometry_identities():
 
 def test_criterion_2_ratio_reproduction():
     start = time.time()
-    drive = OdfDrive()
+    drive = SCN.drive
 
     def ratio(theta_deg, n_bar):
         s = force_magnitude(geom(theta_deg), drive, CFG, ThermalState(n_bar))
@@ -114,7 +110,7 @@ def test_criterion_4_oracle_equivalence():
 
     worst = max(trajectory_oracle_residuals().values())
     dw_worst = 0.0
-    drive = OdfDrive()
+    drive = SCN.drive
     dk = delta_k(geom(28.0))
     for n_bar in (0.0, 1.27, 10.7):
         state = ThermalState(n_bar)
@@ -133,7 +129,7 @@ def test_criterion_5_round_trip_estimation():
     # each model's scans are drawn in one sampler call: the draws of its simulate_* per seed
     # thermometry: scan chosen for sensitivity to both occupations
     therm_geom = geom(14.0)
-    therm_drive = OdfDrive(delta_ac=2 * math.pi * 1000.0)
+    therm_drive = replace(SCN.drive, delta_ac=2 * math.pi * 1000.0)
     mu = CFG.omega_com + 2 * math.pi * np.linspace(-3e3, 3e3, 100)
     fractions = {}
     for n_bar, tol in ((10.7, 0.5), (1.27, 0.20)):
@@ -216,9 +212,9 @@ def test_criterion_6_fitter_correctness():
 
 def test_criterion_7_stability_pipeline():
     start = time.time()
-    drift = simulate_angle_drift(DriftModel(linear_rate=0.002, rms_jitter=0.0), 6000.0, 10.0)
+    drift = simulate_angle_drift(6000.0, 10.0, linear_rate=0.002, rms_jitter=0.0, seed=0)
     drift_ok = bool(np.all(np.abs(drift.value) <= 6e-3))
-    noise = simulate_path_noise(PathNoiseModel(target_rms=12e-9, seed=0), 200.0, 100.0)
+    noise = simulate_path_noise(200.0, 100.0, seed=0)  # 12 nm RMS
     rms = math.sqrt(float(np.mean(noise.value ** 2)))
     phi = 360.0 * rms / 647e-9  # beat-note phase RMS in degrees
     noise_ok = abs(phi - 6.7) <= 0.5
@@ -229,7 +225,7 @@ def test_criterion_7_stability_pipeline():
 
 def test_criterion_8_optimizer():
     start = time.time()
-    drive = OdfDrive()
+    drive = SCN.drive
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(50):
@@ -238,7 +234,7 @@ def test_criterion_8_optimizer():
         lo = float(rng.uniform(12.0, 20.0))
         hi = float(rng.uniform(lo + 2.0, 36.0))
         state = ThermalState(n_bar)
-        theta_star, _ = optimize_theta(CFG, drive, state, MountGeometry(laser_wavelength=lam),
+        theta_star, _ = optimize_theta(CFG, drive, state, MountGeometry(lam),
                                        (math.radians(lo), math.radians(hi)))
 
         def ratio(thetas):
@@ -248,7 +244,7 @@ def test_criterion_8_optimizer():
         grid_theta, _ = oracles.grid_max(ratio, math.radians(lo), math.radians(hi))
         worst = max(worst, abs(math.degrees(theta_star - grid_theta)))
     try:
-        optimize_theta(CFG, drive, ThermalState(1.27), MountGeometry(),
+        optimize_theta(CFG, drive, ThermalState(1.27), SCN.mount,
                        (math.radians(10.0), math.radians(36.0)))
         rejects = False
     except GeometryInfeasibleError:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import odfkit
 from odfkit.cli import build_parser, main
 from odfkit.configio import DEFAULT_CONFIG, load_config
-from odfkit.geometry import BeamGeometry, MountGeometry, actuators_for_angle
+from odfkit.geometry import actuators_for_angle
 from odfkit.interactions import force_magnitude, precession_lineshape
 from odfkit.simulate import simulate_gamma_decay
 
@@ -56,7 +57,7 @@ def test_geom_theta_outside_window(capsys):
 
 
 def test_geom_actuator_pose(capsys, tmp_path):
-    state = actuators_for_angle(math.radians(28.0), MountGeometry())
+    state = actuators_for_angle(math.radians(28.0), load_config().mount)
     pose = tmp_path / "pose.json"
     pose.write_text(json.dumps({"rotary_angle_deg": state.rotary_angle,
                                 "linear_pos_m": state.linear_pos}))
@@ -237,7 +238,7 @@ def test_ratio_scan_hot_rows_are_the_force_model(capsys, tmp_path):
     rows = np.loadtxt(tmp_path / "ratio_scan.csv", delimiter=",", skiprows=1)
     assert rows[1, 3] / rows[0, 3] == pytest.approx(1.3284, rel=1e-3)
     scn = load_config(str(cfg))
-    s = force_magnitude(BeamGeometry(theta_odf=np.radians(rows[:, 0])), scn.drive,
+    s = force_magnitude(replace(scn.beams, theta_odf=np.radians(rows[:, 0])), scn.drive,
                         scn.trap, scn.thermal)
     assert np.array_equal(rows[:, 1], s.f0)
     assert np.array_equal(rows[:, 3], s.f0_over_gamma)
@@ -305,6 +306,21 @@ def test_non_finite_config_value_names_key(capsys, tmp_path, text, argv, key):
     assert out == ""
     assert err.startswith(f"error: {key}: expected a finite number")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text,argv,message", [
+    ("[1, 2]", ["geom"], "config: expected a table of sections"),
+    ("5", ["geom"], "config: expected a table of sections"),
+    ('{"scenarios": {"a": 5}}', ["geom"], "config.scenarios.a: expected a table of overrides"),
+    ('{"scenarios": {"a": {"scenarios": {"b": {}}}}}', ["geom", "--scenario", "a"],
+     "config.scenarios.a: unknown section 'scenarios'"),
+], ids=["list", "number", "scenario-number", "nested-scenarios"])
+def test_non_table_config_names_path(capsys, tmp_path, text, argv, message):
+    # an AttributeError or TypeError traceback before
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_simulate_is_byte_reproducible(capsys, tmp_path):
@@ -725,6 +741,21 @@ def test_reproduce_fig5(capsys, tmp_path):
     assert rms == pytest.approx(12e-9, rel=0.05)
 
 
+@pytest.mark.parametrize("seed", ["0", "7", "-1"])
+def test_reproduce_fig5_is_two_simulate_series(capsys, tmp_path, seed):
+    # fig5 has no size flag of its own: its two series are those of the simulate
+    # drift and pathnoise leaves, which the run-command fuzz reaches, at fig5's sizes
+    fig5 = tmp_path / "fig5"
+    assert run(capsys, "reproduce", "fig5", "--seed", seed, "--out", str(fig5))[0] == 0
+    for name, model, flags in (
+            ("fig5a_drift", "drift",
+             ["--duration", "6000", "--dt", "10", "--rate", "0.002", "--jitter", "5e-4"]),
+            ("fig5b_pathnoise", "pathnoise", ["--duration", "200", "--sample-rate", "100"])):
+        out = tmp_path / model
+        assert run(capsys, "simulate", model, *flags, "--seed", seed, "--out", str(out))[0] == 0
+        assert (out / f"{model}.csv").read_bytes() == (fig5 / f"{name}.csv").read_bytes(), name
+
+
 def test_reproduce_csv_bytes_are_pinned(capsys, tmp_path):
     # fig4c has the str scenario column; fig5b's 20k rows span many writer blocks
     pinned = {
@@ -1022,7 +1053,8 @@ def test_each_command_loads_only_the_modules_it_calls(tmp_path, argv, loads):
     if argv[0] == "fit":
         data = tmp_path / f"{argv[1]}.csv"
         if argv[1] == "gamma":
-            simulate_gamma_decay(100.0, np.linspace(0.25e-3, 5e-3, 20), seed=1).to_csv(data)
+            simulate_gamma_decay(100.0, np.linspace(0.25e-3, 5e-3, 20), shots=500,
+                                 seed=1).to_csv(data)
         else:
             assert main(["simulate", argv[1], "--out", str(tmp_path)]) == 0
         argv = [*argv, "--data", str(data)]
@@ -1164,7 +1196,8 @@ def fuzz_run_argv(draw):
     """simulate and reproduce argv: grids of at most 1e3 points, series of at most 1e4 samples.
 
     fig5 is left out: its series are fixed at 2e4 path-noise samples, and its one flag,
-    --seed, reaches the same generators as simulate drift and pathnoise.
+    --seed, reaches the same generators as simulate drift and pathnoise
+    (test_reproduce_fig5_is_two_simulate_series).
     """
     words = draw(st.sampled_from([
         ["simulate", "thermometry"], ["simulate", "precession"], ["simulate", "drift"],

@@ -24,6 +24,16 @@ def test_defaults_load_without_file():
     assert scn.drive.mu - scn.trap.omega_com == pytest.approx(2 * math.pi * 2e3, rel=1e-9)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: TrapIonConfig(), lambda: OdfDrive(), lambda: ThermalState(),
+    lambda: BeamGeometry(theta_odf=0.5), lambda: MountGeometry(),
+])
+def test_run_defaults_have_one_owner(build):
+    # DEFAULT_CONFIG holds the run's values: the types have no copy of them to drift from
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_partial_file_merges_over_defaults(tmp_path):
     path = write(tmp_path, {"thermal": {"n_bar": 10.7}})
     scn = load_config(path)
@@ -87,6 +97,9 @@ def test_n_ions_must_be_integer(tmp_path):
     path = write(tmp_path, {"trap": {"n_ions": 125.5}})
     with pytest.raises(ConfigError):
         load_config(path)
+    path = write(tmp_path, {"trap": {"n_ions": True}})  # a bool is an int to Python, not to JSON
+    with pytest.raises(ConfigError, match="^config.trap.n_ions: expected integer, got bool$"):
+        load_config(path)
 
 
 def test_invalid_json_is_diagnosed(tmp_path):
@@ -107,10 +120,11 @@ def test_unit_conversion_at_the_boundary():
 
 def test_mount_keys_set_only_their_fields(tmp_path):
     # an absent mount section leaves every MountGeometry default; a given key sets one field
-    assert load_config().mount == MountGeometry()
+    lam = DEFAULT_CONFIG["beams"]["laser_wavelength_m"]
+    assert load_config().mount == MountGeometry(lam)
     path = write(tmp_path, {"mount": {"theta_max_deg": 50, "linear_travel_m": 0.03}})
     mount = load_config(path).mount
-    assert mount == MountGeometry(theta_max=math.radians(50.0), linear_travel=0.03)
+    assert mount == MountGeometry(lam, theta_max=math.radians(50.0), linear_travel=0.03)
 
 
 def test_gamma_composition_consistency(tmp_path):

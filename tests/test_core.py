@@ -1,28 +1,24 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from odfkit.constants import ATOMIC_MASS_UNIT, BERYLLIUM_9_MASS, HBAR, TWO_PI
-from odfkit.core import (
-    OdfDrive,
-    ThermalState,
-    TrapIonConfig,
-    detuning,
-    ground_state_extent,
-    thermal_extent_sq,
-)
+from odfkit.configio import load_config
+from odfkit.constants import ATOMIC_MASS_UNIT, HBAR, TWO_PI
+from odfkit.core import ThermalState, detuning, ground_state_extent, thermal_extent_sq
+
+SCN = load_config()  # the default config
 
 
 def test_codata_constants():
     assert HBAR == 1.054571817e-34
     assert ATOMIC_MASS_UNIT == 1.66053906660e-27
-    assert BERYLLIUM_9_MASS == pytest.approx(9.012 * ATOMIC_MASS_UNIT, rel=1e-15)
 
 
 def test_trap_defaults():
-    cfg = TrapIonConfig()
-    assert cfg.ion_mass == BERYLLIUM_9_MASS
+    cfg = SCN.trap
+    assert cfg.ion_mass == 9.012 * ATOMIC_MASS_UNIT  # beryllium-9
     assert cfg.omega_com == pytest.approx(TWO_PI * 1.1e6, rel=1e-15)
     assert cfg.n_ions == 125
     assert cfg.crystal_radius == 150e-6
@@ -30,11 +26,11 @@ def test_trap_defaults():
 
 def test_ground_state_extent_frozen_value():
     # z0 = sqrt(hbar / (2 M omega_com)) at the defaults
-    assert ground_state_extent(TrapIonConfig()) == pytest.approx(2.2578842e-8, rel=1e-6)
+    assert ground_state_extent(SCN.trap) == pytest.approx(2.2578842e-8, rel=1e-6)
 
 
 def test_thermal_extent_is_z0sq_times_occupation():
-    cfg = TrapIonConfig()
+    cfg = SCN.trap
     z0 = ground_state_extent(cfg)
     assert thermal_extent_sq(cfg, ThermalState(n_bar=0.0)) == pytest.approx(z0 * z0, rel=1e-14)
     assert thermal_extent_sq(cfg, ThermalState(n_bar=1.27)) == pytest.approx(
@@ -43,17 +39,17 @@ def test_thermal_extent_is_z0sq_times_occupation():
 
 @given(st.floats(min_value=0.0, max_value=1e4))
 def test_thermal_extent_nonnegative_and_monotone(n_bar):
-    cfg = TrapIonConfig()
+    cfg = SCN.trap
     low = thermal_extent_sq(cfg, ThermalState(n_bar=n_bar))
     high = thermal_extent_sq(cfg, ThermalState(n_bar=n_bar + 1.0))
     assert 0 < low < high
 
 
 def test_detuning_is_signed():
-    cfg = TrapIonConfig()
-    assert detuning(OdfDrive(mu=cfg.omega_com + 100.0), cfg) == pytest.approx(100.0)
-    assert detuning(OdfDrive(mu=cfg.omega_com - 100.0), cfg) == pytest.approx(-100.0)
-    assert detuning(OdfDrive(mu=cfg.omega_com), cfg) == 0.0
+    cfg = SCN.trap
+    assert detuning(replace(SCN.drive, mu=cfg.omega_com + 100.0), cfg) == pytest.approx(100.0)
+    assert detuning(replace(SCN.drive, mu=cfg.omega_com - 100.0), cfg) == pytest.approx(-100.0)
+    assert detuning(replace(SCN.drive, mu=cfg.omega_com), cfg) == 0.0
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -65,7 +61,7 @@ def test_detuning_is_signed():
 ])
 def test_trap_invariants_rejected(kwargs):
     with pytest.raises(ValueError):
-        TrapIonConfig(**kwargs)
+        replace(SCN.trap, **kwargs)
 
 
 def test_thermal_state_rejects_negative():
@@ -81,6 +77,6 @@ def test_thermal_state_rejects_non_finite(n_bar):
 
 def test_drive_invariants():
     with pytest.raises(ValueError):
-        OdfDrive(tau=0.0)
+        replace(SCN.drive, tau=0.0)
     with pytest.raises(ValueError):
-        OdfDrive(gamma=-1.0)
+        replace(SCN.drive, gamma=-1.0)

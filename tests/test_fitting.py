@@ -1,11 +1,13 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
-from odfkit.core import OdfDrive, ThermalState, TrapIonConfig
+from odfkit.configio import load_config
+from odfkit.core import ThermalState
 from odfkit.fitting import (
     FitInputError,
     f0_from_jbar,
@@ -27,10 +29,11 @@ from odfkit.interactions import (
 )
 from odfkit.simulate import simulate_precession, simulate_thermometry
 
-CFG = TrapIonConfig()
-GEOM = BeamGeometry(theta_odf=math.radians(28.0))
-DRIVE = OdfDrive()
-MOUNT = MountGeometry()  # the 12-36 degree window
+SCN = load_config()  # the default config
+CFG = SCN.trap
+GEOM = SCN.beams  # 28 degrees
+DRIVE = SCN.drive
+MOUNT = SCN.mount  # the 12-36 degree window
 MU = CFG.omega_com + 2 * math.pi * np.linspace(-3e3, 3e3, 30)
 
 
@@ -286,7 +289,7 @@ def test_optimize_theta_matches_grid_oracle_50_cases():
         lo = float(rng.uniform(12.0, 20.0))
         hi = float(rng.uniform(lo + 2.0, 36.0))
         state = ThermalState(n_bar)
-        theta_star, _ = optimize_theta(CFG, DRIVE, state, MountGeometry(laser_wavelength=lam),
+        theta_star, _ = optimize_theta(CFG, DRIVE, state, MountGeometry(lam),
                                        (math.radians(lo), math.radians(hi)))
 
         def ratio(thetas):
@@ -301,7 +304,7 @@ def test_optimize_theta_is_the_turnover_clipped_to_the_window():
     hot = ThermalState(10.7)
     theta, ratio = optimize_theta(CFG, DRIVE, hot, MOUNT)
     assert theta == force_turnover_angle(CFG, hot, MOUNT.laser_wavelength)
-    assert ratio == force_magnitude(BeamGeometry(theta_odf=theta), DRIVE, CFG, hot).f0 / DRIVE.gamma
+    assert ratio == force_magnitude(replace(GEOM, theta_odf=theta), DRIVE, CFG, hot).f0 / DRIVE.gamma
     for window, edge in (((12.0, 20.0), 20.0), ((30.0, 36.0), 30.0)):
         window = tuple(math.radians(v) for v in window)
         assert optimize_theta(CFG, DRIVE, hot, MOUNT, window)[0] == math.radians(edge)
@@ -334,6 +337,6 @@ def test_optimize_theta_interior_for_hot_crystal():
 
 def test_optimize_theta_gamma_invariance():
     # argmax of F0/Gamma equals argmax of F0 for constant Gamma
-    a, _ = optimize_theta(CFG, OdfDrive(gamma=50.0), ThermalState(10.7), MOUNT)
-    b, _ = optimize_theta(CFG, OdfDrive(gamma=200.0), ThermalState(10.7), MOUNT)
+    a, _ = optimize_theta(CFG, replace(DRIVE, gamma=50.0), ThermalState(10.7), MOUNT)
+    b, _ = optimize_theta(CFG, replace(DRIVE, gamma=200.0), ThermalState(10.7), MOUNT)
     assert a == pytest.approx(b, abs=1e-9)

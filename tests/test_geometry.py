@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from odfkit.configio import load_config
 from odfkit.geometry import (
     LINEAR_REPEATABILITY_M,
     ROTARY_REPEATABILITY_DEG,
@@ -20,9 +21,11 @@ from odfkit.geometry import (
     repeatability_to_angle_error,
 )
 
+LAMBDA = load_config().beams.laser_wavelength  # the default beams'
+
 
 def geom(theta_deg, **kw):
-    return BeamGeometry(theta_odf=math.radians(theta_deg), **kw)
+    return BeamGeometry(theta_odf=math.radians(theta_deg), laser_wavelength=LAMBDA, **kw)
 
 
 # -- delta_k and effective wavelength -----------------------------------------
@@ -62,25 +65,26 @@ def test_effective_wavelength_zero_angle_errors():
 @given(st.floats(min_value=0.0, max_value=math.pi - 1e-9),
        st.floats(min_value=1e-12, max_value=math.pi - 1e-9))
 def test_delta_k_monotone_in_theta(theta, bump):
-    lo = BeamGeometry(theta_odf=theta)
-    hi = BeamGeometry(theta_odf=min(theta + bump, math.pi - 1e-12))
+    lo = BeamGeometry(theta_odf=theta, laser_wavelength=LAMBDA)
+    hi = BeamGeometry(theta_odf=min(theta + bump, math.pi - 1e-12), laser_wavelength=LAMBDA)
     assert delta_k(hi) >= delta_k(lo)
 
 
 def test_beam_geometry_invariants():
     with pytest.raises(ValueError):
-        BeamGeometry(theta_odf=-0.1)
+        BeamGeometry(theta_odf=-0.1, laser_wavelength=LAMBDA)
     with pytest.raises(ValueError):
-        BeamGeometry(theta_odf=math.pi)
+        BeamGeometry(theta_odf=math.pi, laser_wavelength=LAMBDA)
     with pytest.raises(ValueError):
-        BeamGeometry(theta_odf=0.5, tilt_error=-1e-3)
+        BeamGeometry(theta_odf=0.5, laser_wavelength=LAMBDA, tilt_error=-1e-3)
 
 
 @pytest.mark.parametrize("bad", [-0.1, math.pi, math.nan])
 def test_beam_geometry_checks_every_angle_of_an_array(bad):
-    assert len(delta_k(BeamGeometry(theta_odf=np.array([0.0, 0.5, 3.0])))) == 3
+    angles = BeamGeometry(theta_odf=np.array([0.0, 0.5, 3.0]), laser_wavelength=LAMBDA)
+    assert len(delta_k(angles)) == 3
     with pytest.raises(ValueError):
-        BeamGeometry(theta_odf=np.array([0.2, bad, 0.5]))
+        BeamGeometry(theta_odf=np.array([0.2, bad, 0.5]), laser_wavelength=LAMBDA)
 
 
 # -- misalignment phase --------------------------------------------------------
@@ -132,7 +136,7 @@ def test_misalignment_phase_negative_radius_errors():
 
 
 def test_symmetric_pose_angles():
-    mount = MountGeometry()
+    mount = MountGeometry(LAMBDA)
     for theta_deg, rotary in ((14.0, 3.5), (28.0, 7.0)):
         state = actuators_for_angle(math.radians(theta_deg), mount)
         assert state.rotary_angle == pytest.approx(rotary, rel=1e-12)
@@ -141,7 +145,7 @@ def test_symmetric_pose_angles():
 
 
 def test_kinematics_round_trip_100_points():
-    mount = MountGeometry()
+    mount = MountGeometry(LAMBDA)
     for theta in np.linspace(math.radians(12.0), math.radians(36.0), 100):
         state = actuators_for_angle(float(theta), mount)
         back = angle_from_actuators(state, mount).theta_odf
@@ -149,7 +153,7 @@ def test_kinematics_round_trip_100_points():
 
 
 def test_angle_out_of_window_rejected():
-    mount = MountGeometry()
+    mount = MountGeometry(LAMBDA)
     with pytest.raises(GeometryInfeasibleError) as err:
         actuators_for_angle(math.radians(11.0), mount)
     # diagnostic names both limits
@@ -159,14 +163,14 @@ def test_angle_out_of_window_rejected():
 
 
 def test_boundary_angle_accepted():
-    mount = MountGeometry()
+    mount = MountGeometry(LAMBDA)
     state = actuators_for_angle(math.radians(36.0), mount)
     assert angle_from_actuators(state, mount).theta_odf == pytest.approx(
         math.radians(36.0), abs=1e-9)
 
 
 def test_crossing_miss_rejected():
-    mount = MountGeometry()
+    mount = MountGeometry(LAMBDA)
     good = actuators_for_angle(math.radians(28.0), mount)
     bad = ActuatorState(rotary_angle=good.rotary_angle,
                         linear_pos=good.linear_pos + 1e-3)
@@ -176,15 +180,15 @@ def test_crossing_miss_rejected():
 
 def test_window_violation_rejected():
     # a crossing-consistent pose at 40 degrees still violates the window
-    mount = MountGeometry()
-    wide = MountGeometry(theta_min=math.radians(5.0), theta_max=math.radians(60.0))
+    mount = MountGeometry(LAMBDA)
+    wide = MountGeometry(LAMBDA, theta_min=math.radians(5.0), theta_max=math.radians(60.0))
     state = actuators_for_angle(math.radians(40.0), wide)
     with pytest.raises(GeometryInfeasibleError):
         angle_from_actuators(state, mount)
 
 
 def test_asymmetric_pair_sums_half_angles():
-    mount = MountGeometry(theta_min=math.radians(5.0), theta_max=math.radians(60.0))
+    mount = MountGeometry(LAMBDA, theta_min=math.radians(5.0), theta_max=math.radians(60.0))
     a = actuators_for_angle(math.radians(20.0), mount)
     b = actuators_for_angle(math.radians(30.0), mount)
     g = angle_from_actuators(a, mount, b)
@@ -192,7 +196,7 @@ def test_asymmetric_pair_sums_half_angles():
 
 
 def test_tip_stages_tilt_delta_k():
-    mount = MountGeometry()
+    mount = MountGeometry(LAMBDA)
     base = actuators_for_angle(math.radians(28.0), mount)
     tipped = ActuatorState(rotary_angle=base.rotary_angle,
                            linear_pos=base.linear_pos, tip=0.001)
@@ -207,17 +211,17 @@ def test_actuator_travel_limits():
     for linear_pos in (-1e-6, 22e-3):
         with pytest.raises(GeometryInfeasibleError, match="travel"):
             angle_from_actuators(ActuatorState(rotary_angle=7.0, linear_pos=linear_pos),
-                                 MountGeometry())
+                                 MountGeometry(LAMBDA))
 
 
 def test_longer_linear_travel_reaches_past_21_mm():
-    mount = MountGeometry(theta_max=math.radians(50.0), linear_travel=0.03)
+    mount = MountGeometry(LAMBDA, theta_max=math.radians(50.0), linear_travel=0.03)
     state = actuators_for_angle(math.radians(45.0), mount)
     assert 21e-3 < state.linear_pos < 0.03
     assert angle_from_actuators(state, mount).theta_odf == pytest.approx(
         math.radians(45.0), abs=1e-9)
     with pytest.raises(GeometryInfeasibleError, match="travel"):
-        angle_from_actuators(state, MountGeometry(theta_max=math.radians(50.0)))
+        angle_from_actuators(state, MountGeometry(LAMBDA, theta_max=math.radians(50.0)))
 
 
 @pytest.mark.parametrize("field,value", [
@@ -226,7 +230,7 @@ def test_longer_linear_travel_reaches_past_21_mm():
 ])
 def test_mount_rejects_bad_field_by_name(field, value):
     with pytest.raises(ValueError, match=field):
-        MountGeometry(**{field: value})
+        MountGeometry(LAMBDA, **{field: value})
 
 
 # -- repeatability budget --------------------------------------------------------
@@ -235,15 +239,15 @@ def test_mount_rejects_bad_field_by_name(field, value):
 def test_rotary_only_budget():
     # at the default 28.6 mm lever arm: the rotary part is 2 x 2 x 0.0014 deg
     assert (ROTARY_REPEATABILITY_DEG, LINEAR_REPEATABILITY_M) == (0.0014, 30e-9)
-    err = repeatability_to_angle_error(MountGeometry())
+    err = repeatability_to_angle_error(MountGeometry(LAMBDA))
     linear = math.atan(30e-9 / 28.6e-3)
     assert math.degrees(err - linear) == pytest.approx(0.0056, rel=1e-9)
 
 
 def test_linear_only_budget_at_50mm():
     # the linear part shrinks with the lever arm; the rotary part does not move
-    err = repeatability_to_angle_error(MountGeometry(d_axial=50e-3))
+    err = repeatability_to_angle_error(MountGeometry(LAMBDA, d_axial=50e-3))
     linear = err - 4.0 * math.radians(0.0014)
     assert linear == pytest.approx(math.atan(30e-9 / 50e-3), rel=1e-9)
     assert linear == pytest.approx(6e-7, rel=1e-3)
-    assert err < repeatability_to_angle_error(MountGeometry())
+    assert err < repeatability_to_angle_error(MountGeometry(LAMBDA))

@@ -1,18 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from odfkit.configio import load_config
 from odfkit.constants import HBAR
-from odfkit.core import (
-    OdfDrive,
-    ThermalState,
-    TrapIonConfig,
-    ground_state_extent,
-    thermal_extent_sq,
-)
+from odfkit.core import ThermalState, ground_state_extent, thermal_extent_sq
 from odfkit.geometry import BeamGeometry, delta_k
 from odfkit.interactions import (
     ResonanceSingularityError,
@@ -24,13 +20,15 @@ from odfkit.interactions import (
 )
 from odfkit.interactions import _dq, _dr, _q, _r
 
-CFG = TrapIonConfig()
+SCN = load_config()  # the default config
+CFG = SCN.trap
+DRIVE = SCN.drive  # 2 kHz above the COM mode
 Z0 = ground_state_extent(CFG)
-LAMBDA = BeamGeometry(theta_odf=0.0).laser_wavelength  # the default beams'
+LAMBDA = SCN.beams.laser_wavelength
 
 
 def geom(theta_deg):
-    return BeamGeometry(theta_odf=np.radians(theta_deg))
+    return BeamGeometry(theta_odf=np.radians(theta_deg), laser_wavelength=LAMBDA)
 
 
 def debye_waller(geometry, drive, state):
@@ -49,7 +47,7 @@ def p_up(drive, state, mu, theta_deg=28.0, cfg=CFG):
 
 @pytest.mark.parametrize("n_bar,expected", [(0.0, 0.976), (1.27, 0.918), (10.7, 0.584)])
 def test_debye_waller_frozen_values(n_bar, expected):
-    dw = debye_waller(geom(28.0), OdfDrive(), ThermalState(n_bar=n_bar))
+    dw = debye_waller(geom(28.0), DRIVE, ThermalState(n_bar=n_bar))
     assert dw == pytest.approx(expected, abs=5e-4)
 
 
@@ -57,19 +55,19 @@ def test_debye_waller_frozen_values(n_bar, expected):
 def test_debye_waller_matches_monte_carlo_oracle(n_bar):
     # thermal average of cos(dk z) over the Gaussian wavepacket, 1e7 samples
     g = geom(28.0)
-    dw = debye_waller(g, OdfDrive(), ThermalState(n_bar=n_bar))
+    dw = debye_waller(g, DRIVE, ThermalState(n_bar=n_bar))
     mc = oracles.mc_debye_waller(delta_k(g), thermal_extent_sq(CFG, ThermalState(n_bar=n_bar)))
     assert dw == pytest.approx(mc, abs=5e-4)  # 3 significant figures
 
 
 def test_zero_delta_k_limit():
-    s = force_magnitude(geom(0.0), OdfDrive(), CFG, ThermalState(1.27))
+    s = force_magnitude(geom(0.0), DRIVE, CFG, ThermalState(1.27))
     assert s.f0 == 0.0
     assert s.f0_over_gamma == 0.0
 
 
 def test_interaction_strengths_self_consistent():
-    drive = OdfDrive(mu=CFG.omega_com + 2 * math.pi * 2e3)
+    drive = replace(DRIVE, mu=CFG.omega_com + 2 * math.pi * 2e3)
     s = force_magnitude(geom(28.0), drive, CFG, ThermalState(1.27))
     dk = delta_k(geom(28.0))
     assert s.f0 == pytest.approx(
@@ -80,7 +78,7 @@ def test_interaction_strengths_self_consistent():
 
 
 def test_on_resonance_leaves_j_bar_unset():
-    s = force_magnitude(geom(28.0), OdfDrive(mu=CFG.omega_com), CFG, ThermalState(1.27))
+    s = force_magnitude(geom(28.0), replace(DRIVE, mu=CFG.omega_com), CFG, ThermalState(1.27))
     assert s.j_bar is None
 
 
@@ -94,11 +92,12 @@ def test_on_resonance_leaves_j_bar_unset():
 )
 def test_angle_array_equals_scalar_calls(thetas, n_bar, detune_hz, sign):
     # one call on an angle grid gives the per-angle scalar results bit for bit
-    drive = OdfDrive(mu=CFG.omega_com + sign * 2 * math.pi * detune_hz)
+    drive = replace(DRIVE, mu=CFG.omega_com + sign * 2 * math.pi * detune_hz)
     state = ThermalState(n_bar)
-    angles = BeamGeometry(theta_odf=np.array(thetas))
+    angles = BeamGeometry(theta_odf=np.array(thetas), laser_wavelength=LAMBDA)
     grid = force_magnitude(angles, drive, CFG, state)
-    points = [force_magnitude(BeamGeometry(theta_odf=t), drive, CFG, state) for t in thetas]
+    points = [force_magnitude(BeamGeometry(theta_odf=t, laser_wavelength=LAMBDA), drive, CFG, state)
+              for t in thetas]
     for name in ("f0", "j_bar", "f0_over_gamma"):
         assert np.array_equal(getattr(grid, name), [getattr(p, name) for p in points]), name
     # math.exp, not np.exp, which is 1 ulp off at some arguments
@@ -152,19 +151,19 @@ def contrast(p, drive):
 
 def test_loop_closure_across_force_decades():
     # one ion (C_ss = 1) and a hot mode: any residual displacement shows in C_sm
-    cfg = TrapIonConfig(n_ions=1)
-    drive0 = OdfDrive()
+    cfg = replace(CFG, n_ions=1)
+    drive0 = DRIVE
     f0_ref = force_magnitude(geom(28.0), drive0, cfg, ThermalState(10.7)).f0
     mu = cfg.omega_com + 2 * math.pi * np.arange(1, 6) / drive0.tau
     for f0 in (3e-24, 3e-23, 3e-22):
-        drive = OdfDrive(delta_ac=drive0.delta_ac * f0 / f0_ref)
+        drive = replace(DRIVE, delta_ac=drive0.delta_ac * f0 / f0_ref)
         p = p_up(drive, ThermalState(10.7), mu, cfg=cfg)
         assert np.all(np.abs(contrast(p, drive) - 1.0) < 1e-12)
 
 
 def test_zero_force_is_trivial():
     # no AC-Stark drive: no displacement and no phase, only the scattering baseline
-    drive = OdfDrive(delta_ac=0.0)
+    drive = replace(DRIVE, delta_ac=0.0)
     mu = CFG.omega_com + 2 * math.pi * np.linspace(-3e3, 3e3, 13)
     assert np.all(contrast(p_up(drive, ThermalState(1.27), mu), drive) == 1.0)
 
@@ -173,8 +172,8 @@ def test_jbar_convention_at_loop_closure():
     # at delta tau = 2 pi k, alpha_total = 0 and chi_arm = jbar tau / 2, with jbar from j_bar
     state = ThermalState(1.27)
     for k in (1, 2, 3):
-        delta = 2 * math.pi * k / OdfDrive().tau
-        drive = OdfDrive(mu=CFG.omega_com + delta)
+        delta = 2 * math.pi * k / DRIVE.tau
+        drive = replace(DRIVE, mu=CFG.omega_com + delta)
         jb = j_bar(force_magnitude(geom(28.0), drive, CFG, state).f0, CFG, delta)
         expected = math.cos(2 * jb * drive.tau) ** (CFG.n_ions - 1)
         assert contrast(p_up(drive, state, np.array([drive.mu])), drive)[0] == pytest.approx(
@@ -184,7 +183,7 @@ def test_jbar_convention_at_loop_closure():
 def test_resonance_analytic_limit():
     # P_up and its Jacobian are continuous into delta = 0 and across the series branch at
     # |delta tau| = 1e-2
-    drive = OdfDrive()
+    drive = DRIVE
     tau = drive.tau
     scan = CFG.omega_com + 2 * math.pi * np.linspace(-3e3, 3e3, 61)
     _, jac_scan = thermometry_model(scan, CFG.omega_com, 10.7, geom(28.0), drive, CFG, jac=True)
@@ -204,9 +203,9 @@ def trajectory_oracle_residuals(n_ions_list=(2, 125)):
     The oracle integrates the spin-echo trajectory at the drive scale
     f = F0 z0 / (2 hbar) of force_magnitude and returns |alpha_total| and chi_arm.
     """
-    tau = OdfDrive().tau
+    tau = DRIVE.tau
     s_vals = np.linspace(0.1, 20.0, 20)
-    cases = [(theta, n_bar, OdfDrive(delta_ac=2 * math.pi * delta_ac_hz))
+    cases = [(theta, n_bar, replace(DRIVE, delta_ac=2 * math.pi * delta_ac_hz))
              for theta in (12.0, 28.0, 36.0) for n_bar in (0.1, 1.27, 10.7)
              for delta_ac_hz in (800.0, 8000.0)]
     f = np.array([force_magnitude(geom(theta), drive, CFG, ThermalState(n_bar)).f0
@@ -214,7 +213,7 @@ def trajectory_oracle_residuals(n_ions_list=(2, 125)):
     mag, chi = oracles.phase_space_trajectory(f[:, None], s_vals[None, :] / tau, tau, "spin_echo")
     worst = {}
     for n_ions in n_ions_list:
-        cfg = TrapIonConfig(n_ions=n_ions)
+        cfg = replace(CFG, n_ions=n_ions)
         for (theta, n_bar, drive), mag_i, chi_i in zip(cases, mag, chi):
             p = p_up(drive, ThermalState(n_bar), cfg.omega_com + s_vals / tau, theta, cfg)
             ref = 0.5 * (1.0 - math.exp(-2.0 * drive.gamma * tau)
@@ -252,7 +251,7 @@ def test_taylor_series_branch_matches_closed_form(series_guarded, closed_form, r
     st.floats(min_value=-1e4, max_value=1e4),
 )
 def test_thermometry_model_bounded(theta_deg, n_bar, gamma, detune_hz):
-    drive = OdfDrive(mu=CFG.omega_com + 2 * math.pi * detune_hz, gamma=gamma)
+    drive = replace(DRIVE, mu=CFG.omega_com + 2 * math.pi * detune_hz, gamma=gamma)
     p = p_up(drive, ThermalState(n_bar), np.array([drive.mu]), theta_deg)
     assert 0.0 <= p[0] <= 1.0
 
@@ -269,7 +268,7 @@ def test_precession_lineshape_bounded(jb, gamma, theta1):
 
 
 def test_thermometry_far_detuned_baseline():
-    drive = OdfDrive()
+    drive = DRIVE
     mu = CFG.omega_com + 2 * math.pi * np.array([5e5, -5e5])
     p = p_up(drive, ThermalState(1.27), mu)
     expected = 0.5 * (1 - math.exp(-2 * drive.gamma * drive.tau))
@@ -278,14 +277,14 @@ def test_thermometry_far_detuned_baseline():
 
 def test_thermometry_node_at_resonance():
     # loop closes exactly at delta = 0, leaving only the scattering baseline
-    drive = OdfDrive()
+    drive = DRIVE
     p = p_up(drive, ThermalState(10.7), np.array([CFG.omega_com]))
     expected = 0.5 * (1 - math.exp(-2 * drive.gamma * drive.tau))
     assert p[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_thermometry_full_decoherence():
-    drive = OdfDrive(gamma=1e6)
+    drive = replace(DRIVE, gamma=1e6)
     mu = CFG.omega_com + 2 * math.pi * np.linspace(-3e3, 3e3, 11)
     p = p_up(drive, ThermalState(1.27), mu)
     assert np.allclose(p, 0.5, atol=1e-12)
@@ -293,8 +292,8 @@ def test_thermometry_full_decoherence():
 
 def test_thermometry_contrast_grows_with_occupation():
     # with one ion C_ss = 1, so the motional lobes alone set the contrast
-    cfg = TrapIonConfig(n_ions=1)
-    drive = OdfDrive()
+    cfg = replace(CFG, n_ions=1)
+    drive = DRIVE
     mu = cfg.omega_com + 2 * math.pi * np.linspace(-3e3, 3e3, 201)
     baseline = 0.5 * (1 - math.exp(-2 * drive.gamma * drive.tau))
     hot = p_up(drive, ThermalState(10.7), mu, cfg=cfg)
@@ -313,26 +312,26 @@ def test_precession_trivial_points():
 
 
 def test_ratio_curve_cold_case():
-    ratio = force_magnitude(geom(np.array([14.0, 28.0])), OdfDrive(), CFG,
+    ratio = force_magnitude(geom(np.array([14.0, 28.0])), DRIVE, CFG,
                             ThermalState(1.27)).f0_over_gamma
     assert ratio[1] / ratio[0] == pytest.approx(1.8630, rel=1e-3)
 
 
 def test_ratio_curve_hot_case():
-    ratio = force_magnitude(geom(np.array([14.0, 28.0])), OdfDrive(), CFG,
+    ratio = force_magnitude(geom(np.array([14.0, 28.0])), DRIVE, CFG,
                             ThermalState(10.7)).f0_over_gamma
     assert ratio[1] / ratio[0] == pytest.approx(1.3284, rel=1e-3)
 
 
 def test_ratio_curve_ground_state_monotone():
-    f0 = force_magnitude(geom(np.linspace(0.5, 36.0, 72)), OdfDrive(), CFG,
+    f0 = force_magnitude(geom(np.linspace(0.5, 36.0, 72)), DRIVE, CFG,
                          ThermalState(0.0)).f0
     assert np.all(np.diff(f0) > 0)
 
 
 def test_ratio_curve_requires_positive_gamma():
     # the ratio is left unset without scattering; ratio-scan then exits 1
-    s = force_magnitude(geom(np.array([14.0, 28.0])), OdfDrive(gamma=0.0), CFG,
+    s = force_magnitude(geom(np.array([14.0, 28.0])), replace(DRIVE, gamma=0.0), CFG,
                         ThermalState(1.27))
     assert s.f0_over_gamma is None
 
@@ -351,7 +350,8 @@ def test_turnover_angle_is_stationary_point():
     theta_star = force_turnover_angle(CFG, state, LAMBDA)
 
     def f0(theta):
-        return force_magnitude(BeamGeometry(theta_odf=theta), OdfDrive(), CFG, state).f0
+        g = BeamGeometry(theta_odf=theta, laser_wavelength=LAMBDA)
+        return force_magnitude(g, DRIVE, CFG, state).f0
 
     h = 1e-6
     deriv = (f0(theta_star + h) - f0(theta_star - h)) / (2 * h)

@@ -11,13 +11,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from odfkit.core import OdfDrive, ThermalState, TrapIonConfig
+from odfkit.configio import load_config
+from odfkit.core import ThermalState
 from odfkit.csvio import _BLOCK_ROWS, ScanDataset, Series, write_rows
-from odfkit.geometry import BeamGeometry
 from odfkit.interactions import precession_lineshape, thermometry_model
 from odfkit.simulate import (
-    DriftModel,
-    PathNoiseModel,
+    SLOW_CUTOFF,
     simulate_angle_drift,
     simulate_gamma_decay,
     simulate_path_noise,
@@ -28,9 +27,10 @@ from odfkit import _stream_v1
 from odfkit.simulate import _one_pole_lowpass, _sample_scan, _sample_scans
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-CFG = TrapIonConfig()
-GEOM = BeamGeometry(theta_odf=math.radians(28.0))
-DRIVE = OdfDrive()
+SCN = load_config()  # the default config
+CFG = SCN.trap
+GEOM = SCN.beams  # 28 degrees
+DRIVE = SCN.drive
 MU = CFG.omega_com + 2 * math.pi * np.linspace(-3e3, 3e3, 30)
 
 
@@ -93,7 +93,7 @@ def test_dataset_arrays_are_read_only():
 
 def test_dataset_leaves_callers_grid_writable():
     grid = np.linspace(0.0, 6.28, 5)
-    ds = simulate_precession(1000.0, 100.0, 5e-4, grid)
+    ds = simulate_precession(1000.0, 100.0, 5e-4, grid, shots=500, seed=0)
     grid[0] = 1.0
     assert ds.abscissa[0] == 1.0  # a read-only view of the same memory, not a copy
     with pytest.raises(ValueError):
@@ -187,7 +187,7 @@ def test_path_noise_peak_stays_under_four_arrays():
     n = 600_000
     tracemalloc.start()
     try:
-        simulate_path_noise(PathNoiseModel(seed=3), 6000.0, 100.0)
+        simulate_path_noise(6000.0, 100.0, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -366,75 +366,74 @@ def test_wilson_sigma_floor():
 
 def test_shots_validation():
     with pytest.raises(ValueError):
-        simulate_thermometry(GEOM, DRIVE, CFG, ThermalState(1.27), MU, shots=0)
+        simulate_thermometry(GEOM, DRIVE, CFG, ThermalState(1.27), MU, shots=0, seed=0)
     with pytest.raises(ValueError, match="shots"):  # numpy's int64 overflow, named
-        simulate_precession(1641.5, 100.0, 500e-6, [0.0, 1.0], shots=2 ** 63)
+        simulate_precession(1641.5, 100.0, 500e-6, [0.0, 1.0], shots=2 ** 63, seed=0)
 
 
 # -- angle drift -------------------------------------------------------------------
 
 
 def test_drift_linear_rate():
-    ds = simulate_angle_drift(DriftModel(linear_rate=0.002, rms_jitter=0.0), 3600.0, 10.0)
+    ds = simulate_angle_drift(3600.0, 10.0, linear_rate=0.002, rms_jitter=0.0, seed=0)
     assert ds.value[-1] == pytest.approx(0.002, rel=1e-12)
     assert ds.value[0] == 0.0
 
 
 def test_drift_zero_model_is_zero():
-    ds = simulate_angle_drift(DriftModel(linear_rate=0.0, rms_jitter=0.0), 1000.0, 1.0)
+    ds = simulate_angle_drift(1000.0, 1.0, linear_rate=0.0, rms_jitter=0.0, seed=0)
     assert np.all(ds.value == 0.0)
 
 
 def test_drift_6000s_within_axis_range():
-    ds = simulate_angle_drift(DriftModel(linear_rate=0.002, rms_jitter=0.0), 6000.0, 10.0)
+    ds = simulate_angle_drift(6000.0, 10.0, linear_rate=0.002, rms_jitter=0.0, seed=0)
     assert ds.value[-1] == pytest.approx(0.002 * 6000 / 3600, rel=1e-12)
     assert np.all(np.abs(ds.value) <= 6e-3)
 
 
 def test_drift_jitter_deterministic():
-    a = simulate_angle_drift(DriftModel(rms_jitter=1e-3, seed=9), 100.0, 1.0)
-    b = simulate_angle_drift(DriftModel(rms_jitter=1e-3, seed=9), 100.0, 1.0)
+    a = simulate_angle_drift(100.0, 1.0, linear_rate=0.002, rms_jitter=1e-3, seed=9)
+    b = simulate_angle_drift(100.0, 1.0, linear_rate=0.002, rms_jitter=1e-3, seed=9)
     assert a.value.tobytes() == b.value.tobytes()
 
 
 def test_drift_validation():
     with pytest.raises(ValueError):
-        simulate_angle_drift(DriftModel(), 0.0, 1.0)
-    with pytest.raises(ValueError):
-        DriftModel(rms_jitter=-1e-3)
+        simulate_angle_drift(0.0, 1.0, linear_rate=0.002, rms_jitter=0.0, seed=0)
+    with pytest.raises(ValueError, match="^rms_jitter must be >= 0$"):
+        simulate_angle_drift(100.0, 1.0, linear_rate=0.002, rms_jitter=-1e-3, seed=0)
 
 
 # -- path noise ----------------------------------------------------------------------
 
 
-def test_path_noise_zero_amplitudes():
-    model = PathNoiseModel(slow_amplitude=0.0, fast_amplitude=0.0)
-    ds = simulate_path_noise(model, 10.0, 100.0)
-    assert np.all(ds.value == 0.0)
-
-
 def test_path_noise_rms_within_5_percent_over_100_seeds():
     for seed in range(100):
-        ds = simulate_path_noise(PathNoiseModel(seed=seed), 200.0, 100.0)
+        ds = simulate_path_noise(200.0, 100.0, seed=seed)
         rms = math.sqrt(float(np.mean(ds.value ** 2)))
         assert abs(rms - 12e-9) / 12e-9 < 0.05
 
 
 def test_path_noise_deterministic():
-    a = simulate_path_noise(PathNoiseModel(seed=4), 50.0, 100.0)
-    b = simulate_path_noise(PathNoiseModel(seed=4), 50.0, 100.0)
+    a = simulate_path_noise(50.0, 100.0, seed=4)
+    b = simulate_path_noise(50.0, 100.0, seed=4)
     assert a.value.tobytes() == b.value.tobytes()
 
 
+def test_path_noise_one_sample_is_its_rescaled_fast_band():
+    # one sample has a zero slow band after the mean is removed: no 0/0, only the fast draw
+    ds = simulate_path_noise(0.01, 100.0, seed=5)
+    assert len(ds) == 1 and abs(ds.value[0]) == pytest.approx(12e-9, rel=1e-12)
+
+
 def test_path_noise_spectral_split():
-    # with the fast band off, >=80% of the variance sits below the cutoff;
-    # the rescale to target_rms scales the whole spectrum and keeps that share
-    model = PathNoiseModel(fast_amplitude=0.0, seed=11)
-    ds = simulate_path_noise(model, 400.0, 100.0)
+    # the slow band dominates: >=80% of the variance sits below the cutoff, and
+    # the rescale to TARGET_RMS scales the whole spectrum and keeps that share
+    ds = simulate_path_noise(400.0, 100.0, seed=11)
     series = ds.value - ds.value.mean()
     spectrum = np.abs(np.fft.rfft(series)) ** 2
     freqs = np.fft.rfftfreq(len(series), d=1.0 / 100.0)
-    below = spectrum[freqs <= model.slow_cutoff].sum()
+    below = spectrum[freqs <= SLOW_CUTOFF].sum()
     assert below / spectrum.sum() >= 0.80
 
 
@@ -458,6 +457,4 @@ def test_lowpass_matches_scipy_lfilter(seed):
 
 def test_path_noise_validation():
     with pytest.raises(ValueError):
-        simulate_path_noise(PathNoiseModel(), -1.0, 100.0)
-    with pytest.raises(ValueError):
-        PathNoiseModel(slow_amplitude=-1e-9)
+        simulate_path_noise(-1.0, 100.0, seed=0)
