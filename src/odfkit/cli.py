@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 # odfkit's BLAS work is 1x1 and 2x2 solves and dot products over n-vectors:
@@ -35,12 +36,11 @@ finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 # csvio, fitting, simulate and manifest are imported by the commands that call them
-from .configio import ConfigError, Scenario, load_config
+from .configio import ConfigError, Scenario, check_number, load_config
 from .constants import TWO_PI
-from .core import OdfDrive, ThermalState
+from .core import ThermalState
 from .geometry import (
     ActuatorState,
-    BeamGeometry,
     GeometryInfeasibleError,
     actuators_for_angle,
     angle_from_actuators,
@@ -115,6 +115,9 @@ def _emit(args, name, data, scn: Scenario, seed=None):
 # the tipping angles theta1, in rad, of a precession scan without --grid
 _THETA1_GRID = np.linspace(0, 2 * math.pi, 40)
 
+# the n_bar of the paper's Doppler- and EIT-cooled crystals, the scenarios of fig3c and fig4c
+_COOLED = (("doppler", 10.7), ("eit", 1.27))
+
 # fitted thermometry parameters in the CLI's units: omega_com as Hz
 _THERMOMETRY_UNITS = {"omega_com": ("omega_com_hz", 1.0 / TWO_PI), "n_bar": ("n_bar", 1.0)}
 
@@ -165,9 +168,7 @@ def cmd_geom(args, scn: Scenario):
         for key, value in (item for s in states for item in s.items()):
             if key not in _POSE_FIELDS:
                 raise ConfigError(f"bad --actuators {args.actuators}: unknown key {key!r}")
-            if not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
-                raise ConfigError(f"bad --actuators {args.actuators}: {key} must be a finite "
-                                  f"number, got {value!r}")
+            check_number(f"bad --actuators {args.actuators}: {key}", value)
         mirror = [ActuatorState(**{_POSE_FIELDS[key]: value for key, value in s.items()})
                   for s in states]
         try:
@@ -176,11 +177,7 @@ def cmd_geom(args, scn: Scenario):
             print(_json({"feasible": False, "error": str(err)}))
             return 0
     elif args.theta is not None:
-        geom = BeamGeometry(
-            theta_odf=math.radians(args.theta),
-            laser_wavelength=scn.beams.laser_wavelength,
-            tilt_error=scn.beams.tilt_error,
-        )
+        geom = replace(scn.beams, theta_odf=math.radians(args.theta))
     else:
         geom = scn.beams
     try:  # feasible: the mount has a symmetric pose for this angle
@@ -207,8 +204,7 @@ def cmd_curves(args, scn: Scenario):
                            "comma-separated numbers >= 0",
                            lambda *fields: [ThermalState(n_bar=float(v)) for v in fields],
                            sep=",")
-    geom = BeamGeometry(theta_odf=np.radians(grid_deg),
-                        laser_wavelength=scn.beams.laser_wavelength)
+    geom = replace(scn.beams, theta_odf=np.radians(grid_deg))
     strengths = [force_magnitude(geom, scn.drive, scn.trap, state) for state in states]
     no_coupling = np.full(len(grid_deg), math.nan)
     columns = (np.tile(grid_deg, len(states)),
@@ -223,11 +219,10 @@ def cmd_ratio_scan(args, scn: Scenario):
     # |delta_ac| and Gamma are held theta-independent: the fixed-optical-power
     # comparison the ratio is defined for
     theta = np.radians(_parse_grid(args.grid or "12:36:49"))
-    geom = BeamGeometry(theta_odf=theta, laser_wavelength=scn.beams.laser_wavelength)
-    s = force_magnitude(geom, scn.drive, scn.trap, scn.thermal)
-    if s.f0_over_gamma is None:
+    f0 = force_magnitude(replace(scn.beams, theta_odf=theta), scn.drive, scn.trap, scn.thermal).f0
+    if scn.drive.gamma <= 0:
         raise ConfigError("ratio-scan needs drive.gamma_per_s > 0")
-    columns = (np.degrees(theta), s.f0, np.full(len(theta), scn.drive.gamma), s.f0_over_gamma)
+    columns = (np.degrees(theta), f0, np.full(len(theta), scn.drive.gamma), f0 / scn.drive.gamma)
     _emit(args, "ratio_scan", (["theta_deg", "F0_N", "Gamma_Hz", "ratio"], columns), scn)
     return 0
 
@@ -266,7 +261,7 @@ def cmd_fit(args, scn: Scenario):
     from .csvio import ScanDataset
     from .fitting import fit_far_detuned_gamma, fit_precession, fit_thermometry
 
-    dataset = ScanDataset.from_csv(args.data, kind=args.model)
+    dataset = ScanDataset.from_csv(args.data)
     if args.model == "thermometry":
         result = fit_thermometry(dataset, scn.beams, scn.drive, scn.trap)
         payload = _fit_json(result, _THERMOMETRY_UNITS)
@@ -306,7 +301,7 @@ def cmd_fig3c(args, scn: Scenario):
     from .simulate import simulate_thermometry
 
     fits = {}
-    for label, n_bar in (("doppler", 10.7), ("eit", 1.27)):
+    for label, n_bar in _COOLED:
         state = ThermalState(n_bar=n_bar)
         grid = scn.trap.omega_com + TWO_PI * np.linspace(-3e3, 3e3, 30)
         dataset = simulate_thermometry(scn.beams, scn.drive, scn.trap, state,
@@ -321,7 +316,7 @@ def cmd_fig3c(args, scn: Scenario):
 
 
 def cmd_fig4c(args, scn: Scenario):
-    from .fitting import FitInputError, f0_from_jbar, fit_precession, weighted_f0
+    from .fitting import f0_from_jbar, fit_precession, weighted_f0
     from .simulate import _precession_scans
 
     theta_list = [14.0, 17.0, 20.0, 24.0, 28.0]
@@ -331,14 +326,13 @@ def cmd_fig4c(args, scn: Scenario):
     # the coupling scales with delta_ac^2, and F0 with |delta_ac|; floor the probe
     # drive so the weakest operating point still precesses above the shot noise
     delta_ac_probe = max(abs(scn.drive.delta_ac), TWO_PI * 2.5e3)
-    drives = [OdfDrive(delta_ac=delta_ac_probe, mu=scn.trap.omega_com + delta,
-                       tau=scn.drive.tau, gamma=scn.drive.gamma) for delta in deltas]
+    drives = [replace(scn.drive, delta_ac=delta_ac_probe, mu=scn.trap.omega_com + delta)
+              for delta in deltas]
     if any(drive.mu == scn.trap.omega_com for drive in drives):  # omega_com absorbs delta
-        raise FitInputError("precession needs a nonzero detuning mu - omega_com")
-    geom = BeamGeometry(theta_odf=np.radians(theta_list),
-                        laser_wavelength=scn.beams.laser_wavelength)
+        raise ResonanceSingularityError("precession needs a nonzero detuning mu - omega_com")
+    geom = replace(scn.beams, theta_odf=np.radians(theta_list))
     cases = []  # (label, theta_deg, Jbar at each detuning, seed of the first detuning)
-    for label, n_bar in (("doppler", 10.7), ("eit", 1.27)):
+    for label, n_bar in _COOLED:
         state = ThermalState(n_bar=n_bar)
         # one array call per detuning; item i holds Jbar at angle i for each detuning
         j_bars = zip(*(force_magnitude(geom, d, scn.trap, state).j_bar.tolist() for d in drives))
@@ -359,7 +353,7 @@ def cmd_fig4c(args, scn: Scenario):
                 result.params["j_bar"],
                 max(result.sigmas["j_bar"], 1e-12 * abs(result.params["j_bar"])),
                 scn.trap, delta)
-            estimates.append((delta, f0, sigma_f0))
+            estimates.append((f0, sigma_f0))
         f0, _ = weighted_f0(estimates)
         rows.append((label, theta_deg, f0, scn.drive.gamma, f0 / scn.drive.gamma))
     _emit(args, "fig4c", (["scenario", "theta_deg", "F0_N", "Gamma_Hz", "ratio"], zip(*rows)),
@@ -492,7 +486,7 @@ def main(argv=None) -> int:
         # (the Python docs' note on SIGPIPE)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ConfigError, GeometryInfeasibleError, ValueError, OSError, MemoryError) as err:
+    except (ValueError, OSError, MemoryError) as err:  # ConfigError among them
         print(f"error: {err}", file=sys.stderr)
         return 1
     except ArithmeticError as err:  # a value so large or small that a result leaves floats

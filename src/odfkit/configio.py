@@ -68,6 +68,14 @@ class Scenario:
     raw: dict  # merged section dict, for manifests
 
 
+def check_number(where: str, value) -> None:
+    """Raise a ConfigError starting with `where` unless value is a finite JSON number (no bool)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{where}: expected number, got {type(value).__name__}")
+    if not abs(value) <= sys.float_info.max:  # also an int too large for a float
+        raise ConfigError(f"{where}: expected a finite number, got {value}")
+
+
 def _validate_sections(doc, path: str = "config", what: str = "sections"):
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a table of {what}")
@@ -85,16 +93,11 @@ def _validate_sections(doc, path: str = "config", what: str = "sections"):
         for key, value in body.items():
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{path}.{section}: unknown key {key!r}")
-            if key == "n_ions":
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ConfigError(f"{path}.{section}.{key}: expected integer, "
-                                      f"got {type(value).__name__}")
-            elif not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"{path}.{section}.{key}: expected number, "
+            if key != "n_ions":
+                check_number(f"{path}.{section}.{key}", value)
+            elif not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{path}.{section}.{key}: expected integer, "
                                   f"got {type(value).__name__}")
-            elif not abs(value) <= sys.float_info.max:  # also an int too large for a float
-                raise ConfigError(f"{path}.{section}.{key}: expected a finite number, "
-                                  f"got {value}")
 
 
 def _merge(base: dict, overrides: dict) -> dict:
@@ -106,9 +109,8 @@ def _merge(base: dict, overrides: dict) -> dict:
 
 def load_config(path=None, scenario: str | None = None) -> Scenario:
     """Read a config file (or defaults), optionally applying a named scenario."""
-    if path is None:
-        doc = copy.deepcopy(DEFAULT_CONFIG)
-    else:
+    doc = {}  # no file: the defaults alone
+    if path is not None:
         try:
             with open(path) as fh:
                 doc = json.load(fh)

@@ -57,7 +57,7 @@ class ScanDataset:
         write_rows(path, ["abscissa", "p_up", "sigma"], (self.abscissa, self.p_up, self.sigma))
 
     @classmethod
-    def from_csv(cls, path, kind):
+    def from_csv(cls, path):
         """Read a CSV written by to_csv; a malformed file is a ValueError naming it."""
         try:
             with open(path) as fh, warnings.catch_warnings():
@@ -68,8 +68,7 @@ class ScanDataset:
                 raise ValueError("no data rows")
             if width < 3 or data.shape[1] != width:
                 raise ValueError("every row must have as many fields as the header, at least 3")
-            return cls(abscissa=data[:, 0], p_up=data[:, 1], sigma=data[:, 2],
-                       meta={"kind": kind, "source": str(path)})
+            return cls(abscissa=data[:, 0], p_up=data[:, 1], sigma=data[:, 2])
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from None
 

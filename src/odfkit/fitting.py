@@ -240,21 +240,21 @@ def f0_from_jbar(j_bar: float, sigma_j: float, cfg: TrapIonConfig,
 
 
 def weighted_f0(estimates) -> tuple[float, float]:
-    """Inverse-variance weighted mean (F0, sigma) of (delta, F0, sigma) entries."""
+    """Inverse-variance weighted mean (F0, sigma) of (F0, sigma) pairs."""
     entries = tuple(estimates)
     if not entries:
         raise FitInputError("need at least one F0 estimate")
-    if not all(math.isfinite(f) for _, f, _ in entries):
+    if not all(math.isfinite(f) for f, _ in entries):
         raise FitInputError("all F0 values must be finite")
-    if not all(s > 0 for _, _, s in entries):  # NaN fails too
+    if not all(s > 0 for _, s in entries):  # NaN fails too
         raise FitInputError("all sigmas must be > 0")
-    if not all(s * s > 0 for _, _, s in entries) or not sum(
-            1.0 / (s * s) for _, _, s in entries) < math.inf:
+    if not all(s * s > 0 for _, s in entries) or not sum(
+            1.0 / (s * s) for _, s in entries) < math.inf:
         raise FitInputError("a sigma is too small to weight: 1/sigma^2 or their sum overflows")
-    weights = np.array([1.0 / (s * s) for _, _, s in entries])
+    weights = np.array([1.0 / (s * s) for _, s in entries])
     if not weights.sum() > 0:
         raise FitInputError("every sigma is infinite: no F0 estimate has weight")
-    values = np.array([f for _, f, _ in entries])
+    values = np.array([f for f, _ in entries])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an input error below
         mean = float((weights * values).sum() / weights.sum())
     if not math.isfinite(mean):

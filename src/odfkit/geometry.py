@@ -28,6 +28,7 @@ from .constants import TWO_PI
 # closed-loop repeatabilities of the rotary and linear stages of each mirror stack
 ROTARY_REPEATABILITY_DEG = 0.0014
 LINEAR_REPEATABILITY_M = 30e-9
+ROTARY_TRAVEL_DEG = 50.0  # each rotary stage turns from -50 to +50 degrees
 
 
 class GeometryInfeasibleError(ValueError):
@@ -64,20 +65,14 @@ class ActuatorState:
     rotary_angle is the closed-loop rotary offset from the reference at
     which the reflected beam runs parallel to the bore axis; tip/tilt are
     the open-loop fine stages (tip moves the beam out of the crossing
-    plane, tilt adds to the rotary offset).  The mount's linear_travel
-    bounds linear_pos; angle_from_actuators checks it.
+    plane, tilt adds to the rotary offset).  angle_from_actuators bounds
+    rotary_angle by ROTARY_TRAVEL_DEG and linear_pos by linear_travel.
     """
 
     rotary_angle: float = 0.0  # degrees
     linear_pos: float = 0.0  # m, along the bore axis, 0 at the outermost stop
     tip: float = 0.0  # degrees
     tilt: float = 0.0  # degrees
-
-    def __post_init__(self):
-        if not -50.0 <= self.rotary_angle <= 50.0:
-            raise ValueError(
-                f"rotary_angle {self.rotary_angle} outside the 100 degree travel window"
-            )
 
 
 @dataclass(frozen=True)
@@ -166,14 +161,17 @@ def angle_from_actuators(
     """Forward kinematics: mirror poses to the implied BeamGeometry.
 
     With `second` omitted the same pose is applied to both mirrors
-    (symmetric pair).  Raises GeometryInfeasibleError when a linear stage
-    sits outside the mount's travel, a beam misses trap center by more
+    (symmetric pair).  Raises GeometryInfeasibleError when a rotary or
+    linear stage sits outside its travel, a beam misses trap center by more
     than the crossing tolerance, or the implied angle falls outside the
     mechanical window.
     """
     states = (state, second if second is not None else state)
     halves = []
     for s in states:
+        if not abs(s.rotary_angle) <= ROTARY_TRAVEL_DEG:
+            raise GeometryInfeasibleError(f"rotary_angle {s.rotary_angle} outside the "
+                                          f"{2 * ROTARY_TRAVEL_DEG:g} degree travel window")
         if not 0.0 <= s.linear_pos <= mount.linear_travel:
             raise GeometryInfeasibleError(
                 f"linear_pos {s.linear_pos} m outside [0, {mount.linear_travel}] m travel")

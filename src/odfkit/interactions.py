@@ -52,7 +52,6 @@ class ResonanceSingularityError(ValueError):
 class InteractionStrengths:
     f0: float | np.ndarray  # N
     j_bar: float | np.ndarray | None = None  # rad/s; None exactly on resonance
-    f0_over_gamma: float | np.ndarray | None = None  # N s; None when gamma = 0
 
 
 def _taylor_guarded(s, exact, series):
@@ -108,14 +107,13 @@ def force_magnitude(
     cfg: TrapIonConfig,
     state: ThermalState,
 ) -> InteractionStrengths:
-    """Evaluate F0 and the derived coupling figures at each angle of geom."""
+    """F0 and, off resonance, Jbar at each angle of geom; F0/Gamma is f0 / drive.gamma."""
     dk = delta_k(geom)
     zsq = thermal_extent_sq(cfg, state)
     f0 = HBAR * abs(drive.delta_ac) * dk * _math_exp(-0.5 * dk * dk * zsq)
     delta = detuning(drive, cfg)
     jb = j_bar(f0, cfg, delta) if delta != 0.0 else None
-    ratio = f0 / drive.gamma if drive.gamma > 0 else None
-    return InteractionStrengths(f0=f0, j_bar=jb, f0_over_gamma=ratio)
+    return InteractionStrengths(f0=f0, j_bar=jb)
 
 
 def j_bar(f0: float | np.ndarray, cfg: TrapIonConfig, delta: float) -> float | np.ndarray:

@@ -54,11 +54,6 @@ def _sample_scans(shots, scans):
     return datasets
 
 
-def _sample_scan(p_true, shots, seed, abscissa, kind, meta_extra):
-    """One scan of `_sample_scans`."""
-    return _sample_scans(shots, [(p_true, seed, abscissa, kind, meta_extra)])[0]
-
-
 def simulate_thermometry(
     geom: BeamGeometry,
     drive: OdfDrive,
@@ -76,7 +71,7 @@ def simulate_thermometry(
         "n_bar": state.n_bar,
         "theta_odf_deg": math.degrees(geom.theta_odf),
     }
-    return _sample_scan(p_true, shots, seed, mu / (2 * math.pi), "thermometry", extra)
+    return _sample_scans(shots, [(p_true, seed, mu / (2 * math.pi), "thermometry", extra)])[0]
 
 
 def simulate_precession(
@@ -108,7 +103,7 @@ def simulate_gamma_decay(
     """Far-detuned decoherence scan P_up(tau) = (1 - e^{-2 Gamma tau}) / 2."""
     tau = np.asarray(tau_grid, dtype=float)
     p_true = gamma_decay_lineshape(gamma, tau)
-    return _sample_scan(p_true, shots, seed, tau, "gamma", {"gamma": gamma})
+    return _sample_scans(shots, [(p_true, seed, tau, "gamma", {"gamma": gamma})])[0]
 
 
 def simulate_angle_drift(duration: float, dt: float, linear_rate: float, rms_jitter: float,

@@ -74,7 +74,7 @@ def test_criterion_2_ratio_reproduction():
 
     def ratio(theta_deg, n_bar):
         s = force_magnitude(geom(theta_deg), drive, CFG, ThermalState(n_bar))
-        return s.f0_over_gamma
+        return s.f0 / drive.gamma
 
     cold = ratio(28.0, 1.27) / ratio(14.0, 1.27)
     hot = ratio(28.0, 10.7) / ratio(14.0, 10.7)

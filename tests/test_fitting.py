@@ -212,28 +212,28 @@ def test_thermometry_requires_six_points():
 
 
 def test_weighted_f0_frozen_example():
-    f0, sigma = weighted_f0([(1.0, 28.0, 2.0), (2.0, 34.0, 4.0)])
+    f0, sigma = weighted_f0([(28.0, 2.0), (34.0, 4.0)])
     assert f0 == pytest.approx(29.2, rel=1e-12)
     assert sigma == pytest.approx(1.7888543819998317, rel=1e-12)
 
 
 def test_weighted_f0_is_inverse_variance_mean():
-    entries = [(1.0, 30.0, 1.5), (2.0, 31.0, 2.5), (3.0, 29.5, 1.0)]
+    entries = [(30.0, 1.5), (31.0, 2.5), (29.5, 1.0)]
     f0, _ = weighted_f0(entries)
-    w = np.array([1 / s ** 2 for _, _, s in entries])
-    v = np.array([f for _, f, _ in entries])
+    w = np.array([1 / s ** 2 for _, s in entries])
+    v = np.array([f for f, _ in entries])
     assert f0 == pytest.approx(float((w * v).sum() / w.sum()), rel=1e-14)
 
 
 def test_weighted_f0_permutation_invariant():
-    entries = [(1.0, 30.0, 1.5), (2.0, 31.0, 2.5), (3.0, 29.5, 1.0)]
+    entries = [(30.0, 1.5), (31.0, 2.5), (29.5, 1.0)]
     a = weighted_f0(entries)
     b = weighted_f0(entries[::-1])
     assert a == pytest.approx(b, rel=1e-14)
 
 
 def test_weighted_f0_sigma_shrinks_with_entries():
-    entries = [(1.0, 30.0, 2.0), (2.0, 30.1, 2.0), (3.0, 29.9, 2.0), (4.0, 30.0, 2.0)]
+    entries = [(30.0, 2.0), (30.1, 2.0), (29.9, 2.0), (30.0, 2.0)]
     sigmas = [weighted_f0(entries[:k])[1] for k in range(1, 5)]
     assert all(b < a for a, b in zip(sigmas, sigmas[1:]))
 
@@ -242,14 +242,14 @@ def test_weighted_f0_validation():
     with pytest.raises(FitInputError, match="at least one"):
         weighted_f0([])
     with pytest.raises(FitInputError, match="sigmas must be > 0"):
-        weighted_f0([(1.0, 30.0, 0.0)])
+        weighted_f0([(30.0, 0.0)])
     with pytest.raises(FitInputError, match="sigmas must be > 0"):
-        weighted_f0([(1.0, 30.0, 2.0), (2.0, 31.0, math.nan)])
+        weighted_f0([(30.0, 2.0), (31.0, math.nan)])
     for f0 in (math.nan, math.inf):
         with pytest.raises(FitInputError, match="F0 values must be finite"):
-            weighted_f0([(1.0, f0, 2.0)])
+            weighted_f0([(f0, 2.0)])
     # a sigma whose square underflows to 0, and two whose weights 1/sigma^2 overflow
-    for entries in ([(1.0, 30.0, 1e-200)], [(1.0, 30.0, 1e-160), (2.0, 31.0, 1e-160)]):
+    for entries in ([(30.0, 1e-200)], [(30.0, 1e-160), (31.0, 1e-160)]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FitInputError, match="too small to weight"):
@@ -257,15 +257,15 @@ def test_weighted_f0_validation():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy RuntimeWarning on the way to the error
         with pytest.raises(FitInputError, match="every sigma is infinite"):
-            weighted_f0([(1.0, 30.0, math.inf), (2.0, 31.0, math.inf)])
+            weighted_f0([(30.0, math.inf), (31.0, math.inf)])
     # an F0 whose weighted sum overflows, alone or against one of the other sign
-    for entries in ([(1.0, 1e308, 0.1)], [(1.0, 1e308, 0.1), (2.0, -1e308, 0.1)]):
+    for entries in ([(1e308, 0.1)], [(1e308, 0.1), (-1e308, 0.1)]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FitInputError, match="too large to weight"):
                 weighted_f0(entries)
     # an infinite sigma among finite ones carries no weight
-    assert weighted_f0([(1.0, 30.0, 2.0), (2.0, 99.0, math.inf)]) == (30.0, 2.0)
+    assert weighted_f0([(30.0, 2.0), (99.0, math.inf)]) == (30.0, 2.0)
 
 
 def test_f0_from_jbar_inverts_coupling():

@@ -205,12 +205,10 @@ def test_tip_stages_tilt_delta_k():
 
 
 def test_actuator_travel_limits():
-    with pytest.raises(ValueError):
-        ActuatorState(rotary_angle=51.0, linear_pos=0.0)
-    # the linear travel is the mount's: 21 mm by default
-    for linear_pos in (-1e-6, 22e-3):
+    # the rotary travel is +-50 degrees; the linear travel is the mount's: 21 mm by default
+    for rotary_angle, linear_pos in ((51.0, 0.0), (-51.0, 0.0), (7.0, -1e-6), (7.0, 22e-3)):
         with pytest.raises(GeometryInfeasibleError, match="travel"):
-            angle_from_actuators(ActuatorState(rotary_angle=7.0, linear_pos=linear_pos),
+            angle_from_actuators(ActuatorState(rotary_angle=rotary_angle, linear_pos=linear_pos),
                                  MountGeometry(LAMBDA))
 
 

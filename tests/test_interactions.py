@@ -63,7 +63,6 @@ def test_debye_waller_matches_monte_carlo_oracle(n_bar):
 def test_zero_delta_k_limit():
     s = force_magnitude(geom(0.0), DRIVE, CFG, ThermalState(1.27))
     assert s.f0 == 0.0
-    assert s.f0_over_gamma == 0.0
 
 
 def test_interaction_strengths_self_consistent():
@@ -73,7 +72,6 @@ def test_interaction_strengths_self_consistent():
     assert s.f0 == pytest.approx(
         HBAR * abs(drive.delta_ac) * dk * math.exp(-0.5 * dk * dk * Z0 * Z0 * (2 * 1.27 + 1)),
         rel=1e-12)
-    assert s.f0_over_gamma == pytest.approx(s.f0 / drive.gamma, rel=1e-12)
     assert s.j_bar is not None and s.j_bar > 0
 
 
@@ -98,7 +96,7 @@ def test_angle_array_equals_scalar_calls(thetas, n_bar, detune_hz, sign):
     grid = force_magnitude(angles, drive, CFG, state)
     points = [force_magnitude(BeamGeometry(theta_odf=t, laser_wavelength=LAMBDA), drive, CFG, state)
               for t in thetas]
-    for name in ("f0", "j_bar", "f0_over_gamma"):
+    for name in ("f0", "j_bar"):
         assert np.array_equal(getattr(grid, name), [getattr(p, name) for p in points]), name
     # math.exp, not np.exp, which is 1 ulp off at some arguments
     zsq = thermal_extent_sq(CFG, state)
@@ -313,13 +311,13 @@ def test_precession_trivial_points():
 
 def test_ratio_curve_cold_case():
     ratio = force_magnitude(geom(np.array([14.0, 28.0])), DRIVE, CFG,
-                            ThermalState(1.27)).f0_over_gamma
+                            ThermalState(1.27)).f0 / DRIVE.gamma
     assert ratio[1] / ratio[0] == pytest.approx(1.8630, rel=1e-3)
 
 
 def test_ratio_curve_hot_case():
     ratio = force_magnitude(geom(np.array([14.0, 28.0])), DRIVE, CFG,
-                            ThermalState(10.7)).f0_over_gamma
+                            ThermalState(10.7)).f0 / DRIVE.gamma
     assert ratio[1] / ratio[0] == pytest.approx(1.3284, rel=1e-3)
 
 
@@ -327,13 +325,6 @@ def test_ratio_curve_ground_state_monotone():
     f0 = force_magnitude(geom(np.linspace(0.5, 36.0, 72)), DRIVE, CFG,
                          ThermalState(0.0)).f0
     assert np.all(np.diff(f0) > 0)
-
-
-def test_ratio_curve_requires_positive_gamma():
-    # the ratio is left unset without scattering; ratio-scan then exits 1
-    s = force_magnitude(geom(np.array([14.0, 28.0])), replace(DRIVE, gamma=0.0), CFG,
-                        ThermalState(1.27))
-    assert s.f0_over_gamma is None
 
 
 def test_turnover_angle_frozen_values():

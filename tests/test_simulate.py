@@ -24,7 +24,7 @@ from odfkit.simulate import (
     simulate_thermometry,
 )
 from odfkit import _stream_v1
-from odfkit.simulate import _one_pole_lowpass, _sample_scan, _sample_scans
+from odfkit.simulate import _one_pole_lowpass, _sample_scans
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCN = load_config()  # the default config
@@ -205,7 +205,7 @@ def test_reader_parses_to_the_bits_of_float(tmp_path_factory, rows, form):
     path = tmp_path_factory.mktemp("csv") / "scan.csv"
     text = [[form.format(v) for v in row] for row in rows]
     path.write_text("abscissa,p_up,sigma\r\n" + "".join(",".join(r) + "\r\n" for r in text))
-    back = ScanDataset.from_csv(path, kind="precession")
+    back = ScanDataset.from_csv(path)
     expect = np.array([[float(v) for v in r] for r in text])
     for i, got in enumerate((back.abscissa, back.p_up, back.sigma)):
         assert got.tobytes() == expect[:, i].tobytes()
@@ -214,7 +214,7 @@ def test_reader_parses_to_the_bits_of_float(tmp_path_factory, rows, form):
 def test_reader_skips_blank_lines_between_rows(tmp_path):
     path = tmp_path / "scan.csv"
     path.write_text("abscissa,p_up,sigma\n0.1,0.5,0.01\n\n0.2,0.25,0.02\n\n")
-    back = ScanDataset.from_csv(path, kind="precession")
+    back = ScanDataset.from_csv(path)
     assert back.abscissa.tolist() == [0.1, 0.2] and back.sigma.tolist() == [0.01, 0.02]
 
 
@@ -222,7 +222,7 @@ def test_dataset_csv_round_trip(tmp_path):
     ds = simulate_thermometry(GEOM, DRIVE, CFG, ThermalState(1.27), MU, shots=50, seed=7)
     path = tmp_path / "scan.csv"
     ds.to_csv(path)
-    back = ScanDataset.from_csv(path, kind="thermometry")
+    back = ScanDataset.from_csv(path)
     assert np.array_equal(back.abscissa, ds.abscissa)
     assert np.array_equal(back.p_up, ds.p_up)
     assert np.array_equal(back.sigma, ds.sigma)
@@ -282,7 +282,7 @@ def test_sampler_matches_per_point_generators(seed):
     # Philox(key=seed, counter=[0, 0, 0, i]) per point draws
     p_true = np.concatenate([[0.0, 1.0, -0.1, 1.1, 0.5],
                              np.random.default_rng(seed).random(3000)])
-    ds = _sample_scan(p_true, 300, seed, np.arange(len(p_true)), "precession", {})
+    ds = _sample_scans(300, [(p_true, seed, np.arange(len(p_true)), "precession", {})])[0]
     assert np.array_equal(ds.p_up, oracles.per_point_binomial(p_true, 300, seed) / 300)
 
 
@@ -312,7 +312,7 @@ def test_sampler_matches_oracle_at_planted_points(seed, shots, length, layout):
                1.0 - edge, -0.1, 1.1]
     p_true = rng.random(length)
     p_true[rng.choice(length, len(planted), replace=False)] = planted
-    ds = _sample_scan(p_true, shots, seed, np.arange(length), "precession", {})
+    ds = _sample_scans(shots, [(p_true, seed, np.arange(length), "precession", {})])[0]
     assert np.array_equal(ds.p_up, oracles.per_point_binomial(p_true, shots, seed) / shots)
 
 
@@ -328,9 +328,9 @@ def test_sampler_matches_oracle_across_scans():
 def test_sampler_leaves_no_point_to_the_per_point_draw():
     # numpy.random, which the per-point draw needs, costs ~2-6 MB of RSS to import; a
     # scan whose shots fit a float and whose p are numbers never loads it
-    probe = ("import sys, numpy as np; from odfkit.simulate import _sample_scan; "
+    probe = ("import sys, numpy as np; from odfkit.simulate import _sample_scans; "
              f"p = np.linspace(-0.1, 1.1, 3 * {CHUNK}); "
-             "[_sample_scan(p, shots, 7, p, 'precession', {}) for shots in (40, 500, 2 ** 53)]; "
+             "[_sample_scans(s, [(p, 7, p, 'precession', {})]) for s in (40, 500, 2 ** 53)]; "
              "print('numpy.random' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
@@ -339,7 +339,7 @@ def test_sampler_leaves_no_point_to_the_per_point_draw():
 
 def test_sampler_nan_p_is_value_error():
     with pytest.raises(ValueError):
-        _sample_scan(np.array([0.5, math.nan, 0.25]), 500, 0, np.arange(3), "precession", {})
+        _sample_scans(500, [(np.array([0.5, math.nan, 0.25]), 0, np.arange(3), "precession", {})])
 
 
 def test_sampler_peak_stays_under_six_arrays():
@@ -350,7 +350,7 @@ def test_sampler_peak_stays_under_six_arrays():
     p_true = precession_lineshape(1641.5, 100.0, 500e-6, theta)
     tracemalloc.start()
     try:
-        _sample_scan(p_true, 500, 11, theta, "precession", {})
+        _sample_scans(500, [(p_true, 11, theta, "precession", {})])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
