@@ -19,26 +19,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-# odfkit's BLAS work is 1x1 and 2x2 solves and dot products over n-vectors:
-# an OpenBLAS pool thread only adds start-up time, slows large fits, and makes
-# their last bits depend on the core count.  OpenBLAS reads the variable once,
-# when numpy loads it; it is removed again so that it reaches no process this
-# one starts.  A count the user set wins, and where numpy is already loaded
-# (a library process) this does nothing.
-_BLAS_ONE_THREAD = not any(
-    name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
-if _BLAS_ONE_THREAD:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-try:
-    import numpy as np
-finally:
-    if _BLAS_ONE_THREAD:
-        del os.environ["OPENBLAS_NUM_THREADS"]
-
-# csvio, fitting, simulate and manifest are imported by the commands that call them
+# numpy is imported by main for the commands that take arrays, and csvio, fitting,
+# simulate and manifest by the commands that call them
 from .configio import ConfigError, Scenario, check_number, load_config
 from .constants import TWO_PI
-from .core import ThermalState
+from .core import ThermalState, _checked
 from .geometry import (
     ActuatorState,
     GeometryInfeasibleError,
@@ -80,7 +65,9 @@ def _shots(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected an integer from 1 to 2**63 - 1, got {text!r}")
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _parse_grid(spec: str):
+    import numpy as np
+
     def build(start, stop, n):
         start, stop, n = float(start), float(stop), int(n)
         # a non-finite end, a span that overflows, or a grid without points
@@ -112,8 +99,12 @@ def _emit(args, name, data, scn: Scenario, seed=None):
     print(f"wrote {csv_path}")
 
 
-# the tipping angles theta1, in rad, of a precession scan without --grid
-_THETA1_GRID = np.linspace(0, 2 * math.pi, 40)
+def _theta1_grid():
+    """The tipping angles theta1, in rad, of a precession scan without --grid."""
+    import numpy as np
+
+    return np.linspace(0, 2 * math.pi, 40)
+
 
 # the n_bar of the paper's Doppler- and EIT-cooled crystals, the scenarios of fig3c and fig4c
 _COOLED = (("doppler", 10.7), ("eit", 1.27))
@@ -199,6 +190,8 @@ def cmd_geom(args, scn: Scenario):
 
 
 def cmd_curves(args, scn: Scenario):
+    import numpy as np
+
     grid_deg = _parse_grid(args.grid or "1:40:80")
     states = _parse_fields("--nbar", getattr(args, "nbar", None) or "0.1,1,10",  # fig1de has none
                            "comma-separated numbers >= 0",
@@ -216,9 +209,16 @@ def cmd_curves(args, scn: Scenario):
 
 
 def cmd_ratio_scan(args, scn: Scenario):
+    import numpy as np
+
+    if args.grid:
+        grid_deg = _parse_grid(args.grid)
+    else:  # the mount's window, two points a degree and both ends; 12:36:49 by default
+        lo, hi = (round(math.degrees(t), 9) for t in (scn.mount.theta_min, scn.mount.theta_max))
+        grid_deg = np.linspace(lo, hi, max(2, round(2 * (hi - lo)) + 1))
     # |delta_ac| and Gamma are held theta-independent: the fixed-optical-power
     # comparison the ratio is defined for
-    theta = np.radians(_parse_grid(args.grid or "12:36:49"))
+    theta = np.radians(grid_deg)
     f0 = force_magnitude(replace(scn.beams, theta_odf=theta), scn.drive, scn.trap, scn.thermal).f0
     if scn.drive.gamma <= 0:
         raise ConfigError("ratio-scan needs drive.gamma_per_s > 0")
@@ -228,6 +228,8 @@ def cmd_ratio_scan(args, scn: Scenario):
 
 
 def cmd_simulate(args, scn: Scenario):
+    import numpy as np
+
     from .simulate import (
         simulate_angle_drift,
         simulate_path_noise,
@@ -242,7 +244,7 @@ def cmd_simulate(args, scn: Scenario):
             scn.beams, scn.drive, scn.trap, scn.thermal,
             TWO_PI * grid_hz, shots=args.shots, seed=args.seed)
     elif args.model == "precession":
-        grid = np.radians(_parse_grid(args.grid)) if args.grid else _THETA1_GRID
+        grid = np.radians(_parse_grid(args.grid)) if args.grid else _theta1_grid()
         strengths = force_magnitude(scn.beams, scn.drive, scn.trap, scn.thermal)
         if strengths.j_bar is None:
             raise ResonanceSingularityError("precession needs a nonzero detuning mu - omega_com")
@@ -286,7 +288,7 @@ def cmd_optimize_angle(args, scn: Scenario):
     record = {
         "theta_deg": math.degrees(theta),
         "ratio_N_s": ratio,
-        "ratio_yN_per_Hz": ratio * 1e24,
+        "ratio_yN_per_Hz": _checked("F0/Gamma in yN/Hz", ratio * 1e24),
         "provenance": make_manifest("optimize-angle", scn.raw),
     }
     print(_json(record))
@@ -297,6 +299,8 @@ def cmd_optimize_angle(args, scn: Scenario):
 
 
 def cmd_fig3c(args, scn: Scenario):
+    import numpy as np
+
     from .fitting import fit_thermometry
     from .simulate import simulate_thermometry
 
@@ -316,6 +320,8 @@ def cmd_fig3c(args, scn: Scenario):
 
 
 def cmd_fig4c(args, scn: Scenario):
+    import numpy as np
+
     from .fitting import f0_from_jbar, fit_precession, weighted_f0
     from .simulate import _precession_scans
 
@@ -342,7 +348,7 @@ def cmd_fig4c(args, scn: Scenario):
     # all 30 scans in one sampler call; every drive has the scenario's gamma and tau
     datasets = iter(_precession_scans(
         [j_bar for case in cases for j_bar in case[2]], scn.drive.gamma, scn.drive.tau,
-        _THETA1_GRID, args.shots,
+        _theta1_grid(), args.shots,
         [case[3] + j for case in cases for j in range(len(deltas))]))
     rows = []
     for label, theta_deg, j_bar_i, _ in cases:
@@ -462,6 +468,33 @@ def build_parser(argv=None):
     return parser
 
 
+# the commands that compute in math alone; every other command takes arrays
+_SCALAR_COMMANDS = (cmd_geom, cmd_optimize_angle)
+
+
+def _import_numpy():
+    """numpy, loaded with OpenBLAS on one thread unless the user set a count.
+
+    odfkit's BLAS work is 1x1 and 2x2 solves and dot products over n-vectors:
+    an OpenBLAS pool thread only adds start-up time, slows large fits, and makes
+    their last bits depend on the core count.  OpenBLAS reads the variable once,
+    when numpy loads it; it is removed again so that it reaches no process this
+    one starts.  A count the user set wins, and where numpy is already loaded
+    (a library process) this does nothing.
+    """
+    one_thread = "numpy" not in sys.modules and not any(
+        name in os.environ
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    if one_thread:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as np
+    finally:
+        if one_thread:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+    return np
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     flag = argv[1] if len(argv) > 1 and argv[0] in _GROUPS else ""
@@ -477,8 +510,11 @@ def main(argv=None) -> int:
         return 1 if err.code not in (0, None) else 0
     try:
         scn = load_config(args.config, args.scenario)
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
+        if args.func in _SCALAR_COMMANDS:  # math alone: no numpy to load
             code = args.func(args, scn)
+        else:
+            with _import_numpy().errstate(divide="raise", over="raise", invalid="raise"):
+                code = args.func(args, scn)
         sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -71,6 +71,18 @@ class OdfDrive:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 
 
+def _checked(name: str, value):
+    """value, unless it is a float that left the finite range: then an ArithmeticError.
+
+    A scalar result computes in Python floats, whose * and / overflow to inf
+    without a signal; an array passes unchecked (the commands run array
+    arithmetic under np.errstate(..., "raise")).
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ArithmeticError(f"{name} evaluates to {value}")
+    return value
+
+
 def detuning(drive: OdfDrive, cfg: TrapIonConfig) -> float:
     """Signed detuning delta = mu - omega_com of the beat note from the COM mode."""
     return drive.mu - cfg.omega_com

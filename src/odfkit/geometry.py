@@ -20,10 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .constants import TWO_PI
+from .core import _checked
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # closed-loop repeatabilities of the rotary and linear stages of each mirror stack
 ROTARY_REPEATABILITY_DEG = 0.0014
@@ -40,7 +43,9 @@ class BeamGeometry:
     """Everything that determines delta_k and its orientation.
 
     theta_odf may be an array of angles; delta_k and the interaction
-    figures built on it are then evaluated elementwise.
+    figures built on it are then evaluated elementwise.  A Python float
+    angle (np.float64 among them) takes math, so scalar callers load no
+    numpy.
     """
 
     theta_odf: float | np.ndarray  # rad, full separation angle of the two ODF beams
@@ -48,10 +53,15 @@ class BeamGeometry:
     tilt_error: float = 0.0  # rad, angle between delta_k and the rotation axis
 
     def __post_init__(self):
-        theta = np.ravel(self.theta_odf)
-        outside = theta[~((0.0 <= theta) & (theta < math.pi))]
-        if outside.size:
-            raise ValueError(f"theta_odf must be in [0, pi), got {outside[0]}")
+        theta = self.theta_odf
+        if not isinstance(theta, (int, float)):
+            import numpy as np  # an array angle: the caller has loaded numpy
+
+            theta = np.ravel(theta)
+            outside = theta[~((0.0 <= theta) & (theta < math.pi))]
+            theta = outside[0] if outside.size else 0.0  # the first angle outside, if any
+        if not 0.0 <= theta < math.pi:
+            raise ValueError(f"theta_odf must be in [0, pi), got {theta}")
         if self.tilt_error < 0:
             raise ValueError(f"tilt_error must be >= 0, got {self.tilt_error}")
         if self.laser_wavelength <= 0:
@@ -114,6 +124,10 @@ def delta_k(geom: BeamGeometry) -> float | np.ndarray:
     relative 4e-9 and is neglected.
     """
     k0 = TWO_PI / geom.laser_wavelength
+    if isinstance(geom.theta_odf, (int, float)):
+        return _checked("delta_k", 2.0 * k0 * math.sin(0.5 * geom.theta_odf))
+    import numpy as np
+
     return 2.0 * k0 * np.sin(0.5 * geom.theta_odf)
 
 
@@ -122,7 +136,7 @@ def effective_wavelength(geom: BeamGeometry) -> float:
     dk = delta_k(geom)
     if dk == 0.0:
         raise ValueError("theta_odf = 0: co-propagating beams, divergent wavelength")
-    return TWO_PI / dk
+    return _checked("lambda_odf", TWO_PI / dk)
 
 
 def misalignment_phase(geom: BeamGeometry, radius: float) -> float:
@@ -137,7 +151,7 @@ def misalignment_phase(geom: BeamGeometry, radius: float) -> float:
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     phase_rad = delta_k(geom) * math.sin(geom.tilt_error) * radius
-    return math.degrees(phase_rad)
+    return _checked("the phase at the crystal edge", math.degrees(phase_rad))
 
 
 def _beam_half_angle(state: ActuatorState) -> float:

@@ -30,18 +30,32 @@ derivative: with jac=True each returns (P_up, d P_up / d params), the one
 function that both the simulators sample and the fits evaluate.  The angle
 design rule, `optimize_theta`, is the F0 turnover clipped to an angle
 window, by default the mount's mechanical one.
+
+The module loads no numpy: a float angle computes in math, so the design
+commands run without it, and each function that takes arrays imports
+numpy itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .constants import HBAR
-from .core import OdfDrive, ThermalState, TrapIonConfig, detuning, ground_state_extent, thermal_extent_sq
+from .core import (
+    OdfDrive,
+    ThermalState,
+    TrapIonConfig,
+    _checked,
+    detuning,
+    ground_state_extent,
+    thermal_extent_sq,
+)
 from .geometry import BeamGeometry, GeometryInfeasibleError, MountGeometry, delta_k
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ResonanceSingularityError(ValueError):
@@ -56,6 +70,8 @@ class InteractionStrengths:
 
 def _taylor_guarded(s, exact, series):
     """exact(s), or series(s, s^2) where |s| < 1e-2; off its branch exact gets 1.0, series 0.0."""
+    import numpy as np
+
     s = np.asarray(s, dtype=float)
     small = np.abs(s) < 1e-2
     near = np.where(small, s, 0.0)
@@ -64,6 +80,8 @@ def _taylor_guarded(s, exact, series):
 
 def _q(s):
     """(2 - 2 cos s) / s^2, series-protected near s = 0."""
+    import numpy as np
+
     return _taylor_guarded(
         s, lambda ss: (2.0 - 2.0 * np.cos(ss)) / (ss * ss),
         lambda s, s2: 1.0 - s2 / 12.0 + s2 * s2 / 360.0 - s2 * s2 * s2 / 20160.0)
@@ -71,6 +89,8 @@ def _q(s):
 
 def _dq(s):
     """d/ds of _q."""
+    import numpy as np
+
     return _taylor_guarded(
         s, lambda ss: (2.0 * ss * np.sin(ss) - 4.0 + 4.0 * np.cos(ss)) / (ss ** 3),
         lambda s, s2: -s / 6.0 + s * s2 / 90.0 - s * s2 * s2 / 3360.0)
@@ -78,6 +98,8 @@ def _dq(s):
 
 def _r(s):
     """(1 - sin(s)/s) / s, series-protected near s = 0."""
+    import numpy as np
+
     return _taylor_guarded(
         s, lambda ss: (1.0 - np.sin(ss) / ss) / ss,
         lambda s, s2: s / 6.0 - s * s2 / 120.0 + s * s2 * s2 / 5040.0)
@@ -85,6 +107,8 @@ def _r(s):
 
 def _dr(s):
     """d/ds of _r."""
+    import numpy as np
+
     return _taylor_guarded(
         s, lambda ss: -1.0 / (ss * ss) - np.cos(ss) / (ss * ss) + 2.0 * np.sin(ss) / (ss ** 3),
         lambda s, s2: 1.0 / 6.0 - s2 / 40.0 + s2 * s2 / 1008.0)
@@ -96,8 +120,10 @@ def _math_exp(x):
     np.exp differs from math.exp by 1 ulp at some arguments; mapping
     math.exp keeps array results equal to the scalar ones bit for bit.
     """
-    if not isinstance(x, np.ndarray):
+    if isinstance(x, (int, float)):
         return math.exp(x)
+    import numpy as np
+
     return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
@@ -110,9 +136,12 @@ def force_magnitude(
     """F0 and, off resonance, Jbar at each angle of geom; F0/Gamma is f0 / drive.gamma."""
     dk = delta_k(geom)
     zsq = thermal_extent_sq(cfg, state)
-    f0 = HBAR * abs(drive.delta_ac) * dk * _math_exp(-0.5 * dk * dk * zsq)
+    exponent = -0.5 * dk * dk * zsq
+    if zsq != math.inf:  # an extent that is already infinite gives F0 = 0, as an array does
+        exponent = _checked("the Debye-Waller exponent", exponent)
+    f0 = _checked("F0", HBAR * abs(drive.delta_ac) * dk * _math_exp(exponent))
     delta = detuning(drive, cfg)
-    jb = j_bar(f0, cfg, delta) if delta != 0.0 else None
+    jb = _checked("Jbar", j_bar(f0, cfg, delta)) if delta != 0.0 else None
     return InteractionStrengths(f0=f0, j_bar=jb)
 
 
@@ -134,6 +163,8 @@ def thermometry_model(mu, omega_com, n_bar, geom: BeamGeometry, drive: OdfDrive,
     Debye-Waller factor.  With jac=True also returns the analytic
     d P_up / d (omega_com, n_bar), shape (n, 2).
     """
+    import numpy as np
+
     dk = delta_k(geom)
     tau = drive.tau
     z0sq = HBAR / (2.0 * cfg.ion_mass * omega_com)
@@ -178,6 +209,8 @@ def precession_lineshape(j_bar: float, gamma: float, tau: float, theta1_grid, ja
     P_up = (1 + e^{-2 Gamma tau} sin(theta1) sin(2 jbar cos(theta1) 2 tau)) / 2.
     With jac=True also returns d P_up / d jbar, shape (n, 1).
     """
+    import numpy as np
+
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
     theta1 = np.asarray(theta1_grid, dtype=float)
@@ -195,6 +228,8 @@ def gamma_decay_lineshape(gamma: float, tau_grid, jac=False):
 
     With jac=True also returns d P_up / d Gamma, shape (n, 1).
     """
+    import numpy as np
+
     tau = np.asarray(tau_grid, dtype=float)
     decay = np.exp(-2.0 * gamma * tau)
     p_up = 0.5 * (1.0 - decay)
@@ -242,4 +277,4 @@ def optimize_theta(cfg: TrapIonConfig, drive: OdfDrive, state: ThermalState,
     turnover = force_turnover_angle(cfg, state, mount.laser_wavelength)
     theta = hi if math.isnan(turnover) else min(max(turnover, lo), hi)
     geom = BeamGeometry(theta_odf=theta, laser_wavelength=mount.laser_wavelength)
-    return theta, force_magnitude(geom, drive, cfg, state).f0 / drive.gamma
+    return theta, _checked("F0/Gamma", force_magnitude(geom, drive, cfg, state).f0 / drive.gamma)

@@ -285,6 +285,24 @@ def test_ratio_scan_gamma_from_its_two_parts(capsys, tmp_path):
     assert code == 1 and "got 100.0 vs 15.0" in err
 
 
+@pytest.mark.parametrize("mount,grid", [
+    ({}, "12:36:49"),
+    # a mount widened to 50 deg: the default scan reaches 50 deg, as optimize-angle does
+    ({"theta_max_deg": 50, "linear_travel_m": 0.03}, "12:50:77"),
+    ({"theta_min_deg": 12, "theta_max_deg": 12.2}, "12:12.2:2"),  # both ends of a narrow one
+])
+def test_ratio_scan_default_grid_is_the_mounts_window(capsys, tmp_path, mount, grid):
+    # two points a degree over the mount's window, byte for byte that --grid
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"mount": mount}))
+    for name, flags in (("default", []), ("given", ["--grid", grid])):
+        code, _, err = run(capsys, "ratio-scan", "--out", str(tmp_path / name),
+                           "--config", str(cfg), *flags)
+        assert code == 0, err
+    assert ((tmp_path / "default" / "ratio_scan.csv").read_bytes()
+            == (tmp_path / "given" / "ratio_scan.csv").read_bytes())
+
+
 @pytest.mark.parametrize("key", ["gamma_raman_per_s", "gamma_elastic_per_s"])
 def test_lone_gamma_part_is_an_error(capsys, tmp_path, key):
     # one part alone ran with the default Gamma of 100 before; the merged config decides
@@ -1073,8 +1091,9 @@ def test_readme_config_loads(tmp_path, scenario):
 
 
 def test_cli_import_loads_no_scipy():
-    # odfkit.cli loads no scipy, and the bare package loads no numpy either
-    for module, prefix in (("odfkit.cli", "scipy"), ("odfkit", "numpy")):
+    # odfkit.cli loads no scipy and no numpy (main loads numpy for the array commands)
+    for module, prefix in (("odfkit.cli", "scipy"), ("odfkit.cli", "numpy"),
+                           ("odfkit", "numpy")):
         probe = (f"import sys, {module}; "
                  f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
@@ -1094,13 +1113,15 @@ def _child(argv, **env):
                                             "PYTHONPATH": str(Path(odfkit.__file__).parents[1])})
 
 
-# runs `odfkit <argv>`, then prints its exit code and the odfkit modules it loaded
+# runs `odfkit <argv>`, then prints its exit code, the odfkit modules it loaded and
+# whether it loaded numpy
 MODULES_PROBE = """
 import contextlib, io, json, sys
 from odfkit.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("odfkit."))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("odfkit.")),
+                  "numpy" in sys.modules]))
 """
 CLI_BASE = ["configio", "constants", "core", "geometry", "interactions"]
 WRITES = ["csvio", "manifest"]
@@ -1138,17 +1159,23 @@ def test_each_command_loads_only_the_modules_it_calls(tmp_path, argv, loads):
         argv = [*argv, "--data", str(data)]
     elif argv[0] not in ("geom", "optimize-angle"):
         argv = [*argv, "--out", str(tmp_path)]
-    code, modules = json.loads(_child(["-c", MODULES_PROBE, *argv]).stdout)
+    code, modules, numpy_loaded = json.loads(_child(["-c", MODULES_PROBE, *argv]).stdout)
     assert code == 0
     assert modules == sorted(f"odfkit.{m}" for m in ["cli", *CLI_BASE, *loads])
+    # the design commands compute in math; every other command takes arrays
+    assert numpy_loaded is (argv[0] not in ("geom", "optimize-angle"))
 
 
 @pytest.mark.parametrize("env,left", [({}, None), ({"OPENBLAS_NUM_THREADS": "3"}, "3"),
                                       ({"OMP_NUM_THREADS": "2"}, None)])
-def test_cli_import_leaves_blas_thread_setting_as_found(env, left):
-    # the one-thread default is set only while numpy loads: children inherit none of it
-    probe = "import os, odfkit.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
-    assert _child(["-c", probe], **env).stdout.strip() == str(left)
+def test_cli_import_leaves_blas_thread_setting_as_found(env, left, tmp_path):
+    # the one-thread default is set only while main loads numpy for an array command:
+    # children inherit none of it
+    probe = ("import contextlib, io, os, sys; from odfkit.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = main(['ratio-scan', '--grid', '12:36:3', '--out', sys.argv[1]])\n"
+             "print(code, os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)")
+    assert _child(["-c", probe, str(tmp_path)], **env).stdout.split() == ["0", str(left), "True"]
 
 
 def test_fit_stdout_on_large_scan_is_that_of_one_blas_thread(tmp_path):
@@ -1235,6 +1262,27 @@ def test_design_commands_on_random_input_exit_cleanly(tmp_path, data, config, po
         assert err.getvalue().startswith("error:") and len(err.getvalue().splitlines()) == 1
     if code == 0 and argv[0] in ("geom", "optimize-angle"):
         strict_json(out.getvalue())
+
+
+# inputs whose scalar results leave the floats: exit 1 and the out-of-range line, as
+# when these commands computed in float64 under np.errstate(..., "raise")
+@pytest.mark.parametrize("command,section,key,value", [
+    ("optimize-angle", "drive", "delta_ac_hz", 1e300),
+    ("optimize-angle", "drive", "delta_ac_hz", 1e200),
+    ("optimize-angle", "beams", "laser_wavelength_m", 1e-300),
+    ("optimize-angle", "beams", "laser_wavelength_m", 1e-200),
+    ("optimize-angle", "beams", "laser_wavelength_m", 5e-324),
+    ("geom", "beams", "laser_wavelength_m", 5e-324),
+    ("optimize-angle", "drive", "gamma_per_s", 5e-324),
+])
+def test_design_command_out_of_range_input_is_one_line_error(capsys, tmp_path, command,
+                                                             section, key, value):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert err.endswith(": an input is out of the range the model computes in\n")
 
 
 @pytest.mark.parametrize("argv", [

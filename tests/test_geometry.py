@@ -87,6 +87,15 @@ def test_beam_geometry_checks_every_angle_of_an_array(bad):
         BeamGeometry(theta_odf=np.array([0.2, bad, 0.5]), laser_wavelength=LAMBDA)
 
 
+def test_delta_k_of_an_angle_array_equals_the_float_calls_bit_for_bit():
+    # one formula, two argument types: a float angle takes math.sin, an array np.sin
+    angles = np.random.default_rng(20).uniform(0.0, math.pi, 200_000)
+    grid = delta_k(BeamGeometry(theta_odf=angles, laser_wavelength=LAMBDA))
+    points = [delta_k(BeamGeometry(theta_odf=t, laser_wavelength=LAMBDA))
+              for t in angles.tolist()]
+    assert np.array_equal(grid, points)
+
+
 # -- misalignment phase --------------------------------------------------------
 
 

@@ -75,6 +75,15 @@ def test_interaction_strengths_self_consistent():
     assert s.j_bar is not None and s.j_bar > 0
 
 
+def test_infinite_thermal_extent_gives_zero_force_as_float_and_array():
+    # 2 nbar + 1 overflows to inf: the Debye-Waller factor is 0 at a float angle, as in an array
+    state = ThermalState(n_bar=1e308)
+    point = force_magnitude(geom(28.0), DRIVE, CFG, state)
+    grid = force_magnitude(geom(np.array([28.0])), DRIVE, CFG, state)
+    assert (point.f0, point.j_bar) == (0.0, 0.0)
+    assert grid.f0.tolist() == [0.0] and grid.j_bar.tolist() == [0.0]
+
+
 def test_on_resonance_leaves_j_bar_unset():
     s = force_magnitude(geom(28.0), replace(DRIVE, mu=CFG.omega_com), CFG, ThermalState(1.27))
     assert s.j_bar is None
@@ -87,8 +96,16 @@ def test_on_resonance_leaves_j_bar_unset():
     st.floats(min_value=0.0, max_value=50.0),
     st.floats(min_value=1.0, max_value=1e5),
     st.sampled_from([-1.0, 1.0]),
+    st.one_of(st.floats(max_value=0.0, exclude_max=True), st.floats(min_value=math.pi),
+              st.just(math.nan)),
 )
-def test_angle_array_equals_scalar_calls(thetas, n_bar, detune_hz, sign):
+def test_angle_array_equals_scalar_calls(thetas, n_bar, detune_hz, sign, outside):
+    # an angle outside [0, pi) is rejected with one message, as a float or in an array
+    with pytest.raises(ValueError) as as_float:
+        BeamGeometry(theta_odf=outside, laser_wavelength=LAMBDA)
+    with pytest.raises(ValueError) as in_array:
+        BeamGeometry(theta_odf=np.array([*thetas, outside]), laser_wavelength=LAMBDA)
+    assert str(in_array.value) == str(as_float.value)
     # one call on an angle grid gives the per-angle scalar results bit for bit
     drive = replace(DRIVE, mu=CFG.omega_com + sign * 2 * math.pi * detune_hz)
     state = ThermalState(n_bar)
