@@ -96,4 +96,4 @@ def ground_state_extent(cfg: TrapIonConfig) -> float:
 def thermal_extent_sq(cfg: TrapIonConfig, state: ThermalState) -> float:
     """Thermal mean-square axial extent <z^2> = z0^2 (2 nbar + 1) in m^2."""
     z0 = ground_state_extent(cfg)
-    return z0 * z0 * (2.0 * state.n_bar + 1.0)
+    return _checked("the thermal extent <z^2>", z0 * z0 * (2.0 * state.n_bar + 1.0))

@@ -203,10 +203,10 @@ def fit_precession(data: ScanDataset, gamma: float, tau: float,
         j0 = init_j_bar
     else:
         # slope of P_up near theta1 = 0: dP/dtheta1 -> 2 baseline jbar tau
-        if len(np.unique(theta1)) < 2:
+        if not theta1.min() < theta1.max():
             raise FitInputError("need at least 2 distinct theta1 values")
         mask = theta1 <= 0.5 * math.pi
-        if len(np.unique(theta1[mask])) < 2:
+        if not mask.any() or not theta1[mask].min() < theta1[mask].max():
             mask = np.ones(len(theta1), bool)
         slope = np.polyfit(theta1[mask], data.p_up[mask], 1)[0]
         j0 = slope / (2.0 * math.exp(-2.0 * gamma * tau) * tau)
@@ -221,7 +221,7 @@ def fit_far_detuned_gamma(data: ScanDataset) -> FitResult:
     def model(tau, p, jac=False):
         return gamma_decay_lineshape(p[0], tau, jac=jac)
 
-    if len(np.unique(tau)) < 2:
+    if not tau.min() < tau.max():
         raise FitInputError("need at least 2 distinct tau values")
     # linearize: -ln(1 - 2 P) = 2 Gamma tau
     z = -np.log(np.clip(1.0 - 2.0 * data.p_up, 1e-6, None))

@@ -136,9 +136,7 @@ def force_magnitude(
     """F0 and, off resonance, Jbar at each angle of geom; F0/Gamma is f0 / drive.gamma."""
     dk = delta_k(geom)
     zsq = thermal_extent_sq(cfg, state)
-    exponent = -0.5 * dk * dk * zsq
-    if zsq != math.inf:  # an extent that is already infinite gives F0 = 0, as an array does
-        exponent = _checked("the Debye-Waller exponent", exponent)
+    exponent = _checked("the Debye-Waller exponent", -0.5 * dk * dk * zsq)
     f0 = _checked("F0", HBAR * abs(drive.delta_ac) * dk * _math_exp(exponent))
     delta = detuning(drive, cfg)
     jb = _checked("Jbar", j_bar(f0, cfg, delta)) if delta != 0.0 else None

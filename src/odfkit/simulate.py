@@ -26,6 +26,7 @@ SLOW_AMPLITUDE = 20e-9  # m, RMS of the path-noise slow band
 SLOW_CUTOFF = 0.1  # Hz, the slow band's low-pass cutoff, well below 1 Hz
 FAST_AMPLITUDE = 5e-9  # m, RMS of the white fast band
 TARGET_RMS = 12e-9  # m, RMS of the summed path-noise series
+JITTER_BLOCK = 2 ** 16  # drift jitter values drawn per Generator call: 0.5 MiB
 
 
 def _sample_scans(shots, scans):
@@ -114,10 +115,17 @@ def simulate_angle_drift(duration: float, dt: float, linear_rate: float, rms_jit
     if rms_jitter < 0:
         raise ValueError("rms_jitter must be >= 0")
     t = np.arange(0.0, duration + 0.5 * dt, dt)
-    drift = linear_rate * t / 3600.0
+    drift = linear_rate * t
+    drift /= 3600.0
     if rms_jitter > 0:
+        # drawn a block at a time: the Generator's stream is the same as in one call,
+        # and t and drift stay the only arrays of their length
         rng = np.random.Generator(np.random.Philox(key=np.uint64(seed % 2 ** 64)))
-        drift = drift + rms_jitter * rng.standard_normal(len(t))
+        for start in range(0, len(drift), JITTER_BLOCK):
+            block = drift[start:start + JITTER_BLOCK]  # a view: += writes into drift
+            jitter = rng.standard_normal(len(block))
+            jitter *= rms_jitter
+            block += jitter
     meta = {"kind": "drift", "seed": seed, "linear_rate_deg_per_h": linear_rate,
             "rms_jitter_deg": rms_jitter}
     return Series(t=t, value=drift, meta=meta)
@@ -151,21 +159,24 @@ def simulate_path_noise(duration: float, rate: float, seed: int) -> Series:
         raise ValueError(f"duration {duration:g} s at sample rate {rate:g} Hz gives no samples")
     dt = 1.0 / rate
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed % 2 ** 64)))
-    series = np.zeros(n)
-    # in place wherever that keeps the bits: at most three arrays of n at once
+    # in place wherever that keeps the bits: at most two arrays of n at once
     walk = rng.standard_normal(n)
     np.cumsum(walk, out=walk)
     slow = _one_pole_lowpass(walk, math.exp(-2.0 * math.pi * SLOW_CUTOFF * dt))
     del walk
     slow -= slow.mean()
     rms = math.sqrt(float(np.mean(slow * slow)))
-    if rms > 0:  # one sample has no slow band
+    if rms > 0:
         slow *= SLOW_AMPLITUDE / rms
-        series += slow
+        slow += 0.0  # the series is 0.0 + slow, as a sum from zeros: -0.0 turns to 0.0
+        series = slow
+    else:  # one sample has no slow band
+        series = np.zeros(n)
     del slow
     fast = rng.standard_normal(n)
     fast *= FAST_AMPLITUDE
     series += fast
+    del fast
     rms = math.sqrt(float(np.mean(series * series)))
     if rms > 0:
         series *= TARGET_RMS / rms

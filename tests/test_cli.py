@@ -815,6 +815,22 @@ def test_largest_csv_bytes_are_pinned(capsys, tmp_path):
             == "b4efe08076847e042d7ed25b938bbb1dfe8596510ae81fb7335158ee542363ab")
 
 
+@pytest.mark.parametrize("argv,name,rows,digest", [
+    # one sample: no slow band, only the fast draw rescaled to the target RMS
+    (["pathnoise", "--duration", "0.01", "--seed", "5"], "pathnoise", 1,
+     "220250849f28bdd1301be76d20d73da721ab3ea947c1514af393b3067a8a764d"),
+    # the jittered drift of the long-series workload: its jitter spans several draw blocks
+    (["drift", "--duration", "360000", "--dt", "1", "--jitter", "5e-4", "--rate", "0.002",
+      "--seed", "7"], "drift", 360_001,
+     "9536c455319a6549ab928e0796b808e769c9d6814aeb8130b803b927e0a7533d"),
+], ids=["pathnoise-one-sample", "drift-long"])
+def test_series_csv_bytes_are_pinned(capsys, tmp_path, argv, name, rows, digest):
+    assert run(capsys, "simulate", *argv, "--out", str(tmp_path))[0] == 0
+    data = (tmp_path / f"{name}.csv").read_bytes()
+    assert data.count(b"\r\n") == rows + 1
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_bulk_scan_csv_bytes_are_pinned(capsys, tmp_path):
     # 1e5 points, each drawn from Philox keyed by the seed at counter [0, 0, 0, i]
     argv = ["simulate", "precession", "--seed", "5", "--grid", "0:360:100000", "--out", str(tmp_path)]
@@ -1114,14 +1130,14 @@ def _child(argv, **env):
 
 
 # runs `odfkit <argv>`, then prints its exit code, the odfkit modules it loaded and
-# whether it loaded numpy
+# whether it loaded numpy and numpy.ma
 MODULES_PROBE = """
 import contextlib, io, json, sys
 from odfkit.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("odfkit.")),
-                  "numpy" in sys.modules]))
+                  "numpy" in sys.modules, "numpy.ma" in sys.modules]))
 """
 CLI_BASE = ["configio", "constants", "core", "geometry", "interactions"]
 WRITES = ["csvio", "manifest"]
@@ -1159,11 +1175,13 @@ def test_each_command_loads_only_the_modules_it_calls(tmp_path, argv, loads):
         argv = [*argv, "--data", str(data)]
     elif argv[0] not in ("geom", "optimize-angle"):
         argv = [*argv, "--out", str(tmp_path)]
-    code, modules, numpy_loaded = json.loads(_child(["-c", MODULES_PROBE, *argv]).stdout)
+    code, modules, numpy_loaded, ma_loaded = json.loads(
+        _child(["-c", MODULES_PROBE, *argv]).stdout)
     assert code == 0
     assert modules == sorted(f"odfkit.{m}" for m in ["cli", *CLI_BASE, *loads])
     # the design commands compute in math; every other command takes arrays
     assert numpy_loaded is (argv[0] not in ("geom", "optimize-angle"))
+    assert not ma_loaded  # np.unique imports numpy.ma, at ~15 ms and 1.4 MB a call
 
 
 @pytest.mark.parametrize("env,left", [({}, None), ({"OPENBLAS_NUM_THREADS": "3"}, "3"),
@@ -1274,6 +1292,7 @@ def test_design_commands_on_random_input_exit_cleanly(tmp_path, data, config, po
     ("optimize-angle", "beams", "laser_wavelength_m", 5e-324),
     ("geom", "beams", "laser_wavelength_m", 5e-324),
     ("optimize-angle", "drive", "gamma_per_s", 5e-324),
+    ("optimize-angle", "thermal", "n_bar", 1e308),  # 2 n_bar + 1 overflows: F0 was 0
 ])
 def test_design_command_out_of_range_input_is_one_line_error(capsys, tmp_path, command,
                                                              section, key, value):
@@ -1283,6 +1302,18 @@ def test_design_command_out_of_range_input_is_one_line_error(capsys, tmp_path, c
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert err.endswith(": an input is out of the range the model computes in\n")
+
+
+def test_ratio_scan_overflowing_nbar_is_one_line_error(capsys, tmp_path):
+    # rows of F0 = 0 were written before
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"thermal": {"n_bar": 1e308}}))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "ratio-scan", "--config", str(cfg), "--out", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err == ("error: the thermal extent <z^2> evaluates to inf: "
+                   "an input is out of the range the model computes in\n")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("argv", [

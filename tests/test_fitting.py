@@ -202,6 +202,25 @@ def test_fit_result_reports_both_sigma_conventions():
             raw_narrow * math.sqrt(narrow.chi2_reduced), rel=1e-6)
 
 
+def test_precession_slope_start_beyond_quarter_turn():
+    # no theta1 <= pi/2, or only one there: the slope start takes every point
+    jb = 1641.5482756446918
+    for grid in (np.linspace(2.0, 2 * math.pi, 40), np.linspace(0.5 * math.pi, 2 * math.pi, 40)):
+        p = precession_lineshape(jb, 100.0, 500e-6, grid)
+        ds = ScanDataset(abscissa=grid, p_up=p, sigma=np.full(len(grid), 1e-3),
+                         meta={"kind": "precession"})
+        assert math.isfinite(fit_precession(ds, gamma=100.0, tau=500e-6).params["j_bar"])
+
+
+@pytest.mark.parametrize("x", [[0.3, 0.3, 0.3], [-0.0, 0.0, 0.0]])
+def test_fits_need_two_distinct_abscissae(x):
+    ds = ScanDataset(abscissa=np.array(x), p_up=np.full(3, 0.25), sigma=np.full(3, 0.01))
+    with pytest.raises(FitInputError, match="^need at least 2 distinct theta1 values$"):
+        fit_precession(ds, gamma=100.0, tau=500e-6)
+    with pytest.raises(FitInputError, match="^need at least 2 distinct tau values$"):
+        fit_far_detuned_gamma(ds)
+
+
 def test_thermometry_requires_six_points():
     ds = _thermometry_dataset(mu=CFG.omega_com + 2 * math.pi * np.linspace(-3e3, 3e3, 5))
     with pytest.raises(FitInputError):

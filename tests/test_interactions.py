@@ -75,13 +75,12 @@ def test_interaction_strengths_self_consistent():
     assert s.j_bar is not None and s.j_bar > 0
 
 
-def test_infinite_thermal_extent_gives_zero_force_as_float_and_array():
-    # 2 nbar + 1 overflows to inf: the Debye-Waller factor is 0 at a float angle, as in an array
+def test_infinite_thermal_extent_is_an_error_as_float_and_array():
+    # 2 nbar + 1 overflows to inf: an input error, not a Debye-Waller factor of 0 and F0 = 0
     state = ThermalState(n_bar=1e308)
-    point = force_magnitude(geom(28.0), DRIVE, CFG, state)
-    grid = force_magnitude(geom(np.array([28.0])), DRIVE, CFG, state)
-    assert (point.f0, point.j_bar) == (0.0, 0.0)
-    assert grid.f0.tolist() == [0.0] and grid.j_bar.tolist() == [0.0]
+    for theta in (28.0, np.array([28.0])):
+        with pytest.raises(ArithmeticError, match="^the thermal extent <z.2> evaluates to inf$"):
+            force_magnitude(geom(theta), DRIVE, CFG, state)
 
 
 def test_on_resonance_leaves_j_bar_unset():

@@ -182,16 +182,27 @@ def test_writer_block_buffers_stay_under_one_mib(tmp_path):
     assert peak <= 2 ** 20
 
 
-def test_path_noise_peak_stays_under_four_arrays():
-    # the 6000 s record at 100 Hz; a new array per step peaked at 8 arrays of n
-    n = 600_000
+def _series_peak(generate):
     tracemalloc.start()
     try:
-        simulate_path_noise(6000.0, 100.0, seed=3)
+        series = generate()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 8 * n
+    return len(series), peak
+
+
+def test_path_noise_peak_stays_under_four_arrays():
+    # the 6000 s record at 100 Hz: two float arrays of n, the finiteness mask and a block;
+    # a new array per step peaked at 8 arrays of n, a zeroed series next to its bands at 3.3
+    n, peak = _series_peak(lambda: simulate_path_noise(6000.0, 100.0, seed=3))
+    assert n == 600_000 and peak <= 16 * n + n + 2 ** 20
+
+
+def test_drift_peak_stays_under_two_arrays_and_a_block():
+    # the jitter drawn in one call, and scaled out of place, peaked at 3 arrays of n
+    n, peak = _series_peak(lambda: simulate_angle_drift(360000.0, 1.0, 0.002, 5e-4, seed=3))
+    assert n == 360_001 and peak <= 16 * n + n + 2 ** 20
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
