@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import hashlib
 import importlib.util
 import io
@@ -262,7 +263,8 @@ def test_ratio_scan_zero_gamma_names_key(capsys, tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"drive": {"gamma_per_s": 0}}))
     # fig4c checks before it draws a scan; it ended in a float division by zero before
-    for argv, name in ((["ratio-scan"], "ratio_scan"), (["reproduce", "fig4c"], "fig4c")):
+    for argv, name in ((["ratio-scan"], "ratio_scan"), (["reproduce", "fig4c"], "fig4c"),
+                       (["simulate", "gamma"], "gamma")):
         code, out, err = run(capsys, *argv, "--out", str(tmp_path), "--config", str(cfg))
         assert code == 1
         assert out == "" and not (tmp_path / f"{name}.csv").exists()
@@ -448,6 +450,29 @@ def test_fit_gamma_dataset(capsys, tmp_path):
     assert code == 0
     payload = strict_json(out)
     assert payload["params"]["gamma_per_s"] == pytest.approx(100.0, rel=0.1)
+
+
+@pytest.mark.parametrize("gamma", [100.0, 2500.0])
+def test_simulate_then_fit_gamma(capsys, tmp_path, gamma):
+    # Gamma comes from the scenario's drive, and the default tau grid follows it
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"drive": {"gamma_per_s": gamma}}))
+    code, _, err = run(capsys, "simulate", "gamma", "--config", str(cfg), "--seed", "4",
+                       "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    meta = json.loads((tmp_path / "gamma.manifest.json").read_text())["scan_meta"]
+    assert meta == {"kind": "gamma", "seed": 4, "shots": 500, "gamma": gamma}
+    code, out, _ = run(capsys, "fit", "gamma", "--data", str(tmp_path / "gamma.csv"))
+    assert code == 0
+    fit = strict_json(out)
+    assert abs(fit["params"]["gamma_per_s"] - gamma) <= 5 * fit["sigmas"]["gamma_per_s"]
+
+
+def test_simulate_gamma_grid_is_tau_in_s(capsys, tmp_path):
+    code, _, _ = run(capsys, "simulate", "gamma", "--grid", "1e-3:4e-3:4", "--out", str(tmp_path))
+    assert code == 0
+    rows = np.loadtxt(tmp_path / "gamma.csv", delimiter=",", skiprows=1)
+    assert rows[:, 0].tolist() == [1e-3, 2e-3, 3e-3, 4e-3]
 
 
 def test_fit_missing_file_is_input_error(capsys, tmp_path):
@@ -861,6 +886,7 @@ LEAF_FLAGS = {
     "ratio-scan": ["--out", "--grid"],
     "simulate thermometry": ["--out", "--seed", "--shots", "--grid"],
     "simulate precession": ["--out", "--seed", "--shots", "--grid"],
+    "simulate gamma": ["--out", "--seed", "--shots", "--grid"],
     "simulate drift": ["--out", "--seed", "--duration", "--dt", "--rate", "--jitter"],
     "simulate pathnoise": ["--out", "--seed", "--duration", "--sample-rate"],
     "fit thermometry": ["--data"],
@@ -1154,6 +1180,7 @@ FITS = ["csvio", "fitting"]
     ("reproduce fig1de --grid 1:40:3", WRITES),
     ("simulate thermometry --grid 1.099e6:1.101e6:3", DRAWS),
     ("simulate precession --grid 0:90:3", DRAWS),
+    ("simulate gamma --grid 1e-3:4e-3:3", DRAWS),
     ("simulate drift --duration 100", SERIES),
     ("simulate pathnoise --duration 1", SERIES),
     ("reproduce fig5", SERIES),
@@ -1166,13 +1193,8 @@ FITS = ["csvio", "fitting"]
 def test_each_command_loads_only_the_modules_it_calls(tmp_path, argv, loads):
     argv = argv.split()
     if argv[0] == "fit":
-        data = tmp_path / f"{argv[1]}.csv"
-        if argv[1] == "gamma":
-            simulate_gamma_decay(100.0, np.linspace(0.25e-3, 5e-3, 20), shots=500,
-                                 seed=1).to_csv(data)
-        else:
-            assert main(["simulate", argv[1], "--out", str(tmp_path)]) == 0
-        argv = [*argv, "--data", str(data)]
+        assert main(["simulate", argv[1], "--out", str(tmp_path)]) == 0
+        argv = [*argv, "--data", str(tmp_path / f"{argv[1]}.csv")]
     elif argv[0] not in ("geom", "optimize-angle"):
         argv = [*argv, "--out", str(tmp_path)]
     code, modules, numpy_loaded, ma_loaded = json.loads(
@@ -1201,6 +1223,84 @@ def test_fit_stdout_on_large_scan_is_that_of_one_blas_thread(tmp_path):
     assert main(["simulate", "precession", "--grid", "0:360:20000", "--out", str(tmp_path)]) == 0
     argv = ["-m", "odfkit.cli", "fit", "precession", "--data", str(tmp_path / "precession.csv")]
     assert _child(argv).stdout == _child(argv, OPENBLAS_NUM_THREADS="1").stdout
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_in_process_leaves_the_collector_as_found(capsys, tmp_path, enabled):
+    # only the process entry, main() without argv, freezes the heap before it exits
+    assert main(["simulate", "precession", "--seed", "1", "--out", str(tmp_path)]) == 0
+    cases = [(["ratio-scan", "--grid", "12:36:3", "--out", str(tmp_path)], 0),
+             (["geom", "--theta", "28"], 0),
+             (["ratio-scan", "--grid", "1:2:0", "--out", str(tmp_path)], 1),
+             (["fit", "thermometry", "--data", str(tmp_path / "precession.csv")], 2)]
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        frozen = gc.get_freeze_count()
+        for argv, expect in cases:
+            assert run(capsys, *argv)[0] == expect, argv
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen), argv
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+# a library process that has not loaded numpy: main(argv) loads it, and leaves the
+# collector, here switched off, as it was
+COLLECTOR_PROBE = """
+import contextlib, gc, io, json, sys
+from odfkit.cli import main
+gc.disable()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["ratio-scan", "--grid", "12:36:3", "--out", sys.argv[1]])
+print(json.dumps([code, "numpy" in sys.modules, gc.isenabled(), gc.get_freeze_count()]))
+"""
+
+
+def test_main_loading_numpy_leaves_the_collector_as_found(tmp_path):
+    assert json.loads(_child(["-c", COLLECTOR_PROBE, str(tmp_path)]).stdout) == [0, True, False, 0]
+
+
+def _outputs(out_dir):
+    """{file name: bytes} of out_dir; a manifest as its JSON, less the timestamp."""
+    files = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.name.endswith(".manifest.json"):
+            doc = json.loads(path.read_text())
+            del doc["timestamp"]
+            files[path.name] = doc
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+def test_process_entry_writes_what_main_argv_writes(capsys, tmp_path, monkeypatch):
+    # `python -m odfkit.cli` (main() without argv, which freezes the heap before exit)
+    # against main(argv) in process: the same exit codes, stdout, stderr and files
+    commands = [["simulate", "thermometry", "--seed", "3", "--shots", "50", "--out", "out"],
+                ["simulate", "precession", "--seed", "1", "--out", "out"],
+                ["fit", "precession", "--data", "out/precession.csv"],
+                ["fit", "thermometry", "--data", "out/precession.csv"]]
+    entry, library = tmp_path / "entry", tmp_path / "library"
+    entry.mkdir()
+    library.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(odfkit.__file__).parents[1])}
+    monkeypatch.chdir(library)
+    for argv in commands:
+        done = subprocess.run([sys.executable, "-m", "odfkit.cli", *argv], cwd=entry, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv), argv
+    assert done.returncode == 2  # the last fit is unconverged
+    assert _outputs(entry / "out") == _outputs(library / "out")
+
+
+def test_process_entry_freezes_the_heap_and_runs_atexit_hooks(capsys):
+    wrapper = ("import atexit, gc, sys\n"
+               "atexit.register(lambda: print('atexit', gc.get_freeze_count() > 0))\n"
+               "from odfkit.cli import main\n"
+               "sys.exit(main())\n")
+    done = _child(["-c", wrapper, "geom", "--theta", "28"])
+    _, out, _ = run(capsys, "geom", "--theta", "28")
+    assert done.stdout == out + "atexit True\n"
 
 
 # the trap, drive, beams and mount keys in config units, each at its default (DEFAULT_CONFIG
