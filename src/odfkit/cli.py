@@ -331,7 +331,7 @@ def cmd_fig3c(args, scn: Scenario):
 def cmd_fig4c(args, scn: Scenario):
     import numpy as np
 
-    from .fitting import f0_from_jbar, fit_precession, weighted_f0
+    from .fitting import fit_f0_sq
     from .simulate import _precession_scans
 
     theta_list = [14.0, 17.0, 20.0, 24.0, 28.0]
@@ -360,16 +360,15 @@ def cmd_fig4c(args, scn: Scenario):
         _theta1_grid(), args.shots,
         [case[3] + j for case in cases for j in range(len(deltas))]))
     rows = []
-    for label, theta_deg, j_bar_i, _ in cases:
-        estimates = []
-        for delta, drive, j_bar in zip(deltas, drives, j_bar_i):
-            result = fit_precession(next(datasets), drive.gamma, drive.tau, init_j_bar=j_bar)
-            f0, sigma_f0 = f0_from_jbar(
-                result.params["j_bar"],
-                max(result.sigmas["j_bar"], 1e-12 * abs(result.params["j_bar"])),
-                scn.trap, delta)
-            estimates.append((f0, sigma_f0))
-        f0, _ = weighted_f0(estimates)
+    for label, theta_deg, _, _ in cases:
+        result = fit_f0_sq([next(datasets) for _ in deltas], scn.drive.gamma, scn.drive.tau,
+                           scn.trap, deltas)
+        # a row at the bound or unconverged is still a row: the flags go to stderr
+        flags = result.flags if result.converged else ("unconverged", *result.flags)
+        if flags:
+            print(f"warning: fig4c {label} {theta_deg:g} deg: {', '.join(flags)}",
+                  file=sys.stderr)
+        f0 = math.sqrt(result.params["f0_sq"])
         rows.append((label, theta_deg, f0, scn.drive.gamma, f0 / scn.drive.gamma))
     _emit(args, "fig4c", (["scenario", "theta_deg", "F0_N", "Gamma_Hz", "ratio"], zip(*rows)),
           scn, args.seed)

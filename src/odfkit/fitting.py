@@ -8,8 +8,8 @@ Gauss-Newton engine.  The model functions, with their analytic
 derivatives, live in `interactions`, shared with the simulators.
 Parameter uncertainties come from the inverse normal equations at the
 optimum: FitResult.sigmas are scaled by sqrt(chi2_reduced) when it exceeds
-one (the conservative convention).  f0_from_jbar and weighted_f0 turn
-fitted couplings into one force estimate.
+one (the conservative convention).  fit_f0_sq fits one force, F0^2, to the
+precession scans of several detunings at once.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR, TWO_PI
+from .constants import TWO_PI
 from .core import OdfDrive, TrapIonConfig
 from .csvio import ScanDataset
 from .geometry import BeamGeometry
-from .interactions import gamma_decay_lineshape, precession_lineshape, thermometry_model
+from .interactions import gamma_decay_lineshape, j_bar, precession_lineshape, thermometry_model
 
 
 class FitInputError(ValueError):
@@ -69,14 +69,15 @@ def _fit(names, model, x, data, starts, lower=None) -> FitResult:
     def jacobian(p):
         return model(x, p, jac=True)[1] * w[:, None]
 
+    if lower is not None:
+        lower = np.array(lower, float)
+        starts = [np.maximum(s, lower) for s in starts]
     p = np.array(min(starts, key=cost_at), float)
-    lower = None if lower is None else np.array(lower, float)
     lam = 1e-3
     r = (y - model(x, p)) * w
     cost = 0.5 * float(r @ r)
     converged = False
     it = 0
-    bound_active = np.zeros(len(p), bool)
     for it in range(1, _MAX_ITER + 1):
         jac = jacobian(p)
         jtj = jac.T @ jac
@@ -105,8 +106,6 @@ def _fit(names, model, x, data, starts, lower=None) -> FitResult:
         rel_step = np.linalg.norm(step) / (np.linalg.norm(p_new) + 1e-300)
         rel_drop = (cost - cost_new) / max(cost, 1e-300)
         p, r, cost = p_new, r_new, cost_new
-        if lower is not None:
-            bound_active = p <= lower + 1e-300
         if rel_step < _REL_STEP_TOL or rel_drop < _REL_COST_TOL:
             converged = True
             break
@@ -128,7 +127,7 @@ def _fit(names, model, x, data, starts, lower=None) -> FitResult:
     sig_raw = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     sig_raw = np.where(identifiable, sig_raw, np.inf)
     scale = math.sqrt(chi2_red) if chi2_red > 1.0 else 1.0
-    if bound_active.any():
+    if lower is not None and (p <= lower + 1e-300).any():
         flags.append("bound_active")
     return FitResult(
         params=dict(zip(names, (float(v) for v in p))),
@@ -191,27 +190,55 @@ def fit_thermometry(data: ScanDataset, geom: BeamGeometry, drive: OdfDrive,
     return _fit(("omega_com", "n_bar"), model, mu, data, starts, lower=(0.0, 0.0))
 
 
-def fit_precession(data: ScanDataset, gamma: float, tau: float,
-                   init_j_bar=None) -> FitResult:
+def _slope_start(theta1, x, p_up, gamma, tau):
+    """Starts for u from the slope near theta1 = 0, P_up = (1 + 4 e^{-2 gamma tau} tau u x) / 2.
+
+    x = c theta1 for a lineshape with jbar = c u; the slope is fitted over
+    theta1 <= pi/2, or over every point when fewer than 2 distinct x lie there.
+    The sine argument wraps, so the starts probe a few scales around it.
+    """
+    if not x.min() < x.max():
+        raise FitInputError("need at least 2 distinct theta1 values")
+    mask = theta1 <= 0.5 * math.pi
+    if not mask.any() or not x[mask].min() < x[mask].max():
+        mask = np.ones(len(x), bool)
+    u0 = np.polyfit(x[mask], p_up[mask], 1)[0] / (2.0 * math.exp(-2.0 * gamma * tau) * tau)
+    return [u0], [0.5 * u0], [2.0 * u0], [0.0]
+
+
+def fit_precession(data: ScanDataset, gamma: float, tau: float) -> FitResult:
     """Single-parameter fit of the mean-field precession lineshape for jbar."""
     theta1 = _abscissa(data, 2, "theta1 in rad")
 
     def model(theta1, p, jac=False):
         return precession_lineshape(p[0], gamma, tau, theta1, jac=jac)
 
-    if init_j_bar is not None:
-        j0 = init_j_bar
-    else:
-        # slope of P_up near theta1 = 0: dP/dtheta1 -> 2 baseline jbar tau
-        if not theta1.min() < theta1.max():
-            raise FitInputError("need at least 2 distinct theta1 values")
-        mask = theta1 <= 0.5 * math.pi
-        if not mask.any() or not theta1[mask].min() < theta1[mask].max():
-            mask = np.ones(len(theta1), bool)
-        slope = np.polyfit(theta1[mask], data.p_up[mask], 1)[0]
-        j0 = slope / (2.0 * math.exp(-2.0 * gamma * tau) * tau)
-    # the sine argument wraps; probe a few scales around the slope init
-    return _fit(("j_bar",), model, theta1, data, ([j0], [0.5 * j0], [2.0 * j0], [0.0]))
+    return _fit(("j_bar",), model, theta1, data,
+                _slope_start(theta1, theta1, data.p_up, gamma, tau))
+
+
+def fit_f0_sq(scans, gamma: float, tau: float, cfg: TrapIonConfig, deltas) -> FitResult:
+    """Joint fit of u = F0^2 >= 0 to one precession scan per detuning in deltas.
+
+    Scan k's lineshape has jbar = c_k u, with c_k = interactions.j_bar(1, cfg,
+    delta_k), so every jbar has its detuning's sign; d P_up / d u is
+    d P_up / d jbar times c_k, which is never 0.  F0 is sqrt(u).
+    """
+    scans, deltas = list(scans), list(deltas)
+    if not scans or len(scans) != len(deltas):
+        raise FitInputError(f"need one detuning per scan, got {len(scans)} scans "
+                            f"and {len(deltas)} detunings")
+    data = ScanDataset(*(np.concatenate([getattr(s, name) for s in scans])
+                         for name in ("abscissa", "p_up", "sigma")))
+    theta1 = _abscissa(data, 2, "theta1 in rad")
+    c = np.concatenate([np.full(len(s), j_bar(1.0, cfg, d)) for s, d in zip(scans, deltas)])
+
+    def model(theta1, p, jac=False):
+        out = precession_lineshape(c * p[0], gamma, tau, theta1, jac=jac)
+        return (out[0], out[1] * c[:, None]) if jac else out
+
+    return _fit(("f0_sq",), model, theta1, data,
+                _slope_start(theta1, c * theta1, data.p_up, gamma, tau), lower=(0.0,))
 
 
 def fit_far_detuned_gamma(data: ScanDataset) -> FitResult:
@@ -227,37 +254,3 @@ def fit_far_detuned_gamma(data: ScanDataset) -> FitResult:
     z = -np.log(np.clip(1.0 - 2.0 * data.p_up, 1e-6, None))
     start = (max(float(np.polyfit(tau, z, 1)[0]) / 2.0, 0.0),)
     return _fit(("gamma",), model, tau, data, [start], lower=(0.0,))
-
-
-def f0_from_jbar(j_bar: float, sigma_j: float, cfg: TrapIonConfig,
-                 delta: float) -> tuple[float, float]:
-    """Invert jbar = F0^2 / (4 hbar M omega_com delta) with first-order errors."""
-    if j_bar * delta <= 0:
-        raise FitInputError("j_bar and delta must have the same (nonzero) sign")
-    f0 = math.sqrt(4.0 * HBAR * cfg.ion_mass * cfg.omega_com * delta * j_bar)
-    sigma_f0 = f0 * sigma_j / (2.0 * j_bar)
-    return f0, sigma_f0
-
-
-def weighted_f0(estimates) -> tuple[float, float]:
-    """Inverse-variance weighted mean (F0, sigma) of (F0, sigma) pairs."""
-    entries = tuple(estimates)
-    if not entries:
-        raise FitInputError("need at least one F0 estimate")
-    if not all(math.isfinite(f) for f, _ in entries):
-        raise FitInputError("all F0 values must be finite")
-    if not all(s > 0 for _, s in entries):  # NaN fails too
-        raise FitInputError("all sigmas must be > 0")
-    if not all(s * s > 0 for _, s in entries) or not sum(
-            1.0 / (s * s) for _, s in entries) < math.inf:
-        raise FitInputError("a sigma is too small to weight: 1/sigma^2 or their sum overflows")
-    weights = np.array([1.0 / (s * s) for _, s in entries])
-    if not weights.sum() > 0:
-        raise FitInputError("every sigma is infinite: no F0 estimate has weight")
-    values = np.array([f for f, _ in entries])
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an input error below
-        mean = float((weights * values).sum() / weights.sum())
-    if not math.isfinite(mean):
-        raise FitInputError("the F0 values are too large to weight: their weighted sum overflows")
-    sigma = float(math.sqrt(1.0 / weights.sum()))
-    return mean, sigma

@@ -205,7 +205,8 @@ def precession_lineshape(j_bar: float, gamma: float, tau: float, theta1_grid, ja
     """Mean-field precession P_up(theta1) of the tipping-angle scan.
 
     P_up = (1 + e^{-2 Gamma tau} sin(theta1) sin(2 jbar cos(theta1) 2 tau)) / 2.
-    With jac=True also returns d P_up / d jbar, shape (n, 1).
+    j_bar is one value or one per theta1.  With jac=True also returns
+    d P_up / d jbar, shape (n, 1).
     """
     import numpy as np
 

@@ -772,6 +772,27 @@ def test_reproduce_fig4c(capsys, tmp_path):
     assert eit[28.0] / eit[14.0] == pytest.approx(1.9, abs=0.3)
 
 
+def test_reproduce_fig4c_at_few_shots_exits_0(capsys, tmp_path):
+    # each row is one F0^2 >= 0 fit: a noisy scan no longer fits a jbar of the wrong sign
+    for seed in range(10):
+        code, _, err = run(capsys, "reproduce", "fig4c", "--shots", "20", "--seed", str(seed),
+                           "--out", str(tmp_path))
+        assert code == 0, (seed, err)
+
+
+def test_fig4c_flagged_row_is_written_with_a_warning(capsys, tmp_path):
+    code, _, err = run(capsys, "reproduce", "fig4c", "--shots", "1", "--seed", "0",
+                       "--out", str(tmp_path))
+    assert code == 0
+    assert err == ("warning: fig4c doppler 17 deg: bound_active\n"
+                   "warning: fig4c doppler 24 deg: bound_active\n")
+    rows = [r.split(",") for r in (tmp_path / "fig4c.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 10
+    f0 = {(r[0], float(r[1])): float(r[2]) for r in rows}
+    assert f0["doppler", 17.0] == f0["doppler", 24.0] == 0.0
+    assert all(v > 0 for key, v in f0.items() if key not in {("doppler", 17.0), ("doppler", 24.0)})
+
+
 def test_fig4c_probe_drive_is_set_by_the_size_of_delta_ac(capsys, tmp_path):
     # F0 depends on |delta_ac| alone: a negative delta_ac was floored to 2.5 kHz before
     digests = []
@@ -817,7 +838,7 @@ def test_reproduce_csv_bytes_are_pinned(capsys, tmp_path):
     # fig4c has the str scenario column; fig5b's 20k rows span many writer blocks
     pinned = {
         ("fig4c", "1", "fig4c"):
-            "df7dc2da465fcae12a832c2bdc6e004835e1ea200b43d1452739b4afe5046fed",
+            "bef4987fffd5807fd2201d11bc013035d52258a240357eec98a2f24be01888a1",
         ("fig5", "7", "fig5a_drift"):
             "5c7817b1387700f6573355d7abe623e60faa7166d8b5814917291f8c13d5324f",
         ("fig5", "7", "fig5b_pathnoise"):

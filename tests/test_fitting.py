@@ -10,11 +10,11 @@ from odfkit.configio import load_config
 from odfkit.core import ThermalState
 from odfkit.fitting import (
     FitInputError,
-    f0_from_jbar,
+    _fit,
+    fit_f0_sq,
     fit_far_detuned_gamma,
     fit_precession,
     fit_thermometry,
-    weighted_f0,
 )
 from odfkit.csvio import ScanDataset
 from odfkit.geometry import BeamGeometry, GeometryInfeasibleError, MountGeometry
@@ -27,7 +27,7 @@ from odfkit.interactions import (
     precession_lineshape,
     thermometry_model,
 )
-from odfkit.simulate import simulate_precession, simulate_thermometry
+from odfkit.simulate import _precession_scans, simulate_precession, simulate_thermometry
 
 SCN = load_config()  # the default config
 CFG = SCN.trap
@@ -35,6 +35,8 @@ GEOM = SCN.beams  # 28 degrees
 DRIVE = SCN.drive
 MOUNT = SCN.mount  # the 12-36 degree window
 MU = CFG.omega_com + 2 * math.pi * np.linspace(-3e3, 3e3, 30)
+DELTAS = [2 * math.pi * d for d in (1.5e3, 2.0e3, 3.0e3)]  # fig4c's detunings
+THETA1 = np.linspace(0, 2 * math.pi, 40)
 
 
 def _thermometry_dataset(n_bar=1.27, sigma=1e-3, mu=MU):
@@ -55,6 +57,26 @@ def _gamma(x, params, jac=False):
     return gamma_decay_lineshape(params[0], x, jac=jac)
 
 
+def _f0_sq(x, params, jac=False):
+    # fit_f0_sq's model on x, one third of it per detuning: jbar = c_k F0^2 on scan k
+    c = np.repeat([j_bar(1.0, CFG, d) for d in DELTAS], len(x) // 3)
+    out = precession_lineshape(c * params[0], 100.0, 500e-6, x, jac=jac)
+    return (out[0], out[1] * c[:, None]) if jac else out
+
+
+def _exact_scans(f0, theta1=THETA1):
+    return [ScanDataset(abscissa=theta1, p_up=precession_lineshape(
+                j_bar(f0, CFG, d), 100.0, 500e-6, theta1), sigma=np.full(len(theta1), 1e-3))
+            for d in DELTAS]
+
+
+def _drawn_scans(f0s, seeds, deltas=DELTAS):
+    """One 500-shot scan per (F0, detuning), seed seeds[i] + k at detuning k, in one call."""
+    scans = _precession_scans([j_bar(f0, CFG, d) for f0 in f0s for d in deltas], 100.0, 500e-6,
+                              THETA1, 500, [s + k for s in seeds for k in range(len(deltas))])
+    return [scans[i:i + len(deltas)] for i in range(0, len(scans), len(deltas))]
+
+
 def _check_jacobian(model, x, params, rel_steps):
     """Central finite differences of model(x, p) against model(x, p, jac=True).
 
@@ -65,7 +87,7 @@ def _check_jacobian(model, x, params, rel_steps):
     _, analytic = model(x, params, jac=True)
     assert analytic.shape == (len(x), len(params))
     for k, rel in enumerate(rel_steps):
-        h = rel * max(abs(params[k]), 1e-30)
+        h = rel * max(abs(params[k]), 1e-300)  # F0^2 in N^2 is ~1e-46
         up = list(params)
         dn = list(params)
         up[k] += h
@@ -92,6 +114,8 @@ def test_thermometry_jacobian_matches_fd_hot():
 def test_precession_jacobian_matches_fd():
     grid = np.linspace(0.05, 2 * math.pi, 40)
     _check_jacobian(_precession, grid, (1500.0,), rel_steps=(1e-6,))
+    # the joint fit's jbar has one value per point; its derivative carries the c_k
+    _check_jacobian(_f0_sq, np.tile(grid, 3), (1.2e-23 ** 2,), rel_steps=(1e-6,))
 
 
 def test_gamma_jacobian_matches_fd():
@@ -141,6 +165,11 @@ def test_precession_zero_noise_round_trip():
     result = fit_precession(ds, gamma=100.0, tau=500e-6)
     assert result.converged
     assert result.params["j_bar"] == pytest.approx(jb, rel=1e-6)
+    # the joint F0^2 fit over three exact lineshapes
+    for f0 in (6e-24, 1.2e-23, 1.8e-23):
+        result = fit_f0_sq(_exact_scans(f0), 100.0, 500e-6, CFG, DELTAS)
+        assert result.converged and result.flags == ()
+        assert result.params["f0_sq"] == pytest.approx(f0 * f0, rel=1e-9)
 
 
 def test_gamma_zero_noise_round_trip():
@@ -176,6 +205,12 @@ def test_precession_permutation_invariance():
     a = fit_precession(ds, 100.0, 500e-6)
     b = fit_precession(_shuffled(ds), 100.0, 500e-6)
     assert b.params["j_bar"] == pytest.approx(a.params["j_bar"], rel=1e-9)
+    # the joint F0^2 fit with its (scan, detuning) pairs in another order
+    scans = _drawn_scans([1.2e-23], [8])[0]
+    a = fit_f0_sq(scans, 100.0, 500e-6, CFG, DELTAS)
+    b = fit_f0_sq(scans[::-1], 100.0, 500e-6, CFG, DELTAS[::-1])
+    assert b.params["f0_sq"] == pytest.approx(a.params["f0_sq"], rel=1e-9)
+    assert b.sigmas["f0_sq"] == pytest.approx(a.sigmas["f0_sq"], rel=1e-9)
 
 
 # -- result structure ------------------------------------------------------------------
@@ -227,74 +262,67 @@ def test_thermometry_requires_six_points():
         fit_thermometry(ds, GEOM, DRIVE, CFG)
 
 
-# -- weighted F0 combination ------------------------------------------------------------
+# -- joint F0^2 fit --------------------------------------------------------------------
 
 
-def test_weighted_f0_frozen_example():
-    f0, sigma = weighted_f0([(28.0, 2.0), (34.0, 4.0)])
-    assert f0 == pytest.approx(29.2, rel=1e-12)
-    assert sigma == pytest.approx(1.7888543819998317, rel=1e-12)
+def test_f0_sq_of_one_scan_is_fit_precession_over_c():
+    # jbar = c F0^2 is linear in F0^2: one scan has the same optimum, scaled by 1/c,
+    # and a negative detuning fits a negative jbar with F0^2 > 0
+    for delta in (DELTAS[1], -DELTAS[1]):
+        scan = _drawn_scans([1.2e-23], [3], deltas=[delta])[0][0]
+        joint = fit_f0_sq([scan], 100.0, 500e-6, CFG, [delta])
+        single = fit_precession(scan, 100.0, 500e-6)
+        c = j_bar(1.0, CFG, delta)
+        assert single.params["j_bar"] * delta > 0
+        assert joint.params["f0_sq"] == pytest.approx(single.params["j_bar"] / c, rel=1e-6)
+        assert joint.sigmas["f0_sq"] == pytest.approx(single.sigmas["j_bar"] / abs(c), rel=1e-6)
 
 
-def test_weighted_f0_is_inverse_variance_mean():
-    entries = [(30.0, 1.5), (31.0, 2.5), (29.5, 1.0)]
-    f0, _ = weighted_f0(entries)
-    w = np.array([1 / s ** 2 for _, s in entries])
-    v = np.array([f for f, _ in entries])
-    assert f0 == pytest.approx(float((w * v).sum() / w.sum()), rel=1e-14)
-
-
-def test_weighted_f0_permutation_invariant():
-    entries = [(30.0, 1.5), (31.0, 2.5), (29.5, 1.0)]
-    a = weighted_f0(entries)
-    b = weighted_f0(entries[::-1])
-    assert a == pytest.approx(b, rel=1e-14)
-
-
-def test_weighted_f0_sigma_shrinks_with_entries():
-    entries = [(30.0, 2.0), (30.1, 2.0), (29.9, 2.0), (30.0, 2.0)]
-    sigmas = [weighted_f0(entries[:k])[1] for k in range(1, 5)]
+def test_f0_sq_sigma_shrinks_with_scans():
+    scans = _drawn_scans([1.2e-23], [5])[0]
+    sigmas = [fit_f0_sq(scans[:k], 100.0, 500e-6, CFG, DELTAS[:k]).sigmas["f0_sq"]
+              for k in (1, 2, 3)]
     assert all(b < a for a, b in zip(sigmas, sigmas[1:]))
 
 
-def test_weighted_f0_validation():
-    with pytest.raises(FitInputError, match="at least one"):
-        weighted_f0([])
-    with pytest.raises(FitInputError, match="sigmas must be > 0"):
-        weighted_f0([(30.0, 0.0)])
-    with pytest.raises(FitInputError, match="sigmas must be > 0"):
-        weighted_f0([(30.0, 2.0), (31.0, math.nan)])
-    for f0 in (math.nan, math.inf):
-        with pytest.raises(FitInputError, match="F0 values must be finite"):
-            weighted_f0([(f0, 2.0)])
-    # a sigma whose square underflows to 0, and two whose weights 1/sigma^2 overflow
-    for entries in ([(30.0, 1e-200)], [(30.0, 1e-160), (31.0, 1e-160)]):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(FitInputError, match="too small to weight"):
-                weighted_f0(entries)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way to the error
-        with pytest.raises(FitInputError, match="every sigma is infinite"):
-            weighted_f0([(30.0, math.inf), (31.0, math.inf)])
-    # an F0 whose weighted sum overflows, alone or against one of the other sign
-    for entries in ([(1e308, 0.1)], [(1e308, 0.1), (-1e308, 0.1)]):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(FitInputError, match="too large to weight"):
-                weighted_f0(entries)
-    # an infinite sigma among finite ones carries no weight
-    assert weighted_f0([(30.0, 2.0), (99.0, math.inf)]) == (30.0, 2.0)
+def test_f0_sq_validation():
+    scans = _exact_scans(1.2e-23)
+    for scans_, deltas in (([], []), (scans, DELTAS[:2])):
+        with pytest.raises(FitInputError, match="^need one detuning per scan"):
+            fit_f0_sq(scans_, 100.0, 500e-6, CFG, deltas)
+    flat = _exact_scans(1.2e-23, theta1=np.zeros(3))
+    with pytest.raises(FitInputError, match="^need at least 2 distinct theta1 values$"):
+        fit_f0_sq(flat, 100.0, 500e-6, CFG, DELTAS)
 
 
-def test_f0_from_jbar_inverts_coupling():
-    delta = 2 * math.pi * 2e3
-    jb = j_bar(30e-24, CFG, delta)
-    f0, sigma = f0_from_jbar(jb, 0.1 * jb, CFG, delta)
-    assert f0 == pytest.approx(30e-24, rel=1e-12)
-    assert sigma == pytest.approx(0.05 * f0, rel=1e-12)
-    with pytest.raises(FitInputError):
-        f0_from_jbar(-jb, 0.1 * jb, CFG, delta)
+def test_f0_sq_pulls_are_calibrated():
+    # simulation-based calibration over 20 seeds of fig4c's 10 rows at 500 shots
+    geom = replace(GEOM, theta_odf=np.radians([14.0, 17.0, 20.0, 24.0, 28.0]))
+    drive = replace(DRIVE, delta_ac=2 * math.pi * 2.5e3)
+    f0s = [f0 for n_bar in (10.7, 1.27)
+           for f0 in force_magnitude(geom, drive, CFG, ThermalState(n_bar)).f0.tolist()]
+    rows = [(f0, 100 * seed + 3 * i) for seed in range(20) for i, f0 in enumerate(f0s)]
+    pulls = []
+    for (f0, _), scans in zip(rows, _drawn_scans(*zip(*rows))):
+        result = fit_f0_sq(scans, 100.0, 500e-6, CFG, DELTAS)
+        assert result.converged and result.flags == ()
+        pulls.append((result.params["f0_sq"] - f0 * f0) / result.sigmas["f0_sq"])
+    assert abs(np.mean(pulls)) < 0.5
+    assert 0.7 < np.std(pulls, ddof=1) < 1.3
+
+
+def test_fit_projects_a_start_below_the_bound():
+    # the start -0.3 is the unconstrained optimum, below the bound: the fit ends at the
+    # bound, flagged, whether or not a step from the start is accepted
+    x = np.linspace(0.0, 1.0, 10)
+    data = ScanDataset(abscissa=x, p_up=0.5 - 0.3 * x, sigma=np.full(10, 0.01))
+
+    def model(x, p, jac=False):
+        return (0.5 + p[0] * x, x[:, None]) if jac else 0.5 + p[0] * x
+
+    result = _fit(("a",), model, x, data, [(-0.3,)], lower=(0.0,))
+    assert result.params["a"] >= 0.0
+    assert "bound_active" in result.flags
 
 
 # -- design optimizer -------------------------------------------------------------------
