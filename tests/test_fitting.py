@@ -165,7 +165,10 @@ def test_precession_zero_noise_round_trip():
     result = fit_precession(ds, gamma=100.0, tau=500e-6)
     assert result.converged
     assert result.params["j_bar"] == pytest.approx(jb, rel=1e-6)
-    # the joint F0^2 fit over three exact lineshapes
+
+
+def test_weighted_f0_frozen_example():
+    # F0 from fig4c's three detunings, one joint F0^2 fit over three exact lineshapes
     for f0 in (6e-24, 1.2e-23, 1.8e-23):
         result = fit_f0_sq(_exact_scans(f0), 100.0, 500e-6, CFG, DELTAS)
         assert result.converged and result.flags == ()
@@ -205,6 +208,9 @@ def test_precession_permutation_invariance():
     a = fit_precession(ds, 100.0, 500e-6)
     b = fit_precession(_shuffled(ds), 100.0, 500e-6)
     assert b.params["j_bar"] == pytest.approx(a.params["j_bar"], rel=1e-9)
+
+
+def test_weighted_f0_permutation_invariant():
     # the joint F0^2 fit with its (scan, detuning) pairs in another order
     scans = _drawn_scans([1.2e-23], [8])[0]
     a = fit_f0_sq(scans, 100.0, 500e-6, CFG, DELTAS)
