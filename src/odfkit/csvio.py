@@ -1,8 +1,10 @@
 """odfkit's one file format: a header row of column names, then one row per point.
 
 Fields are joined by "," and lines end in CRLF; floats are '%.17e', which reads
-back to the same bits, and text is '%s', unquoted.  `ScanDataset.from_csv` reads
-a scan back, and a fault in the file is one ValueError that names the file.
+back to the same bits, and text is '%s', unquoted.  `write_rows` formats a block
+of fields at a time into fixed-width slots and deletes the NUL bytes a field leaves
+unused, so text may not hold a NUL.  `ScanDataset.from_csv` reads a scan back, and
+a fault in the file is one ValueError that names the file.
 """
 
 from __future__ import annotations
@@ -95,7 +97,9 @@ class Series:
         write_rows(path, ["t_s", "value"], (self.t, self.value))
 
 
-_BLOCK_ROWS = 2048  # rows per write; at 4 float columns a block's buffers stay under 1 MiB
+# fields per write: 2048 rows at 4 float columns, 2730 at 3 and 4096 at 2.  A block's
+# buffers stay under 1 MiB, since its unused bytes are deleted rather than masked
+_BLOCK_FIELDS = 8192
 _TENS = bytes(48 + v // 10 % 10 for v in range(256))  # translate tables: a value 0-99 to
 _ONES = bytes(48 + v % 10 for v in range(256))  # its tens and its ones character
 _POW10 = {}  # q -> 10**q as a double-double, filled on first use
@@ -157,12 +161,13 @@ def _decimal(x):
     return high, low, k, np.flatnonzero(special | (np.abs(frac - 0.5) < 1e-6) | (high >= 1e10))
 
 
-def _format_floats(x, out, used):
-    """Write '%.17e' % v of each v in x into the (n, 25) byte slots out and mark the bytes used.
+def _format_floats(x, out):
+    """Write '%.17e' % v of each v in x into the (n, 25) byte slots out, NUL in unused bytes.
 
     Returns the indices of the fields left to Python (see `_decimal`).  The digits are
     nine floored quotients 0-99 of high and low plus the exponent's last two; row by
-    row, since a broadcast divide allocates numpy's casting buffers.
+    row, since a broadcast divide allocates numpy's casting buffers.  A slot's unused
+    bytes are its sign for v >= 0 and its exponent's hundreds digit when it has two digits.
     """
     high, low, k, escape = _decimal(x)
     hundreds = np.floor(np.abs(k) / 100.0)
@@ -175,46 +180,59 @@ def _format_floats(x, out, used):
     pairs = pairs.T.astype(np.uint8, order="C").tobytes()
     tens, ones = (np.frombuffer(pairs.translate(t), np.uint8).reshape(-1, 10)
                   for t in (_TENS, _ONES))
-    out[:, 0], out[:, 2], out[:, 20] = ord("-"), ord("."), ord("e")
+    out[:, 0] = np.where(x < 0.0, ord("-"), 0)
+    out[:, 2], out[:, 20] = ord("."), ord("e")
     out[:, 1], out[:, 4:20:2] = tens[:, 0], tens[:, 1:9]  # d.dd...: pair 0 around the point
     out[:, 3], out[:, 5:20:2] = ones[:, 0], ones[:, 1:9]
     out[:, 21] = ord("+")
     out[k < 0.0, 21] = ord("-")
-    out[:, 22], out[:, 23], out[:, 24] = hundreds + ord("0"), tens[:, 9], ones[:, 9]
-    used[:, 1:] = True
-    used[:, 0], used[:, 22] = x < 0.0, hundreds > 0.0
+    out[:, 22] = np.where(hundreds > 0.0, hundreds + ord("0"), 0.0)
+    out[:, 23], out[:, 24] = tens[:, 9], ones[:, 9]
     return escape
 
 
 def write_rows(path, header, columns):
     """The one CSV writer: header, then rows of %.17e floats and %s others; CRLF line ends.
 
-    A block of rows is one byte matrix with a slot per field and a mask of the bytes in use;
-    `_format_floats` fills the float slots, Python's % the fields it leaves and text fields.
+    A block of _BLOCK_FIELDS fields is one byte matrix with a slot per field.  The bytes
+    a field leaves unused hold NUL, and one translate per block deletes them.
+    `_format_floats` fills the float slots, Python's % the fields it leaves, and a text
+    column is one NUL-padded byte matrix.  A header that does not name each column,
+    columns of unequal length and text that holds a NUL are ValueErrors.
     """
     columns = [np.asarray(col) for col in columns]
-    n_rows = len(columns[0])
-    with open(path, "w", newline="") as text:
-        fh, encoding = text.buffer, text.encoding
-        fh.write((",".join(header) + "\r\n").encode(encoding))
-        cells = [None if col.dtype.kind == "f"
-                 else [("%s" % v).encode(encoding) for v in col.tolist()] for col in columns]
-        widths = [25 if c is None else max(map(len, c), default=0) for c in cells]
+    if not columns or len(header) != len(columns):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+    lengths = sorted({len(col) for col in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"columns must have equal lengths, not {lengths}")
+    n_rows = lengths[0]
+    text = [None if col.dtype.kind == "f" else ["%s" % v for v in col.tolist()]
+            for col in columns]
+    if any("\0" in v for cells in text if cells is not None for v in cells):
+        raise ValueError("a text field holds a NUL character")
+    block = max(1, _BLOCK_FIELDS // len(columns))
+    with open(path, "w", newline="") as fh:
+        encoding = fh.encoding
+        fh.buffer.write((",".join(header) + "\r\n").encode(encoding))
+        for j, cells in enumerate(text):
+            if cells is not None:
+                cells = np.array([v.encode(encoding) for v in cells], "S")
+                text[j] = cells.view(np.uint8).reshape(n_rows, cells.itemsize)
+        widths = [25 if cells is None else cells.shape[1] for cells in text]
         starts = list(itertools.accumulate([w + 1 for w in widths], initial=0))
-        out = np.empty((min(n_rows, _BLOCK_ROWS), starts[-1] + 1), np.uint8)
-        used = np.ones(out.shape, bool)
+        out = np.empty((min(n_rows, block), starts[-1] + 1), np.uint8)
         out[:, [s - 1 for s in starts[1:]]] = ord(",")
         out[:, -2:] = (ord("\r"), ord("\n"))
-        for start in range(0, n_rows, _BLOCK_ROWS):
-            o, u = out[:n_rows - start], used[:n_rows - start]
-            for col, col_cells, s, w in zip(columns, cells, starts, widths):
-                if col_cells is None:
-                    x = np.asarray(col[start:start + len(o)], float)
-                    rows = _format_floats(x, o[:, s:s + w], u[:, s:s + w])
-                    fill = [("%.17e" % v).encode(encoding) for v in x[rows].tolist()]
-                else:
-                    rows, fill = range(len(o)), col_cells[start:start + len(o)]
-                for i, field in zip(rows, fill):
-                    o[i, s:s + len(field)] = np.frombuffer(field, np.uint8)
-                    u[i, s:s + w] = np.arange(w) < len(field)
-            fh.write(o[u])
+        for start in range(0, n_rows, block):
+            o = out[:n_rows - start]
+            for col, cells, s, w in zip(columns, text, starts, widths):
+                if cells is not None:
+                    o[:, s:s + w] = cells[start:start + len(o)]
+                    continue
+                x = np.asarray(col[start:start + len(o)], float)
+                rows = _format_floats(x, o[:, s:s + w])
+                for i, v in zip(rows.tolist(), x[rows].tolist()):
+                    field = ("%.17e" % v).encode(encoding).ljust(w, b"\0")
+                    o[i, s:s + w] = np.frombuffer(field, np.uint8)
+            fh.buffer.write(o.tobytes().translate(None, b"\0"))

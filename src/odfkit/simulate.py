@@ -12,7 +12,6 @@ are plain arguments without defaults: the CLI's flags own those.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -132,16 +131,17 @@ def simulate_angle_drift(duration: float, dt: float, linear_rate: float, rms_jit
 
 
 def _one_pole_lowpass(x, a):
-    """y[i] = (1 - a) x[i] + a y[i-1] with y[-1] = 0, in input order, a block at a time."""
+    """y[i] = (1 - a) x[i] + a y[i-1] with y[-1] = 0, in input order.
+
+    One list comprehension per block of 2048 samples, with y carried across blocks;
+    each step is (b x[i]) + a y, in that order, so y is bit-equal to a loop's.
+    """
     b = 1.0 - a
     out = np.empty(len(x))
-    prev = 0.0
-    step = 2048  # values per accumulate call
-    for start in range(0, len(x), step):
-        block = list(itertools.accumulate((b * x[start:start + step]).tolist(),
-                                          lambda y, u: u + a * y, initial=prev))
-        out[start:start + len(block) - 1] = block[1:]
-        prev = block[-1]
+    y = 0.0
+    step = 2048  # values per list
+    for s in range(0, len(x), step):
+        out[s:s + step] = [y := u + a * y for u in (b * x[s:s + step]).tolist()]
     return out
 
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from odfkit.configio import load_config
 from odfkit.core import ThermalState
-from odfkit.csvio import _BLOCK_ROWS, ScanDataset, Series, write_rows
+from odfkit.csvio import _BLOCK_FIELDS, ScanDataset, Series, write_rows
 from odfkit.interactions import precession_lineshape, thermometry_model
 from odfkit.simulate import (
     SLOW_CUTOFF,
@@ -125,7 +125,12 @@ def test_writer_matches_csv_writer_oracle(tmp_path_factory, rows):
     assert new == oracle
 
 
-@pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+# rows per block at 2, 3 and 4 fields; each n is written at every width, so the
+# tables straddle each width's block boundary
+BLOCK_ROWS = [_BLOCK_FIELDS // width for width in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("n", [0, 1] + [b + d for b in BLOCK_ROWS for d in (-1, 0, 1)])
 def test_writer_block_boundaries_match_oracle(tmp_path, n):
     rng = np.random.default_rng(n)
     value = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 308, n)
@@ -137,6 +142,34 @@ def test_writer_block_boundaries_match_oracle(tmp_path, n):
     new, oracle = _write_both(tmp_path, ["scenario", "t_s", "value"], (labels, t, value),
                               zip(labels, t, value))
     assert new == oracle
+    columns = (t, value, -value, 1e-22 * t)
+    new, oracle = _write_both(tmp_path, ["a", "b", "c", "d"], columns, zip(*columns))
+    assert new == oracle
+
+
+@pytest.mark.parametrize("columns", [
+    ([1.0, 2.0, 3.0], [1.0, 2.0]),  # a shorter later column failed in a numpy broadcast
+    ([1.0, 2.0], [1.0, 2.0, 3.0]),  # a longer one was cut to the first column's length
+    (["doppler"], [1.0], [2.0, 3.0]),
+])
+def test_writer_rejects_columns_of_unequal_length(tmp_path, columns):
+    with pytest.raises(ValueError, match="equal lengths"):
+        write_rows(tmp_path / "t.csv", [f"c{i}" for i in range(len(columns))], columns)
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("header", [["t_s", "value", "extra"], ["t_s"], []])
+def test_writer_rejects_header_that_does_not_name_each_column(tmp_path, header):
+    with pytest.raises(ValueError, match="header names for 2 columns"):
+        write_rows(tmp_path / "t.csv", header, ([0.0, 1.0], [2.0, 3.0]))
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_writer_rejects_text_holding_nul(tmp_path):
+    # NUL marks the bytes a block deletes, so a text field may not hold one
+    with pytest.raises(ValueError, match="NUL"):
+        write_rows(tmp_path / "t.csv", ["scenario", "a"], (["eit", "dop\0pler"], [1.0, 2.0]))
+    assert not (tmp_path / "t.csv").exists()
 
 
 def _float_table_matches_oracle(path, values, width):
@@ -170,16 +203,20 @@ def test_writer_kernel_matches_oracle_on_edge_values(tmp_path):
 
 
 def test_writer_block_buffers_stay_under_one_mib(tmp_path):
-    # the 1e5-row curves table: 4 float columns; the %-template writer peaked at 0.32 MiB
+    # 1e5-row tables of 2, 3 and 4 float columns, the last the curves table; at each
+    # width that is many full blocks.  The %-template writer peaked at 0.32 MiB
     theta = np.linspace(10.0, 30.0, 100_000)
     columns = (theta, np.full(theta.shape, 1.27), 1e-22 * np.sin(theta), -1e3 * np.cos(theta))
+    peaks = []
     tracemalloc.start()
     try:
-        write_rows(tmp_path / "curves.csv", ["a", "b", "c", "d"], columns)
-        peak = tracemalloc.get_traced_memory()[1]
+        for width in (2, 3, 4):
+            tracemalloc.reset_peak()
+            write_rows(tmp_path / "curves.csv", ["a", "b", "c", "d"][:width], columns[:width])
+            peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert peak <= 2 ** 20
+    assert max(peaks) <= 2 ** 20, peaks
 
 
 def _series_peak(generate):
