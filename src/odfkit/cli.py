@@ -307,6 +307,13 @@ def cmd_optimize_angle(args, scn: Scenario):
 # -- figure-reproduction drivers ----------------------------------------------
 
 
+def _warn_flagged(fit_name, result):
+    """Name a flagged or unconverged figure fit on stderr; its output is still written."""
+    flags = result.flags if result.converged else ("unconverged", *result.flags)
+    if flags:
+        print(f"warning: {fit_name}: {', '.join(flags)}", file=sys.stderr)
+
+
 def cmd_fig3c(args, scn: Scenario):
     import numpy as np
 
@@ -321,6 +328,7 @@ def cmd_fig3c(args, scn: Scenario):
                                        grid, shots=args.shots, seed=args.seed)
         _emit(args, f"fig3c_{label}", dataset, scn, args.seed)
         result = fit_thermometry(dataset, scn.beams, scn.drive, scn.trap)
+        _warn_flagged(f"fig3c {label}", result)
         fits[label] = _fit_json(result, _THERMOMETRY_UNITS)
     out = Path(args.out) / "fig3c_fits.json"
     out.write_text(_json(fits) + "\n")
@@ -363,11 +371,7 @@ def cmd_fig4c(args, scn: Scenario):
     for label, theta_deg, _, _ in cases:
         result = fit_f0_sq([next(datasets) for _ in deltas], scn.drive.gamma, scn.drive.tau,
                            scn.trap, deltas)
-        # a row at the bound or unconverged is still a row: the flags go to stderr
-        flags = result.flags if result.converged else ("unconverged", *result.flags)
-        if flags:
-            print(f"warning: fig4c {label} {theta_deg:g} deg: {', '.join(flags)}",
-                  file=sys.stderr)
+        _warn_flagged(f"fig4c {label} {theta_deg:g} deg", result)
         f0 = math.sqrt(result.params["f0_sq"])
         rows.append((label, theta_deg, f0, scn.drive.gamma, f0 / scn.drive.gamma))
     _emit(args, "fig4c", (["scenario", "theta_deg", "F0_N", "Gamma_Hz", "ratio"], zip(*rows)),

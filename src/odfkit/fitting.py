@@ -4,8 +4,10 @@ Each measurement (thermometry scan, tipping-angle precession, far-detuned
 decoherence decay) has one entry point, fit_thermometry, fit_precession or
 fit_far_detuned_gamma, which checks the scan, picks its start candidates
 and hands a model(x, p, jac=False) closure to `_fit`, the one damped
-Gauss-Newton engine.  The model functions, with their analytic
-derivatives, live in `interactions`, shared with the simulators.
+Gauss-Newton engine.  The engine ranks the starts with plain calls and
+then evaluates each parameter point once, with its derivative.  The model
+functions, with their analytic derivatives, live in `interactions`, shared
+with the simulators.
 Parameter uncertainties come from the inverse normal equations at the
 optimum: FitResult.sigmas are scaled by sqrt(chi2_reduced) when it exceeds
 one (the conservative convention).  fit_f0_sq fits one force, F0^2, to the
@@ -53,35 +55,38 @@ def _fit(names, model, x, data, starts, lower=None) -> FitResult:
     """Damped Gauss-Newton weighted least squares of model(x, p) to data.p_up.
 
     model(x, p) gives the model values and model(x, p, jac=True) the pair
-    (values, (n, k) derivatives).  The loop starts from the candidate in
-    starts with the lowest cost, damps Levenberg-style and enforces the
-    optional per-parameter lower bound by projection.  Sigmas come from
-    the inverse normal equations at the optimum, times sqrt(chi2_reduced)
-    when that exceeds one.
+    (values, (n, k) derivatives).  Plain calls rank the starts; the loop
+    begins at the cheapest, damps Levenberg-style, enforces the optional
+    per-parameter lower bound by projection, and evaluates each point, the
+    start and every trial, once with its derivative.  Sigmas come from the
+    inverse normal equations at the optimum, times sqrt(chi2_reduced) when
+    that exceeds one.
     """
-    y, sig = data.p_up, data.sigma
-    w = 1.0 / sig
+    y, w = data.p_up, 1.0 / data.sigma
 
-    def cost_at(p):
-        res = (y - model(x, p)) / sig
-        return float(res @ res)
+    def residual(p, jac=False):
+        """(y - model) / sigma at p; with jac=True also d model / d p / sigma."""
+        if not jac:
+            return (y - model(x, p)) * w
+        values, d = model(x, p, jac=True)
+        return (y - values) * w, d * w[:, None]
 
-    def jacobian(p):
-        return model(x, p, jac=True)[1] * w[:, None]
+    def half_sq(r):
+        return 0.5 * float(r @ r)
 
     if lower is not None:
         lower = np.array(lower, float)
         starts = [np.maximum(s, lower) for s in starts]
-    p = np.array(min(starts, key=cost_at), float)
+    p = np.array(min(starts, key=lambda s: half_sq(residual(s))), float)
     lam = 1e-3
-    r = (y - model(x, p)) * w
-    cost = 0.5 * float(r @ r)
+    r, jac = residual(p, jac=True)
+    cost = half_sq(r)
     converged = False
     it = 0
     for it in range(1, _MAX_ITER + 1):
-        jac = jacobian(p)
         jtj = jac.T @ jac
         g = jac.T @ r
+        jac = None  # free it: jtj and g hold what the loop needs, and a trial brings its own
         accepted = False
         for _ in range(50):
             damped = jtj + lam * np.diag(np.clip(np.diag(jtj), 1e-300, None))
@@ -94,8 +99,8 @@ def _fit(names, model, x, data, starts, lower=None) -> FitResult:
             if lower is not None:
                 p_new = np.maximum(p_new, lower)
                 step = p_new - p
-            r_new = (y - model(x, p_new)) * w
-            cost_new = 0.5 * float(r_new @ r_new)
+            r_new, jac_new = residual(p_new, jac=True)
+            cost_new = half_sq(r_new)
             if cost_new <= cost:
                 accepted = True
                 break
@@ -105,12 +110,12 @@ def _fit(names, model, x, data, starts, lower=None) -> FitResult:
         lam = max(lam / 3.0, 1e-14)
         rel_step = np.linalg.norm(step) / (np.linalg.norm(p_new) + 1e-300)
         rel_drop = (cost - cost_new) / max(cost, 1e-300)
-        p, r, cost = p_new, r_new, cost_new
+        p, r, cost, jac = p_new, r_new, cost_new, jac_new
         if rel_step < _REL_STEP_TOL or rel_drop < _REL_COST_TOL:
             converged = True
             break
-    jac = jacobian(p)
-    jtj = jac.T @ jac
+    if jac is not None:  # the loop ended on an accepted step: jtj is the point's before it
+        jtj = jac.T @ jac
 
     dof = max(len(y) - len(names), 1)
     chi2_red = 2.0 * cost / dof
@@ -172,8 +177,9 @@ def fit_thermometry(data: ScanDataset, geom: BeamGeometry, drive: OdfDrive,
 
     def model(mu, p, jac=False):
         # outside that domain the cost is infinite: a step there counts as a cost increase
-        if not jac and not in_domain(p[0]):
-            return np.full(len(mu), np.inf)
+        if not in_domain(p[0]):
+            values = np.full(len(mu), np.inf)
+            return (values, np.full((len(mu), 2), np.inf)) if jac else values
         return thermometry_model(mu, *p, geom, drive, cfg, jac=jac)
 
     # cheap multi-start grid: resonance from the lobe centroid, omega_com > 0

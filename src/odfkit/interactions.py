@@ -27,7 +27,9 @@ an RK4 integration of the phase-space trajectory and, at loop closure, to
 All three measurement lineshapes (`thermometry_model`,
 `precession_lineshape`, `gamma_decay_lineshape`) carry their own
 derivative: with jac=True each returns (P_up, d P_up / d params), the one
-function that both the simulators sample and the fits evaluate.  The angle
+function that both the simulators sample and the fits evaluate, each
+parameter point once with its derivative.  `_qr` takes the loop factors
+and their derivatives from one cos and one sin.  The angle
 design rule, `optimize_theta`, is the F0 turnover clipped to an angle
 window, by default the mount's mechanical one.
 
@@ -68,50 +70,35 @@ class InteractionStrengths:
     j_bar: float | np.ndarray | None = None  # rad/s; None exactly on resonance
 
 
-def _taylor_guarded(s, exact, series):
-    """exact(s), or series(s, s^2) where |s| < 1e-2; off its branch exact gets 1.0, series 0.0."""
+def _qr(s, jac=False):
+    """q = (2 - 2 cos s) / s^2 and r = (1 - sin(s)/s) / s, and with jac=True also dq/ds, dr/ds.
+
+    Each is its Taylor series where |s| < 1e-2 and its closed form elsewhere,
+    all four from one mask, one cos and one sin; the closed form gets s = 1.0
+    on the series branch, and each series is evaluated on that branch alone.
+    """
     import numpy as np
 
     s = np.asarray(s, dtype=float)
+    if s.ndim == 0:  # a series value is written into its array by index
+        return tuple(v.reshape(()) for v in _qr(s.reshape(1), jac))
     small = np.abs(s) < 1e-2
-    near = np.where(small, s, 0.0)
-    return np.where(small, series(near, near * near), exact(np.where(small, 1.0, s)))
-
-
-def _q(s):
-    """(2 - 2 cos s) / s^2, series-protected near s = 0."""
-    import numpy as np
-
-    return _taylor_guarded(
-        s, lambda ss: (2.0 - 2.0 * np.cos(ss)) / (ss * ss),
-        lambda s, s2: 1.0 - s2 / 12.0 + s2 * s2 / 360.0 - s2 * s2 * s2 / 20160.0)
-
-
-def _dq(s):
-    """d/ds of _q."""
-    import numpy as np
-
-    return _taylor_guarded(
-        s, lambda ss: (2.0 * ss * np.sin(ss) - 4.0 + 4.0 * np.cos(ss)) / (ss ** 3),
-        lambda s, s2: -s / 6.0 + s * s2 / 90.0 - s * s2 * s2 / 3360.0)
-
-
-def _r(s):
-    """(1 - sin(s)/s) / s, series-protected near s = 0."""
-    import numpy as np
-
-    return _taylor_guarded(
-        s, lambda ss: (1.0 - np.sin(ss) / ss) / ss,
-        lambda s, s2: s / 6.0 - s * s2 / 120.0 + s * s2 * s2 / 5040.0)
-
-
-def _dr(s):
-    """d/ds of _r."""
-    import numpy as np
-
-    return _taylor_guarded(
-        s, lambda ss: -1.0 / (ss * ss) - np.cos(ss) / (ss * ss) + 2.0 * np.sin(ss) / (ss ** 3),
-        lambda s, s2: 1.0 / 6.0 - s2 / 40.0 + s2 * s2 / 1008.0)
+    t = s[small]
+    t2 = t * t
+    x = np.where(small, 1.0, s)
+    cos, sin = np.cos(x), np.sin(x)
+    q = (2.0 - 2.0 * cos) / (x * x)
+    q[small] = 1.0 - t2 / 12.0 + t2 * t2 / 360.0 - t2 * t2 * t2 / 20160.0
+    r = (1.0 - sin / x) / x
+    r[small] = t / 6.0 - t * t2 / 120.0 + t * t2 * t2 / 5040.0
+    if not jac:
+        return q, r
+    x3 = x ** 3
+    dq = (2.0 * x * sin - 4.0 + 4.0 * cos) / x3
+    dq[small] = -t / 6.0 + t * t2 / 90.0 - t * t2 * t2 / 3360.0
+    dr = -1.0 / (x * x) - cos / (x * x) + 2.0 * sin / x3
+    dr[small] = 1.0 / 6.0 - t2 / 40.0 + t2 * t2 / 1008.0
+    return q, r, dq, dr
 
 
 def _math_exp(x):
@@ -172,7 +159,7 @@ def thermometry_model(mu, omega_com, n_bar, geom: BeamGeometry, drive: OdfDrive,
     f = abs(drive.delta_ac) * dk * math.sqrt(z0sq) * math.exp(-e_dw) / 2.0
     delta = np.asarray(mu, dtype=float) - omega_com
     s = delta * tau
-    q, r = _q(s), _r(s)
+    q, r, *dq_dr = _qr(s, jac)
     asq = f * f * delta * delta * tau ** 4 * q * q
     j = f * f * tau ** 2 * r
     n = cfg.n_ions
@@ -183,7 +170,7 @@ def thermometry_model(mu, omega_com, n_bar, geom: BeamGeometry, drive: OdfDrive,
     p_up = 0.5 * (1.0 - baseline * c_ss * c_sm)
     if not jac:
         return p_up
-    dq, dr = _dq(s), _dr(s)
+    dq, dr = dq_dr
     # drive-scale sensitivities: f ~ W(omega, nbar) z0(omega)
     f_w = f * (e_dw - 0.5) / omega_com
     f_n = -eta_sq * f

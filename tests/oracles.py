@@ -50,6 +50,33 @@ def phase_space_trajectory(f, delta, tau, sequence="spin_echo", n_steps=8192):
     return np.abs(alpha), chi_arm
 
 
+def lineshape_series_terms(s):
+    """q, dq/ds, r, dr/ds of the spin-echo lineshape, each with its own mask, cos and sin.
+
+    q = (2 - 2 cos s) / s^2 and r = (1 - sin(s)/s) / s take their Taylor
+    series where |s| < 1e-2; off its branch the closed form gets 1.0 and
+    the series 0.0.  The reference for `interactions._qr`, which shares one
+    mask, cos and sin among the four and must agree bit for bit.
+    """
+
+    def guarded(exact, series):
+        s_arr = np.asarray(s, dtype=float)
+        small = np.abs(s_arr) < 1e-2
+        near = np.where(small, s_arr, 0.0)
+        return np.where(small, series(near, near * near), exact(np.where(small, 1.0, s_arr)))
+
+    return (
+        guarded(lambda ss: (2.0 - 2.0 * np.cos(ss)) / (ss * ss),
+                lambda s, s2: 1.0 - s2 / 12.0 + s2 * s2 / 360.0 - s2 * s2 * s2 / 20160.0),
+        guarded(lambda ss: (2.0 * ss * np.sin(ss) - 4.0 + 4.0 * np.cos(ss)) / (ss ** 3),
+                lambda s, s2: -s / 6.0 + s * s2 / 90.0 - s * s2 * s2 / 3360.0),
+        guarded(lambda ss: (1.0 - np.sin(ss) / ss) / ss,
+                lambda s, s2: s / 6.0 - s * s2 / 120.0 + s * s2 * s2 / 5040.0),
+        guarded(lambda ss: -1.0 / (ss * ss) - np.cos(ss) / (ss * ss) + 2.0 * np.sin(ss) / (ss ** 3),
+                lambda s, s2: 1.0 / 6.0 - s2 / 40.0 + s2 * s2 / 1008.0),
+    )
+
+
 def mc_debye_waller(dk, z_var, n_samples=10_000_000, seed=12345):
     """Thermal average <cos(dk z)> over a Gaussian wavepacket of variance z_var."""
     rng = np.random.default_rng(seed)

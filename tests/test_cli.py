@@ -763,6 +763,70 @@ def test_reproduce_fig3c(capsys, tmp_path):
     assert fits["eit"]["params"]["n_bar"] == pytest.approx(1.27, abs=0.5)
 
 
+def _assert_fit_pinned(got, pinned):
+    """iterations, converged and flags exactly, floats to rel=1e-12.
+
+    Not bytes: a fit's chi2_reduced can move by 1 ulp with numpy's SIMD level.
+    """
+    if isinstance(pinned, dict):
+        assert list(got) == list(pinned)
+        for key in pinned:
+            _assert_fit_pinned(got[key], pinned[key])
+    elif isinstance(pinned, float):
+        assert got == pytest.approx(pinned, rel=1e-12)
+    else:
+        assert got == pinned and type(got) is type(pinned)
+
+
+def _fit_doc(params, sigmas, chi2_reduced, converged, iterations, flags=()):
+    return {"params": params, "sigmas": sigmas, "chi2_reduced": chi2_reduced,
+            "converged": converged, "iterations": iterations, "flags": list(flags)}
+
+
+@pytest.mark.parametrize("model,seed,pinned", [
+    ("thermometry", "0", _fit_doc(
+        {"omega_com_hz": 1100004.940675539, "n_bar": 1.3502570502247222},
+        {"omega_com_hz": 10.152563904243996, "n_bar": 0.1449179284836184},
+        0.740800242129655, True, 5)),
+    ("precession", "0", _fit_doc(
+        {"j_bar": 53.19832081879289}, {"j_bar": 11.525192685888753},
+        1.0589688822471506, True, 3)),
+    ("gamma", "0", _fit_doc(
+        {"gamma_per_s": 95.79017980129129}, {"gamma_per_s": 3.1889990656934915},
+        1.4056836904653849, True, 6)),
+])
+def test_fit_output_is_pinned(capsys, tmp_path, model, seed, pinned):
+    assert run(capsys, "simulate", model, "--seed", seed, "--out", str(tmp_path))[0] == 0
+    code, out, err = run(capsys, "fit", model, "--data", str(tmp_path / f"{model}.csv"))
+    assert (code, err) == (0, "")
+    _assert_fit_pinned(strict_json(out), pinned)
+
+
+def test_fig3c_unconverged_fits_are_pinned(capsys, tmp_path):
+    # the Doppler fit at this seed runs all 200 iterations and ends unconverged
+    assert run(capsys, "reproduce", "fig3c", "--seed", "393736254", "--out", str(tmp_path))[0] == 0
+    _assert_fit_pinned(strict_json((tmp_path / "fig3c_fits.json").read_text()), {
+        "doppler": _fit_doc(
+            {"omega_com_hz": 1100005.6288799501, "n_bar": 11.035446270907284},
+            {"omega_com_hz": 7.2994147626426304, "n_bar": 1.5489776550822405},
+            1.0991812132381502, False, 200),
+        "eit": _fit_doc(
+            {"omega_com_hz": 1100011.3071074064, "n_bar": 1.7386560360124805},
+            {"omega_com_hz": 9.475945523729235, "n_bar": 0.17271676208572578},
+            0.8724152411433552, True, 5),
+    })
+
+
+def test_fig3c_unconverged_fit_is_written_with_a_warning(capsys, tmp_path):
+    code, out, err = run(capsys, "reproduce", "fig3c", "--seed", "393736254",
+                         "--out", str(tmp_path))
+    assert code == 0
+    assert err == "warning: fig3c doppler: unconverged\n"
+    assert out == "".join(f"wrote {tmp_path / name}\n" for name in
+                          ("fig3c_doppler.csv", "fig3c_eit.csv", "fig3c_fits.json"))
+    assert strict_json((tmp_path / "fig3c_fits.json").read_text())["doppler"]["converged"] is False
+
+
 def test_reproduce_fig4c(capsys, tmp_path):
     code, _, _ = run(capsys, "reproduce", "fig4c", "--out", str(tmp_path),
                      "--seed", "2", "--shots", "500")

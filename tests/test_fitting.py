@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from odfkit import fitting
 from odfkit.configio import load_config
 from odfkit.core import ThermalState
 from odfkit.fitting import (
@@ -241,6 +242,76 @@ def test_fit_result_reports_both_sigma_conventions():
         assert raw_narrow > 0
         assert narrow.sigmas[name] == pytest.approx(
             raw_narrow * math.sqrt(narrow.chi2_reduced), rel=1e-6)
+
+
+def test_fit_evaluates_each_point_once_with_its_derivative():
+    # one plain call per start, then one jac=True call at the chosen start and one per
+    # trial, accepted or not; the last call is the optimum's, so none follows the loop
+    ds = simulate_thermometry(GEOM, DRIVE, CFG, ThermalState(1.27), MU, shots=500, seed=0)
+    starts = [(CFG.omega_com + 2 * math.pi * d, n) for d in (700.0, -400.0) for n in (15.0, 5.0)]
+    calls = []
+
+    def model(x, p, jac=False):
+        calls.append((jac, tuple(float(v) for v in p)))
+        return _thermometry(x, p, jac=jac)
+
+    result = _fit(("omega_com", "n_bar"), model, ds.abscissa * 2 * math.pi, ds, starts)
+    assert result.converged
+    ranked, walked = calls[:len(starts)], calls[len(starts):]
+    assert ranked == [(False, start) for start in starts]
+    assert all(jac for jac, _ in walked)
+    points = [p for _, p in walked]
+    costs = [float(np.sum(((ds.p_up - _thermometry(ds.abscissa * 2 * math.pi, s)) / ds.sigma) ** 2))
+             for s in starts]
+    assert points[0] == starts[int(np.argmin(costs))]
+    assert len(set(points)) == len(points)
+    assert points[-1] == tuple(result.params.values())
+    assert len(points) > 1 + result.iterations  # a trial was rejected, and cost a call too
+
+
+@pytest.mark.parametrize("fit,n,counts", [
+    ("thermometry", 30, (12, 6)),
+    ("thermometry", 100_000, (12, 9)),
+    ("precession", 100_000, (4, 4)),
+], ids=["thermometry-30", "thermometry-1e5", "precession-1e5"])
+def test_fit_model_calls_are_pinned(monkeypatch, fit, n, counts):
+    # (plain, jac=True) model calls: the starts ranked, then the chosen start and each trial
+    calls = []
+
+    def counting(function):
+        def wrapper(*args, jac=False):
+            calls.append(jac)
+            return function(*args, jac=jac)
+        return wrapper
+
+    if fit == "thermometry":
+        state, seed, grid = (ThermalState(1.27), 0, MU) if n == 30 else (
+            ThermalState(2.512), 39388294, 2 * math.pi * np.linspace(1097e3, 1103e3, n))
+        ds = simulate_thermometry(GEOM, DRIVE, CFG, state, grid, shots=500, seed=seed)
+        monkeypatch.setattr(fitting, "thermometry_model", counting(thermometry_model))
+        result = fit_thermometry(ds, GEOM, DRIVE, CFG)
+    else:
+        jb = force_magnitude(GEOM, DRIVE, CFG, ThermalState(1.27)).j_bar
+        ds = simulate_precession(jb, DRIVE.gamma, DRIVE.tau, np.radians(np.linspace(0, 350, n)),
+                                 shots=500, seed=11)
+        monkeypatch.setattr(fitting, "precession_lineshape", counting(precession_lineshape))
+        result = fit_precession(ds, DRIVE.gamma, DRIVE.tau)
+    assert result.converged
+    assert (calls.count(False), calls.count(True)) == counts
+
+
+def test_thermometry_model_is_infinite_outside_its_domain_with_jac(monkeypatch):
+    # a trial outside the domain is rejected whether it is evaluated plain or with jac=True
+    ds = _thermometry_dataset()
+    models = []
+    monkeypatch.setattr(fitting, "_fit", lambda names, model, *args, **kw: models.append(model))
+    fit_thermometry(ds, GEOM, DRIVE, CFG)
+    mu = 2 * math.pi * ds.abscissa
+    for omega_com in (-CFG.omega_com, 0.0, 3.0 * mu.max()):
+        values, d = models[0](mu, np.array([omega_com, 1.0]), jac=True)
+        assert d.shape == (len(mu), 2)
+        assert np.isposinf(values).all() and np.isposinf(d).all()
+        assert np.isposinf(models[0](mu, np.array([omega_com, 1.0]))).all()
 
 
 def test_precession_slope_start_beyond_quarter_turn():

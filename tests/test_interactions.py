@@ -18,7 +18,7 @@ from odfkit.interactions import (
     precession_lineshape,
     thermometry_model,
 )
-from odfkit.interactions import _dq, _dr, _q, _r
+from odfkit.interactions import _qr
 
 SCN = load_config()  # the default config
 CFG = SCN.trap
@@ -241,17 +241,34 @@ def test_thermometry_model_matches_trajectory_oracle():
     assert all(residual < 1e-6 for residual in trajectory_oracle_residuals().values())
 
 
-@pytest.mark.parametrize("series_guarded,closed_form,rel", [
-    (_q, lambda s: (2 - 2 * math.cos(s)) / s ** 2, 1e-10),
-    (_dq, lambda s: (2 * s * math.sin(s) - 4 + 4 * math.cos(s)) / s ** 3, 1e-5),
-    (_r, lambda s: (1 - math.sin(s) / s) / s, 1e-9),
-    (_dr, lambda s: -1 / s ** 2 - math.cos(s) / s ** 2 + 2 * math.sin(s) / s ** 3, 1e-9),
+@pytest.mark.parametrize("index,closed_form,rel", [
+    (0, lambda s: (2 - 2 * math.cos(s)) / s ** 2, 1e-10),
+    (2, lambda s: (2 * s * math.sin(s) - 4 + 4 * math.cos(s)) / s ** 3, 1e-5),
+    (1, lambda s: (1 - math.sin(s) / s) / s, 1e-9),
+    (3, lambda s: -1 / s ** 2 - math.cos(s) / s ** 2 + 2 * math.sin(s) / s ** 3, 1e-9),
 ], ids=["q", "dq", "r", "dr"])
-def test_taylor_series_branch_matches_closed_form(series_guarded, closed_form, rel):
+def test_taylor_series_branch_matches_closed_form(index, closed_form, rel):
     # |s| just under 1e-2 takes the series; rel covers the closed form's cancellation there
     for s in np.concatenate([np.linspace(9.9e-3, 1e-2, 50, endpoint=False),
                              -np.linspace(9.9e-3, 1e-2, 50, endpoint=False)]).tolist():
-        assert float(series_guarded(s)) == pytest.approx(closed_form(s), rel=rel)
+        assert float(_qr(s, jac=True)[index]) == pytest.approx(closed_form(s), rel=rel)
+
+
+def test_shared_trig_pass_is_bit_equal_to_one_pass_per_term():
+    # both sides of the |s| = 1e-2 branch point, signed zeros, subnormals and |s| to 1e3
+    edge = np.array([1e-2, np.nextafter(1e-2, 0.0), np.nextafter(1e-2, 1.0)])
+    magnitudes = np.concatenate([
+        [0.0, 5e-324, 1e-310, np.finfo(float).tiny], edge,
+        np.logspace(-300, 3, 400), np.linspace(9e-3, 1.1e-2, 201),
+        np.random.default_rng(5).uniform(0.0, 1e3, 2000)])
+    s = np.concatenate([magnitudes, -magnitudes])
+    q, r, dq, dr = _qr(s, jac=True)
+    ref_q, ref_dq, ref_r, ref_dr = oracles.lineshape_series_terms(s)
+    for name, got, ref in (("q", q, ref_q), ("dq", dq, ref_dq), ("r", r, ref_r), ("dr", dr, ref_dr)):
+        assert got.tobytes() == ref.tobytes(), name
+    plain = _qr(s)
+    assert len(plain) == 2
+    assert plain[0].tobytes() == q.tobytes() and plain[1].tobytes() == r.tobytes()
 
 
 # -- lineshapes --------------------------------------------------------------------
