@@ -22,7 +22,7 @@ from pathlib import Path
 
 # numpy is imported by main for the commands that take arrays, and csvio, fitting,
 # simulate and manifest by the commands that call them
-from .configio import ConfigError, Scenario, check_number, load_config
+from .configio import ConfigError, Scenario, check_number, load_config, read_json
 from .constants import TWO_PI
 from .core import ThermalState, _checked
 from .geometry import (
@@ -42,12 +42,12 @@ def _parse_fields(flag: str, spec: str, form: str, build, sep=":"):
     """build(*fields) of a sep-separated argv value; errors name the flag."""
     try:
         return build(*spec.split(sep))
-    except (TypeError, ValueError) as err:  # TypeError: wrong number of fields
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as err:  # TypeError: field count
         raise ConfigError(f"bad {flag} {spec!r}, expected {form}") from err
 
 
 def _finite_float(text: str) -> float:
-    """argparse type of the float flags: a finite number, or an error naming the flag."""
+    """argparse type of the float flags and --window's bounds: a finite number, or an error."""
     try:
         if math.isfinite(value := float(text)):
             return value
@@ -151,8 +151,7 @@ _POSE_FIELDS = {"rotary_angle_deg": "rotary_angle", "linear_pos_m": "linear_pos"
 
 def cmd_geom(args, scn: Scenario):
     if args.actuators:
-        with open(args.actuators) as fh:
-            doc = json.load(fh)
+        doc = read_json(args.actuators)
         states = doc if isinstance(doc, list) else [doc]
         if not 1 <= len(states) <= 2 or not all(isinstance(s, dict) for s in states):
             raise ConfigError(f"bad --actuators {args.actuators}: expected one or two "
@@ -291,8 +290,8 @@ def cmd_optimize_angle(args, scn: Scenario):
 
     window = None  # the mount's window
     if args.window is not None:
-        window = _parse_fields("--window", args.window, "lo:hi",
-                               lambda lo, hi: (math.radians(float(lo)), math.radians(float(hi))))
+        window = _parse_fields("--window", args.window, "lo:hi", lambda lo, hi: (
+            math.radians(_finite_float(lo)), math.radians(_finite_float(hi))))
     theta, ratio = optimize_theta(scn.trap, scn.drive, scn.thermal, scn.mount, window)
     record = {
         "theta_deg": math.degrees(theta),

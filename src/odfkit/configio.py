@@ -107,15 +107,18 @@ def _merge(base: dict, overrides: dict) -> dict:
     return merged
 
 
+def read_json(path):
+    """The document in the JSON file at path; a file that is not UTF-8 JSON is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise ConfigError(f"{path}: not valid JSON ({err})") from err
+
+
 def load_config(path=None, scenario: str | None = None) -> Scenario:
     """Read a config file (or defaults), optionally applying a named scenario."""
-    doc = {}  # no file: the defaults alone
-    if path is not None:
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"{path}: not valid JSON ({err})") from err
+    doc = {} if path is None else read_json(path)  # no file: the defaults alone
     _validate_sections(doc)
     scenarios = doc.pop("scenarios", {})
     merged = _merge(DEFAULT_CONFIG, doc)

@@ -10,8 +10,9 @@ functions, with their analytic derivatives, live in `interactions`, shared
 with the simulators.
 Parameter uncertainties come from the inverse normal equations at the
 optimum: FitResult.sigmas are scaled by sqrt(chi2_reduced) when it exceeds
-one (the conservative convention).  fit_f0_sq fits one force, F0^2, to the
-precession scans of several detunings at once.
+one (the conservative convention).  fit_f0_sq fits F0^2 >= 0 to the
+precession scans of several detunings at once, scan k with jbar = c_k F0^2;
+fit_precession is the one-scan, unbounded case, c = 1, of that coupling fit.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ class FitResult:
     converged: bool
     iterations: int
     flags: tuple = ()
-
-    def __post_init__(self):
-        if any(s < 0 for s in self.sigmas.values() if math.isfinite(s)):
-            raise ValueError("sigmas must be >= 0")
 
 
 _MAX_ITER = 200
@@ -196,31 +193,34 @@ def fit_thermometry(data: ScanDataset, geom: BeamGeometry, drive: OdfDrive,
     return _fit(("omega_com", "n_bar"), model, mu, data, starts, lower=(0.0, 0.0))
 
 
-def _slope_start(theta1, x, p_up, gamma, tau):
-    """Starts for u from the slope near theta1 = 0, P_up = (1 + 4 e^{-2 gamma tau} tau u x) / 2.
+def _fit_coupling(data: ScanDataset, name, gamma, tau, c=1.0, lower=None) -> FitResult:
+    """Fit u in the precession lineshape with jbar = c u; c is 1.0 or one value per point.
 
-    x = c theta1 for a lineshape with jbar = c u; the slope is fitted over
-    theta1 <= pi/2, or over every point when fewer than 2 distinct x lie there.
-    The sine argument wraps, so the starts probe a few scales around it.
+    The starts come from the slope near theta1 = 0, P_up = (1 + 4 e^{-2 gamma tau} tau u x) / 2
+    with x = c theta1, fitted over theta1 <= pi/2, or over every point when fewer than 2
+    distinct x lie there; the sine argument wraps, so they probe a few scales around it.
+    d P_up / d u is d P_up / d jbar times c.
     """
+    theta1 = _abscissa(data, 2, "theta1 in rad")
+    x = c * theta1
     if not x.min() < x.max():
         raise FitInputError("need at least 2 distinct theta1 values")
     mask = theta1 <= 0.5 * math.pi
     if not mask.any() or not x[mask].min() < x[mask].max():
         mask = np.ones(len(x), bool)
-    u0 = np.polyfit(x[mask], p_up[mask], 1)[0] / (2.0 * math.exp(-2.0 * gamma * tau) * tau)
-    return [u0], [0.5 * u0], [2.0 * u0], [0.0]
+    u0 = np.polyfit(x[mask], data.p_up[mask], 1)[0] / (2.0 * math.exp(-2.0 * gamma * tau) * tau)
+    c_col = np.reshape(c, (-1, 1))
+
+    def model(theta1, p, jac=False):
+        out = precession_lineshape(c * p[0], gamma, tau, theta1, jac=jac)
+        return (out[0], out[1] * c_col) if jac else out
+
+    return _fit((name,), model, theta1, data, [[u0], [0.5 * u0], [2.0 * u0], [0.0]], lower)
 
 
 def fit_precession(data: ScanDataset, gamma: float, tau: float) -> FitResult:
     """Single-parameter fit of the mean-field precession lineshape for jbar."""
-    theta1 = _abscissa(data, 2, "theta1 in rad")
-
-    def model(theta1, p, jac=False):
-        return precession_lineshape(p[0], gamma, tau, theta1, jac=jac)
-
-    return _fit(("j_bar",), model, theta1, data,
-                _slope_start(theta1, theta1, data.p_up, gamma, tau))
+    return _fit_coupling(data, "j_bar", gamma, tau)
 
 
 def fit_f0_sq(scans, gamma: float, tau: float, cfg: TrapIonConfig, deltas) -> FitResult:
@@ -236,15 +236,8 @@ def fit_f0_sq(scans, gamma: float, tau: float, cfg: TrapIonConfig, deltas) -> Fi
                             f"and {len(deltas)} detunings")
     data = ScanDataset(*(np.concatenate([getattr(s, name) for s in scans])
                          for name in ("abscissa", "p_up", "sigma")))
-    theta1 = _abscissa(data, 2, "theta1 in rad")
     c = np.concatenate([np.full(len(s), j_bar(1.0, cfg, d)) for s, d in zip(scans, deltas)])
-
-    def model(theta1, p, jac=False):
-        out = precession_lineshape(c * p[0], gamma, tau, theta1, jac=jac)
-        return (out[0], out[1] * c[:, None]) if jac else out
-
-    return _fit(("f0_sq",), model, theta1, data,
-                _slope_start(theta1, c * theta1, data.p_up, gamma, tau), lower=(0.0,))
+    return _fit_coupling(data, "f0_sq", gamma, tau, c, lower=(0.0,))
 
 
 def fit_far_detuned_gamma(data: ScanDataset) -> FitResult:

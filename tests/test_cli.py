@@ -181,6 +181,17 @@ def test_geom_actuators_bad_pose_value_names_key(capsys, tmp_path, doc, key):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe{}"], ids=["malformed", "not-utf-8"])
+@pytest.mark.parametrize("flag", ["--config", "--actuators"])
+def test_json_file_that_is_not_utf8_json_names_the_file(capsys, tmp_path, flag, content):
+    # the JSON or codec message alone before, without the file
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "geom", flag, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(path) in err and len(err.splitlines()) == 1
+
+
 def test_curves_writes_csv_and_manifest(capsys, tmp_path):
     code, _, _ = run(capsys, "curves", "--out", str(tmp_path),
                      "--grid", "10:30:5", "--nbar", "1.27")
@@ -736,11 +747,12 @@ def test_optimize_angle_rejects_bad_window(capsys, tmp_path):
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("window", ["20", "12:20:36", "a:36"])
+@pytest.mark.parametrize("window", ["20", "12:20:36", "a:36",
+                                    "nan:20", "14:nan", "inf:20", "14:inf"])
 def test_optimize_angle_unparsable_window_names_flag(capsys, window):
-    code, _, err = run(capsys, "optimize-angle", "--window", window)
-    assert code == 1
-    assert err.startswith("error: bad --window") and len(err.splitlines()) == 1
+    # a non-finite bound gave an empty window or one outside the mount before
+    code, out, err = run(capsys, "optimize-angle", "--window", window)
+    assert (code, out, err) == (1, "", f"error: bad --window '{window}', expected lo:hi\n")
 
 
 def test_reproduce_fig1de(capsys, tmp_path):
