@@ -293,11 +293,13 @@ def cmd_optimize_angle(args, scn: Scenario):
         window = _parse_fields("--window", args.window, "lo:hi", lambda lo, hi: (
             math.radians(_finite_float(lo)), math.radians(_finite_float(hi))))
     theta, ratio = optimize_theta(scn.trap, scn.drive, scn.thermal, scn.mount, window)
+    provenance = make_manifest("optimize-angle", scn.raw)
+    del provenance["timestamp"]  # the same inputs print the same bytes
     record = {
         "theta_deg": math.degrees(theta),
         "ratio_N_s": ratio,
         "ratio_yN_per_Hz": _checked("F0/Gamma in yN/Hz", ratio * 1e24),
-        "provenance": make_manifest("optimize-angle", scn.raw),
+        "provenance": provenance,
     }
     print(_json(record))
     return 0

@@ -2,13 +2,16 @@
 
 Fields are joined by "," and lines end in CRLF; floats are '%.17e', which reads
 back to the same bits, and text is '%s', unquoted.  `write_rows` formats a block
-of fields at a time into fixed-width slots and deletes the NUL bytes a field leaves
-unused, so text may not hold a NUL.  `ScanDataset.from_csv` reads a scan back, and
-a fault in the file is one ValueError that names the file.
+of fields at a time into slots of whole 4-byte words, each holding a field and its
+separator: a float's 28-byte slot is seven table lookups, four digits or an exponent
+a word.  It deletes the NUL bytes a field leaves unused, so text may not hold a NUL.
+`ScanDataset.from_csv` reads a scan back, and a fault in the file is one ValueError
+that names the file.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -100,8 +103,7 @@ class Series:
 # fields per write: 2048 rows at 4 float columns, 2730 at 3 and 4096 at 2.  A block's
 # buffers stay under 1 MiB, since its unused bytes are deleted rather than masked
 _BLOCK_FIELDS = 8192
-_TENS = bytes(48 + v // 10 % 10 for v in range(256))  # translate tables: a value 0-99 to
-_ONES = bytes(48 + v % 10 for v in range(256))  # its tens and its ones character
+_SLOT = 28  # bytes of a float field and its separator: seven "<u4" words
 _POW10 = {}  # q -> 10**q as a double-double, filled on first use
 
 
@@ -161,44 +163,61 @@ def _decimal(x):
     return high, low, k, np.flatnonzero(special | (np.abs(frac - 0.5) < 1e-6) | (high >= 1e10))
 
 
-def _format_floats(x, out):
-    """Write '%.17e' % v of each v in x into the (n, 25) byte slots out, NUL in unused bytes.
+@functools.cache
+def _tables():
+    """The read-only "<u4" word tables (digits, exp), built on the first float block.
 
-    Returns the indices of the fields left to Python (see `_decimal`).  The digits are
-    nine floored quotients 0-99 of high and low plus the exponent's last two; row by
-    row, since a broadcast divide allocates numpy's casting buffers.  A slot's unused
-    bytes are its sign for v >= 0 and its exponent's hundreds digit when it has two digits.
+    Word q < 10000 of digits is the four digits of q, and word 10000 + 10 d0 + d1 is
+    [NUL, d0, '.', d1].  exp maps a separator to its table, whose row k + 330 is the
+    words ['e', sign, hundreds or NUL, tens][ones, separator, NUL...] for k in -330..309.
+    They are built from bytes (numpy shifts and ORs leave temporaries that raised the
+    peak RSS), and on the first float block rather than at import (the build takes ~2 ms).
     """
+    quads = bytes(itertools.chain.from_iterable(itertools.product(range(48, 58), repeat=4)))
+    leads = b"".join(b"\0%d.%d" % divmod(q, 10) for q in range(100))
+    exps = [b"e%+03d" % k for k in range(-330, 310)]
+    exps = [e if len(e) == 5 else e[:2] + b"\0" + e[2:] for e in exps]
+    return np.frombuffer(quads + leads, "<u4"), {
+        sep: np.frombuffer(b"".join((e + sep).ljust(8, b"\0") for e in exps), "<u4").reshape(-1, 2)
+        for sep in (b",", b"\r\n")}
+
+
+def _format_floats(x, words, sep):
+    """Write '%.17e' % v of each v in x, then sep, into the (n, 7) "<u4" slots words.
+
+    Returns the indices of the fields left to Python (see `_decimal`).  Words 0-4 are
+    one take from the digit table (see `_tables`): the leading word of floor(high / 1e8),
+    with the sign ORed in, then the rest of high and then low, each split at 1e4 into
+    two groups of four digits.  Words 5-6 are sep's exponent table's row for k.  A
+    slot's unused bytes hold NUL: its sign for v >= 0, an exponent's hundreds digit
+    when it has two digits, and the bytes after sep.
+    """
+    digits, exp = _tables()
     high, low, k, escape = _decimal(x)
-    hundreds = np.floor(np.abs(k) / 100.0)
-    pairs = np.empty((10, len(x)))
-    for rows, value in ((pairs[:5], high), (pairs[5:9], low)):
-        for row, divisor in zip(rows, (1e8, 1e6, 1e4, 1e2, 1.0)[-len(rows):]):
-            np.floor(np.divide(value, divisor, out=row), out=row)
-        rows[1:] -= 100.0 * rows[:-1]
-    np.subtract(np.abs(k), 100.0 * hundreds, out=pairs[9])
-    pairs = pairs.T.astype(np.uint8, order="C").tobytes()
-    tens, ones = (np.frombuffer(pairs.translate(t), np.uint8).reshape(-1, 10)
-                  for t in (_TENS, _ONES))
-    out[:, 0] = np.where(x < 0.0, ord("-"), 0)
-    out[:, 2], out[:, 20] = ord("."), ord("e")
-    out[:, 1], out[:, 4:20:2] = tens[:, 0], tens[:, 1:9]  # d.dd...: pair 0 around the point
-    out[:, 3], out[:, 5:20:2] = ones[:, 0], ones[:, 1:9]
-    out[:, 21] = ord("+")
-    out[k < 0.0, 21] = ord("-")
-    out[:, 22] = np.where(hundreds > 0.0, hundreds + ord("0"), 0.0)
-    out[:, 23], out[:, 24] = tens[:, 9], ones[:, 9]
+    groups = np.empty((5, len(x)))  # d0 d1, then four-digit groups of high and of low
+    np.floor(np.divide(high, 1e8, out=groups[0]), out=groups[0])
+    np.subtract(high, 1e8 * groups[0], out=groups[2])
+    groups[4] = low
+    np.floor(np.divide(groups[2::2], 1e4, out=groups[1:4:2]), out=groups[1:4:2])
+    groups[2::2] -= 1e4 * groups[1:4:2]
+    groups[0] += 10000.0
+    words[:, :5] = digits.take(groups.astype(np.intp), mode="clip").T  # high >= 1e10 escapes
+    words[:, 5:] = exp[sep].take((k + 330.0).astype(np.intp), axis=0)
+    np.bitwise_or(words[:, 0], ord("-"), out=words[:, 0], where=x < 0.0)
     return escape
 
 
 def write_rows(path, header, columns):
     """The one CSV writer: header, then rows of %.17e floats and %s others; CRLF line ends.
 
-    A block of _BLOCK_FIELDS fields is one byte matrix with a slot per field.  The bytes
-    a field leaves unused hold NUL, and one translate per block deletes them.
-    `_format_floats` fills the float slots, Python's % the fields it leaves, and a text
-    column is one NUL-padded byte matrix.  A header that does not name each column,
-    columns of unequal length and text that holds a NUL are ValueErrors.
+    A block of _BLOCK_FIELDS fields is one byte matrix with a slot per field that
+    holds the field and its separator.  The bytes a field leaves unused hold NUL, and
+    one translate per block deletes them.  A float slot is _SLOT bytes, seven "<u4"
+    words that `_format_floats` fills from its tables, and Python's % writes the fields
+    it leaves.  A text column is one byte matrix of cells and separators, NUL-padded
+    to whole words too, so every slot starts on a 4-byte boundary.  A header that does
+    not name each column, columns of unequal length and text that holds a NUL are
+    ValueErrors.
     """
     columns = [np.asarray(col) for col in columns]
     if not columns or len(header) != len(columns):
@@ -211,28 +230,29 @@ def write_rows(path, header, columns):
             for col in columns]
     if any("\0" in v for cells in text if cells is not None for v in cells):
         raise ValueError("a text field holds a NUL character")
+    seps = [b","] * (len(columns) - 1) + [b"\r\n"]
     block = max(1, _BLOCK_FIELDS // len(columns))
     with open(path, "w", newline="") as fh:
         encoding = fh.encoding
         fh.buffer.write((",".join(header) + "\r\n").encode(encoding))
         for j, cells in enumerate(text):
-            if cells is not None:
-                cells = np.array([v.encode(encoding) for v in cells], "S")
-                text[j] = cells.view(np.uint8).reshape(n_rows, cells.itemsize)
-        widths = [25 if cells is None else cells.shape[1] for cells in text]
-        starts = list(itertools.accumulate([w + 1 for w in widths], initial=0))
-        out = np.empty((min(n_rows, block), starts[-1] + 1), np.uint8)
-        out[:, [s - 1 for s in starts[1:]]] = ord(",")
-        out[:, -2:] = (ord("\r"), ord("\n"))
+            if cells is not None:  # each cell and its separator, NUL-padded to whole words
+                cells = [v.encode(encoding) + seps[j] for v in cells]
+                width = (max(map(len, cells), default=1) + 3) // 4 * 4
+                text[j] = np.array(cells, f"S{width}").view(np.uint8).reshape(n_rows, width)
+        widths = [_SLOT if cells is None else cells.shape[1] for cells in text]
+        starts = list(itertools.accumulate(widths, initial=0))
+        out = np.empty((min(n_rows, block), starts[-1]), np.uint8)
+        words = out.view("<u4")
         for start in range(0, n_rows, block):
             o = out[:n_rows - start]
-            for col, cells, s, w in zip(columns, text, starts, widths):
+            for col, cells, sep, s in zip(columns, text, seps, starts):
                 if cells is not None:
-                    o[:, s:s + w] = cells[start:start + len(o)]
+                    o[:, s:s + cells.shape[1]] = cells[start:start + len(o)]
                     continue
                 x = np.asarray(col[start:start + len(o)], float)
-                rows = _format_floats(x, o[:, s:s + w])
+                rows = _format_floats(x, words[:len(o), s // 4:(s + _SLOT) // 4], sep)
                 for i, v in zip(rows.tolist(), x[rows].tolist()):
-                    field = ("%.17e" % v).encode(encoding).ljust(w, b"\0")
-                    o[i, s:s + w] = np.frombuffer(field, np.uint8)
+                    field = (("%.17e" % v).encode(encoding) + sep).ljust(_SLOT, b"\0")
+                    o[i, s:s + _SLOT] = np.frombuffer(field, np.uint8)
             fh.buffer.write(o.tobytes().translate(None, b"\0"))

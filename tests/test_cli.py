@@ -721,6 +721,17 @@ def test_optimize_angle_output(capsys):
     assert "config_digest" in record["provenance"]
 
 
+def test_optimize_angle_stdout_is_deterministic():
+    # the provenance it prints carries no timestamp, which made each run's bytes differ
+    env = {**os.environ, "PYTHONPATH": str(Path(odfkit.__file__).parents[1])}
+    outs = [subprocess.run([sys.executable, "-m", "odfkit.cli", "optimize-angle", "--window",
+                            "14:30"], capture_output=True, check=True, timeout=120,
+                           env=env).stdout for _ in range(2)]
+    assert outs[0] == outs[1]
+    assert sorted(strict_json(outs[0].decode())["provenance"]) == [
+        "command", "config_digest", "seed", "tool_version"]
+
+
 def test_optimize_angle_searches_the_mount_window(capsys, tmp_path):
     # without --window the window is the mount's: a narrower mount ran into a 12:36
     # default before, and a wider one was searched only up to 36 deg

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from odfkit.configio import load_config
 from odfkit.core import ThermalState
-from odfkit.csvio import _BLOCK_FIELDS, ScanDataset, Series, write_rows
+from odfkit.csvio import _BLOCK_FIELDS, ScanDataset, Series, _tables, write_rows
 from odfkit.interactions import precession_lineshape, thermometry_model
 from odfkit.simulate import (
     SLOW_CUTOFF,
@@ -145,6 +145,41 @@ def test_writer_block_boundaries_match_oracle(tmp_path, n):
     columns = (t, value, -value, 1e-22 * t)
     new, oracle = _write_both(tmp_path, ["a", "b", "c", "d"], columns, zip(*columns))
     assert new == oracle
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("cell_bytes", range(1, 9))
+def test_writer_text_slots_keep_floats_word_aligned(tmp_path, cell_bytes, position, delta):
+    # a text slot is its widest cell and its separator padded to whole words: cells of
+    # 1-8 bytes plus "," or CRLF leave every residue mod 4, and last puts CRLF inside it
+    n = _BLOCK_FIELDS // 3 + delta
+    rng = np.random.default_rng(cell_bytes)
+    value = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 308, n)
+    value[:len(SPECIAL)] = SPECIAL
+    columns = [np.arange(n) * 0.01, value]
+    columns.insert(position, ["scenario"[:1 + i % cell_bytes] for i in range(n)])
+    header = ["t_s", "value"]
+    header.insert(position, "scenario")
+    new, oracle = _write_both(tmp_path, header, columns, zip(*columns))
+    assert new == oracle
+
+
+def test_word_tables_hold_digit_groups_and_exponents():
+    digits, exp = _tables()
+    assert len(digits) == 10_100
+    assert [q for q in range(10_000) if digits[q].tobytes() != b"%04d" % q] == []
+    assert [q for q in range(100)
+            if digits[10_000 + q].tobytes() != b"\0%d.%d" % divmod(q, 10)] == []
+    assert sorted(exp) == [b"\r\n", b","]
+    for k in range(-324, 309):
+        v = float(f"{1.5 if k == 308 else 5}e{k}")  # 5e308 overflows
+        part = b"e" + ("%.17e" % v).split("e")[1].encode()
+        assert int(part[1:]) == k
+        if len(part) == 4:  # e+dd: a NUL in the hundreds slot
+            part = part[:2] + b"\0" + part[2:]
+        for sep, table in exp.items():
+            assert table[k + 330].tobytes() == (part + sep).ljust(8, b"\0"), (k, sep)
 
 
 @pytest.mark.parametrize("columns", [
