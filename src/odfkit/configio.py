@@ -13,10 +13,9 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .constants import ATOMIC_MASS_UNIT, TWO_PI
-from .core import OdfDrive, ThermalState, TrapIonConfig
+from .core import OdfDrive, Record, ThermalState, TrapIonConfig
 from .geometry import BeamGeometry, MountGeometry
 
 
@@ -56,8 +55,7 @@ DEFAULT_CONFIG = {
 }
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """Fully resolved configuration objects for one run."""
 
     trap: TrapIonConfig

@@ -15,9 +15,10 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
+
+from .core import Record
 
 
 def _freeze_arrays(obj, names):
@@ -33,8 +34,7 @@ def _freeze_arrays(obj, names):
     return arrays
 
 
-@dataclass(frozen=True)
-class ScanDataset:
+class ScanDataset(Record):
     """A binomial P_up scan: abscissa / p_up / sigma triples plus provenance metadata.
 
     The abscissa is mu/2pi in Hz (thermometry), theta1 in rad (precession)
@@ -45,7 +45,7 @@ class ScanDataset:
     abscissa: np.ndarray
     p_up: np.ndarray
     sigma: np.ndarray
-    meta: dict = field(default_factory=dict)
+    meta: dict = {}  # copied for each record
 
     def __post_init__(self):
         _, p_up, sigma = _freeze_arrays(self, ("abscissa", "p_up", "sigma"))
@@ -78,8 +78,7 @@ class ScanDataset:
             raise ValueError(f"{path}: {err}") from None
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(Record):
     """Sample times t in s and the values there, plus provenance metadata.
 
     Drift is in degrees, path noise is in meters.
@@ -87,7 +86,7 @@ class Series:
 
     t: np.ndarray
     value: np.ndarray
-    meta: dict = field(default_factory=dict)
+    meta: dict = {}  # copied for each record
 
     def __post_init__(self):
         _freeze_arrays(self, ("t", "value"))

@@ -18,12 +18,11 @@ fit_precession is the one-scan, unbounded case, c = 1, of that coupling fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import TWO_PI
-from .core import OdfDrive, TrapIonConfig
+from .core import OdfDrive, Record, TrapIonConfig
 from .csvio import ScanDataset
 from .geometry import BeamGeometry
 from .interactions import gamma_decay_lineshape, j_bar, precession_lineshape, thermometry_model
@@ -33,8 +32,7 @@ class FitInputError(ValueError):
     """Dataset or configuration unusable for the requested fit."""
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     params: dict  # name -> fitted value
     sigmas: dict  # name -> 1-sigma uncertainty, times sqrt(chi2_reduced) when that exceeds 1
     chi2_reduced: float

@@ -19,11 +19,10 @@ that the angle design (interactions.optimize_theta) works in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .constants import TWO_PI
-from .core import _checked
+from .core import Record, _checked
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,8 +37,7 @@ class GeometryInfeasibleError(ValueError):
     """Requested angle or pose is outside the mount's window, travel or crossing tolerance."""
 
 
-@dataclass(frozen=True)
-class BeamGeometry:
+class BeamGeometry(Record):
     """Everything that determines delta_k and its orientation.
 
     theta_odf may be an array of angles; delta_k and the interaction
@@ -68,8 +66,7 @@ class BeamGeometry:
             raise ValueError("laser_wavelength must be > 0")
 
 
-@dataclass(frozen=True)
-class ActuatorState:
+class ActuatorState(Record):
     """Pose of one mirror stack.
 
     rotary_angle is the closed-loop rotary offset from the reference at
@@ -85,8 +82,7 @@ class ActuatorState:
     tilt: float = 0.0  # degrees
 
 
-@dataclass(frozen=True)
-class MountGeometry:
+class MountGeometry(Record):
     """Fixed lever arms of the mirror stack relative to the ion crystal.
 
     d_axial is the mirror-to-ion distance along the bore axis when the

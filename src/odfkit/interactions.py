@@ -41,12 +41,12 @@ numpy itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .constants import HBAR
 from .core import (
     OdfDrive,
+    Record,
     ThermalState,
     TrapIonConfig,
     _checked,
@@ -64,8 +64,7 @@ class ResonanceSingularityError(ValueError):
     """Operation requires a nonzero detuning."""
 
 
-@dataclass(frozen=True)
-class InteractionStrengths:
+class InteractionStrengths(Record):
     f0: float | np.ndarray  # N
     j_bar: float | np.ndarray | None = None  # rad/s; None exactly on resonance
 

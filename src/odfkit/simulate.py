@@ -26,6 +26,7 @@ SLOW_CUTOFF = 0.1  # Hz, the slow band's low-pass cutoff, well below 1 Hz
 FAST_AMPLITUDE = 5e-9  # m, RMS of the white fast band
 TARGET_RMS = 12e-9  # m, RMS of the summed path-noise series
 JITTER_BLOCK = 2 ** 16  # drift jitter values drawn per Generator call: 0.5 MiB
+MAX_SAMPLES = np.iinfo(np.intp).max // 8  # the most float64 values one array holds
 
 
 def _sample_scans(shots, scans):
@@ -113,6 +114,9 @@ def simulate_angle_drift(duration: float, dt: float, linear_rate: float, rms_jit
         raise ValueError("duration and dt must be > 0")
     if rms_jitter < 0:
         raise ValueError("rms_jitter must be >= 0")
+    if not (duration + 0.5 * dt) / dt <= MAX_SAMPLES:  # np.arange's count; inf fails too
+        raise ValueError(f"duration {duration:g} s at dt {dt:g} s gives more samples than "
+                         "one array holds")
     t = np.arange(0.0, duration + 0.5 * dt, dt)
     drift = linear_rate * t
     drift /= 3600.0
@@ -154,9 +158,12 @@ def simulate_path_noise(duration: float, rate: float, seed: int) -> Series:
     """
     if duration <= 0 or rate <= 0:
         raise ValueError("duration and rate must be > 0")
+    where = f"duration {duration:g} s at sample rate {rate:g} Hz"
+    if not duration * rate <= MAX_SAMPLES:  # inf fails too
+        raise ValueError(f"{where} gives more samples than one array holds")
     n = int(round(duration * rate))
     if n < 1:
-        raise ValueError(f"duration {duration:g} s at sample rate {rate:g} Hz gives no samples")
+        raise ValueError(f"{where} gives no samples")
     dt = 1.0 / rate
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed % 2 ** 64)))
     # in place wherever that keeps the bits: at most two arrays of n at once

@@ -7,7 +7,6 @@ heavier statistical checks reuse the independent oracles in oracles.py.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ import pytest
 import oracles
 from odfkit.constants import HBAR
 from odfkit.configio import load_config
-from odfkit.core import ThermalState, ground_state_extent, thermal_extent_sq
+from odfkit.core import ThermalState, ground_state_extent, replace, thermal_extent_sq
 from odfkit.fitting import fit_far_detuned_gamma, fit_precession, fit_thermometry
 from odfkit.geometry import (
     BeamGeometry,

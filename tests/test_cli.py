@@ -11,7 +11,6 @@ import shlex
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +18,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import odfkit
+from odfkit import cli
 from odfkit.cli import build_parser, main
 from odfkit.configio import DEFAULT_CONFIG, load_config
+from odfkit.core import replace
 from odfkit.geometry import actuators_for_angle
 from odfkit.interactions import force_magnitude, precession_lineshape
 from odfkit.simulate import simulate_gamma_decay
@@ -411,6 +412,19 @@ def test_simulate_pathnoise_with_no_samples_is_one_line_error(capfd, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "error: duration 1 s at sample rate 1e-09 Hz gives no samples\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,where", [
+    (["drift", "--duration", "1", "--dt", "1e-300"], "duration 1 s at dt 1e-300 s"),
+    (["drift", "--duration", "1e300", "--dt", "1"], "duration 1e+300 s at dt 1 s"),
+    (["pathnoise", "--sample-rate", "1e300"], "duration 6000 s at sample rate 1e+300 Hz"),
+])
+def test_oversized_series_is_one_line_error(capfd, tmp_path, argv, where):
+    # the sample count is checked before any array of it is asked for
+    code, out, err = run(capfd, "simulate", *argv, "--out", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert err == f"error: {where} gives more samples than one array holds\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -1163,7 +1177,7 @@ def _perfbench(name):
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look it up
+    sys.modules[spec.name] = module  # perfbench's own dataclasses look the module up there
     spec.loader.exec_module(module)
     return module
 
@@ -1261,6 +1275,18 @@ def _child(argv, **env):
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, check=True,
                           timeout=120, env={**base, **env,
                                             "PYTHONPATH": str(Path(odfkit.__file__).parents[1])})
+
+
+@pytest.mark.parametrize("argv", [["-c", "import odfkit.cli"],
+                                  ["-m", "odfkit.cli", "geom", "--theta", "28"]],
+                         ids=["import", "geom"])
+def test_start_up_loads_no_dataclasses_or_inspect(argv):
+    # odfkit's records generate no code, and argparse, json and pathlib load neither module
+    stderr = _child(["-X", "importtime", *argv]).stderr
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "odfkit.configio" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 # runs `odfkit <argv>`, then prints its exit code, the odfkit modules it loaded and
@@ -1366,6 +1392,55 @@ print(json.dumps([code, "numpy" in sys.modules, gc.isenabled(), gc.get_freeze_co
 
 def test_main_loading_numpy_leaves_the_collector_as_found(tmp_path):
     assert json.loads(_child(["-c", COLLECTOR_PROBE, str(tmp_path)]).stdout) == [0, True, False, 0]
+
+
+def test_process_entry_runs_with_the_collector_off_and_freezes(capsys, monkeypatch):
+    # main() without argv: the command runs with the collector off, and the heap is frozen
+    # when main returns
+    enabled_in_run = []
+    run_command = cli._run
+    monkeypatch.setattr(cli, "_run", lambda argv: enabled_in_run.append(gc.isenabled())
+                        or run_command(argv))
+    monkeypatch.setattr(sys, "argv", ["odfkit", "geom", "--theta", "28"])
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable()
+        assert main() == 0
+        assert (enabled_in_run, gc.isenabled(), gc.get_freeze_count() > 0) == ([False], False, True)
+    finally:
+        gc.unfreeze()
+        (gc.enable if was_enabled else gc.disable)()
+    assert strict_json(capsys.readouterr().out)["theta_deg"] == 28.0
+
+
+# a command at a size, and its small and large size; each fit reads the scan of its size
+GROWTH_CASES = [
+    (lambda n, out: ["simulate", "precession", "--grid", f"0:360:{n}", "--out", str(out / str(n))],
+     (1000, 100000)),
+    (lambda n, out: ["fit", "precession", "--data", str(out / str(n) / "precession.csv")],
+     (1000, 100000)),
+    (lambda n, out: ["simulate", "pathnoise", "--duration", str(n), "--out", str(out)], (60, 6000)),
+]
+
+
+def test_runs_leave_no_cyclic_garbage_that_grows_with_size(capsys, tmp_path):
+    # the process entry runs with the collector off, so the cyclic garbage a run leaves
+    # stays until exit: it must not grow with the points or samples of the run
+    left = []
+    was_enabled = gc.isenabled()
+    try:
+        gc.disable()
+        for make, sizes in GROWTH_CASES:
+            counts = []
+            for n in (sizes[0], *sizes):  # a first run loads and caches what later runs reuse
+                gc.collect()
+                assert main(make(n, tmp_path)) == 0
+                counts.append(gc.collect())
+            left.append(counts)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+    assert all(counts[2] <= counts[1] for counts in left), left
 
 
 def _outputs(out_dir):

@@ -1,11 +1,10 @@
-import dataclasses
 import json
 import math
 
 import pytest
 
 from odfkit.configio import _SCHEMA, DEFAULT_CONFIG, ConfigError, build_scenario, load_config
-from odfkit.core import OdfDrive, ThermalState, TrapIonConfig
+from odfkit.core import OdfDrive, ThermalState, TrapIonConfig, fields
 from odfkit.geometry import BeamGeometry, MountGeometry
 from odfkit.manifest import config_digest, make_manifest, write_manifest
 
@@ -167,16 +166,15 @@ def test_every_key_sets_a_field_and_every_field_has_a_key(tmp_path):
     reached = set()
     for case in cases:
         scn = load_config(write(tmp_path, case))
-        moved = {(type(getattr(base, part)).__name__, field.name) for part in parts
-                 for field in dataclasses.fields(getattr(base, part))
-                 if getattr(getattr(scn, part), field.name)
-                 != getattr(getattr(base, part), field.name)}
+        moved = {(type(getattr(base, part)).__name__, name) for part in parts
+                 for name in fields(getattr(base, part))
+                 if getattr(getattr(scn, part), name) != getattr(getattr(base, part), name)}
         assert moved, case
         reached |= moved
-    assert reached == {(cls.__name__, field.name)
+    assert reached == {(cls.__name__, name)
                        for cls in (TrapIonConfig, OdfDrive, BeamGeometry, ThermalState,
                                    MountGeometry)
-                       for field in dataclasses.fields(cls)}
+                       for name in fields(cls)}
 
 
 def test_int_config_values_become_floats():

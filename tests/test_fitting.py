@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ import pytest
 import oracles
 from odfkit import fitting
 from odfkit.configio import load_config
-from odfkit.core import ThermalState
+from odfkit.core import ThermalState, replace
 from odfkit.fitting import (
     FitInputError,
     _fit,

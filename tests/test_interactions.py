@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from odfkit.configio import load_config
 from odfkit.constants import HBAR
-from odfkit.core import ThermalState, ground_state_extent, thermal_extent_sq
+from odfkit.core import ThermalState, ground_state_extent, replace, thermal_extent_sq
 from odfkit.geometry import BeamGeometry, delta_k
 from odfkit.interactions import (
     ResonanceSingularityError,
