@@ -7,6 +7,11 @@ All numeric CLI units are Hz, degrees, seconds, meters (and
 yoctonewtons where labeled); CSV outputs carry a header row, floats in
 full-precision scientific notation, and each output file is accompanied by
 a JSON manifest sidecar recording the config digest and seed.
+
+Every odfkit call is a fresh process, so numpy (60-95 ms to import) loads only
+for an invocation that takes arrays.  geom, optimize-angle, and a curves,
+fig1de or ratio-scan table of at most _SMALL_TABLE rows compute in Python
+floats and write the bytes that the array path writes for the same table.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import os
 import sys
 from pathlib import Path
 
-# numpy is imported by main for the commands that take arrays, and csvio, fitting,
+# numpy is imported by _run for the invocations that take arrays, and csvio, fitting,
 # simulate and manifest by the commands that call them
 from .configio import ConfigError, Scenario, check_number, load_config, read_json
 from .constants import TWO_PI
@@ -66,15 +71,28 @@ def _shots(text: str) -> int:
 
 
 def _parse_grid(spec: str):
-    import numpy as np
-
+    """(start, stop, n) of a --grid start:stop:n, which np.linspace or _linspace spans."""
     def build(start, stop, n):
         start, stop, n = float(start), float(stop), int(n)
         # a non-finite end, a span that overflows, or a grid without points
         if not math.isfinite(stop - start) or n < 1:
             raise ValueError
-        return np.linspace(start, stop, n)
+        return start, stop, n
     return _parse_fields("--grid", spec, "start:stop:n", build)
+
+
+def _linspace(start: float, stop: float, n: int) -> list:
+    """np.linspace(start, stop, n) in Python floats, bit for bit: numpy's formula, n >= 1."""
+    delta = stop - start
+    if n == 1:
+        return [0.0 * delta + start]
+    step = delta / (n - 1)
+    if step == 0.0:  # zero width, or a step that underflows: numpy scales by delta last
+        points = [i / (n - 1) * delta + start for i in range(n)]
+    else:
+        points = [i * step + start for i in range(n)]
+    points[-1] = stop
+    return points
 
 
 def _emit(args, name, data, scn: Scenario, seed=None):
@@ -188,40 +206,85 @@ def cmd_geom(args, scn: Scenario):
     return 0
 
 
-def cmd_curves(args, scn: Scenario):
-    import numpy as np
+# the most rows a curves, fig1de or ratio-scan table evaluates in Python floats, one
+# force_magnitude call a row, without loading numpy; a larger table takes arrays.  A
+# row costs ~10 us and numpy's import 60-95 ms: the paths cost the same near 6,000 rows.
+# The float path checks each value with core._checked, the array path runs under _run's
+# np.errstate; both build every angle's geometry before they compute, so both name the
+# same first angle out of range
+_SMALL_TABLE = 4096
 
-    grid_deg = _parse_grid(args.grid or "1:40:80")
+
+def _curves_table(args, scn: Scenario):
+    """curves' and fig1de's angle grid (start, stop, n) in degrees, --grid or 1:40:80,
+    their states, each --nbar or n_bar 0.1, 1 and 10, and whether the rows are few."""
+    grid = _parse_grid(args.grid or "1:40:80")
     states = _parse_fields("--nbar", getattr(args, "nbar", None) or "0.1,1,10",  # fig1de has none
                            "comma-separated numbers >= 0",
                            lambda *fields: [ThermalState(n_bar=float(v)) for v in fields],
                            sep=",")
-    geom = replace(scn.beams, theta_odf=np.radians(grid_deg))
-    strengths = [force_magnitude(geom, scn.drive, scn.trap, state) for state in states]
-    no_coupling = np.full(len(grid_deg), math.nan)
-    columns = (np.tile(grid_deg, len(states)),
-               np.repeat([state.n_bar for state in states], len(grid_deg)),
-               np.concatenate([s.f0 for s in strengths]),
-               np.concatenate([no_coupling if s.j_bar is None else s.j_bar for s in strengths]))
+    return grid, states, grid[2] * len(states) <= _SMALL_TABLE
+
+
+def _ratio_table(args, scn: Scenario):
+    """ratio-scan's angle grid (start, stop, n) in degrees, --grid or the mount's window,
+    and whether its rows are few."""
+    if args.grid:
+        grid = _parse_grid(args.grid)
+    else:  # the mount's window, two points a degree and both ends; 12:36:49 by default
+        lo, hi = (round(math.degrees(t), 9) for t in (scn.mount.theta_min, scn.mount.theta_max))
+        grid = (lo, hi, max(2, round(2 * (hi - lo)) + 1))
+    return grid, grid[2] <= _SMALL_TABLE
+
+
+def cmd_curves(args, scn: Scenario):
+    (start, stop, n), states, small = _curves_table(args, scn)
+    if small:
+        grid_deg = _linspace(start, stop, n)
+        geoms = [replace(scn.beams, theta_odf=math.radians(d)) for d in grid_deg]
+        strengths = [force_magnitude(g, scn.drive, scn.trap, state)
+                     for state in states for g in geoms]
+        columns = (grid_deg * len(states), [state.n_bar for state in states for _ in grid_deg],
+                   [s.f0 for s in strengths],
+                   [math.nan if s.j_bar is None else s.j_bar for s in strengths])
+    else:
+        import numpy as np
+
+        grid_deg = np.linspace(start, stop, n)
+        geom = replace(scn.beams, theta_odf=np.radians(grid_deg))
+        strengths = [force_magnitude(geom, scn.drive, scn.trap, state) for state in states]
+        no_coupling = np.full(n, math.nan)
+        columns = (np.tile(grid_deg, len(states)),
+                   np.repeat([state.n_bar for state in states], n),
+                   np.concatenate([s.f0 for s in strengths]),
+                   np.concatenate([no_coupling if s.j_bar is None else s.j_bar
+                                   for s in strengths]))
     _emit(args, "curves", (["theta_deg", "n_bar", "F0_N", "Jbar_rad_s"], columns), scn)
     return 0
 
 
 def cmd_ratio_scan(args, scn: Scenario):
-    import numpy as np
-
-    if args.grid:
-        grid_deg = _parse_grid(args.grid)
-    else:  # the mount's window, two points a degree and both ends; 12:36:49 by default
-        lo, hi = (round(math.degrees(t), 9) for t in (scn.mount.theta_min, scn.mount.theta_max))
-        grid_deg = np.linspace(lo, hi, max(2, round(2 * (hi - lo)) + 1))
+    (start, stop, n), small = _ratio_table(args, scn)
     # |delta_ac| and Gamma are held theta-independent: the fixed-optical-power
     # comparison the ratio is defined for
-    theta = np.radians(grid_deg)
-    f0 = force_magnitude(replace(scn.beams, theta_odf=theta), scn.drive, scn.trap, scn.thermal).f0
-    if scn.drive.gamma <= 0:
+    if small:
+        geoms = [replace(scn.beams, theta_odf=math.radians(d)) for d in _linspace(start, stop, n)]
+        theta_deg = [math.degrees(g.theta_odf) for g in geoms]
+        f0 = [force_magnitude(g, scn.drive, scn.trap, scn.thermal).f0 for g in geoms]
+    else:
+        import numpy as np
+
+        theta = np.radians(np.linspace(start, stop, n))
+        theta_deg = np.degrees(theta)
+        f0 = force_magnitude(replace(scn.beams, theta_odf=theta), scn.drive, scn.trap,
+                             scn.thermal).f0
+    gamma = scn.drive.gamma
+    if gamma <= 0:
         raise ConfigError("ratio-scan needs drive.gamma_per_s > 0")
-    columns = (np.degrees(theta), f0, np.full(len(theta), scn.drive.gamma), f0 / scn.drive.gamma)
+    if small:
+        columns = (theta_deg, f0, [gamma] * n, [_checked("F0/Gamma", v / gamma) for v in f0])
+    else:
+        columns = (theta_deg, f0, np.full(n, gamma), f0 / gamma)
     _emit(args, "ratio_scan", (["theta_deg", "F0_N", "Gamma_Hz", "ratio"], columns), scn)
     return 0
 
@@ -238,13 +301,13 @@ def cmd_simulate(args, scn: Scenario):
     )
 
     if args.model == "thermometry":
-        grid_hz = _parse_grid(args.grid) if args.grid else (
+        grid_hz = np.linspace(*_parse_grid(args.grid)) if args.grid else (
             scn.trap.omega_com / TWO_PI + np.linspace(-3e3, 3e3, 30))
         dataset = simulate_thermometry(
             scn.beams, scn.drive, scn.trap, scn.thermal,
             TWO_PI * grid_hz, shots=args.shots, seed=args.seed)
     elif args.model == "precession":
-        grid = np.radians(_parse_grid(args.grid)) if args.grid else _theta1_grid()
+        grid = np.radians(np.linspace(*_parse_grid(args.grid))) if args.grid else _theta1_grid()
         strengths = force_magnitude(scn.beams, scn.drive, scn.trap, scn.thermal)
         if strengths.j_bar is None:
             raise ResonanceSingularityError("precession needs a nonzero detuning mu - omega_com")
@@ -255,7 +318,7 @@ def cmd_simulate(args, scn: Scenario):
         if scn.drive.gamma <= 0:
             raise ConfigError("simulate gamma needs drive.gamma_per_s > 0")
         # by default 2 Gamma tau runs from 0.1 to 2: a shot tells most about Gamma near 0.8
-        tau = _parse_grid(args.grid) if args.grid else (
+        tau = np.linspace(*_parse_grid(args.grid)) if args.grid else (
             np.linspace(0.05, 1.0, 20) / scn.drive.gamma)
         dataset = simulate_gamma_decay(scn.drive.gamma, tau, shots=args.shots, seed=args.seed)
     elif args.model == "drift":
@@ -482,8 +545,19 @@ def build_parser(argv=None):
     return parser
 
 
-# the commands that compute in math alone; every other command takes arrays
+# the commands that compute in math alone, and how each table command sizes its table;
+# built at import, like _LEAVES, so a command wrapped later (perfbench's tracer) still
+# matches args.func
 _SCALAR_COMMANDS = (cmd_geom, cmd_optimize_angle)
+_TABLES = {cmd_curves: _curves_table, cmd_ratio_scan: _ratio_table}
+
+
+def _in_floats(args, scn: Scenario) -> bool:
+    """Whether the invocation computes in Python floats alone, so numpy stays unloaded:
+    geom, optimize-angle, and a table of at most _SMALL_TABLE rows."""
+    if args.func in _TABLES:
+        return _TABLES[args.func](args, scn)[-1]
+    return args.func in _SCALAR_COMMANDS
 
 
 def _import_numpy():
@@ -544,7 +618,7 @@ def _run(argv) -> int:
         return 1 if err.code not in (0, None) else 0
     try:
         scn = load_config(args.config, args.scenario)
-        if args.func in _SCALAR_COMMANDS:  # math alone: no numpy to load
+        if _in_floats(args, scn):  # no numpy to load
             code = args.func(args, scn)
         else:
             with _import_numpy().errstate(divide="raise", over="raise", invalid="raise"):

@@ -7,6 +7,10 @@ separator: a float's 28-byte slot is seven table lookups, four digits or an expo
 a word.  It deletes the NUL bytes a field leaves unused, so text may not hold a NUL.
 `ScanDataset.from_csv` reads a scan back, and a fault in the file is one ValueError
 that names the file.
+
+The module loads no numpy: a table of Python values, from a process that has not
+loaded it, is formatted row by row with Python's %, and each function that takes
+arrays imports numpy itself.
 """
 
 from __future__ import annotations
@@ -14,15 +18,20 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 import warnings
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import Record
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _freeze_arrays(obj, names):
     """Set the named fields to read-only float views (not copies), equal-length and finite."""
+    import numpy as np
+
     arrays = [np.asarray(getattr(obj, name), dtype=float).view() for name in names]
     if len({len(arr) for arr in arrays}) > 1:
         raise ValueError(f"{', '.join(names)} must have equal lengths")
@@ -48,6 +57,8 @@ class ScanDataset(Record):
     meta: dict = {}  # copied for each record
 
     def __post_init__(self):
+        import numpy as np
+
         _, p_up, sigma = _freeze_arrays(self, ("abscissa", "p_up", "sigma"))
         if np.any((p_up < 0) | (p_up > 1)):
             raise ValueError("p_up must lie in [0, 1]")
@@ -64,6 +75,8 @@ class ScanDataset(Record):
     @classmethod
     def from_csv(cls, path):
         """Read a CSV written by to_csv; a malformed file is a ValueError naming it."""
+        import numpy as np
+
         try:
             with open(path) as fh, warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no rows: the error below
@@ -74,8 +87,8 @@ class ScanDataset(Record):
             if width < 3 or data.shape[1] != width:
                 raise ValueError("every row must have as many fields as the header, at least 3")
             return cls(abscissa=data[:, 0], p_up=data[:, 1], sigma=data[:, 2])
-        except ValueError as err:
-            raise ValueError(f"{path}: {err}") from None
+        except ValueError as err:  # loadtxt's hint names an option odfkit does not have
+            raise ValueError(f"{path}: {str(err).partition('; use `usecols`')[0]}") from None
 
 
 class Series(Record):
@@ -124,6 +137,8 @@ def _scaled(a, k):
 
     Dekker's exact product of frexp's mantissa and the double-double power of ten, then ldexp.
     """
+    import numpy as np
+
     k_min = int(k.min())
     table = np.array([_pow10(17 - q) for q in range(k_min, int(k.max()) + 1)]).T
     hi, hh, hl, lo, e = table.take((k - k_min).astype(np.intp), axis=1)
@@ -144,6 +159,8 @@ def _decimal(x):
     Also returns the indices left to Python: zeros, non-finite values, values within
     1e-6 of a tie (which rounds half-even) and those that round up to a power of ten.
     """
+    import numpy as np
+
     a = np.abs(x)
     special = ~((a > 0.0) & (a < np.inf))  # zero, infinite or nan
     a[special] = 1.0
@@ -172,6 +189,8 @@ def _tables():
     They are built from bytes (numpy shifts and ORs leave temporaries that raised the
     peak RSS), and on the first float block rather than at import (the build takes ~2 ms).
     """
+    import numpy as np
+
     quads = bytes(itertools.chain.from_iterable(itertools.product(range(48, 58), repeat=4)))
     leads = b"".join(b"\0%d.%d" % divmod(q, 10) for q in range(100))
     exps = [b"e%+03d" % k for k in range(-330, 310)]
@@ -191,6 +210,8 @@ def _format_floats(x, words, sep):
     slot's unused bytes hold NUL: its sign for v >= 0, an exponent's hundreds digit
     when it has two digits, and the bytes after sep.
     """
+    import numpy as np
+
     digits, exp = _tables()
     high, low, k, escape = _decimal(x)
     groups = np.empty((5, len(x)))  # d0 d1, then four-digit groups of high and of low
@@ -214,19 +235,27 @@ def write_rows(path, header, columns):
     one translate per block deletes them.  A float slot is _SLOT bytes, seven "<u4"
     words that `_format_floats` fills from its tables, and Python's % writes the fields
     it leaves.  A text column is one byte matrix of cells and separators, NUL-padded
-    to whole words too, so every slot starts on a 4-byte boundary.  A header that does
+    to whole words too, so every slot starts on a 4-byte boundary.  A process that
+    has not loaded numpy holds no arrays: its columns are Python values, a column of
+    floats among them, and Python's % writes every field, since loading numpy (60-95
+    ms) costs more than the small tables such a process writes.  A header that does
     not name each column, columns of unequal length and text that holds a NUL are
     ValueErrors.
     """
-    columns = [np.asarray(col) for col in columns]
+    np = sys.modules.get("numpy")  # None: the columns hold Python values
+    columns = [list(col) if np is None else np.asarray(col) for col in columns]
     if not columns or len(header) != len(columns):
         raise ValueError(f"{len(header)} header names for {len(columns)} columns")
     lengths = sorted({len(col) for col in columns})
     if len(lengths) > 1:
         raise ValueError(f"columns must have equal lengths, not {lengths}")
     n_rows = lengths[0]
-    text = [None if col.dtype.kind == "f" else ["%s" % v for v in col.tolist()]
-            for col in columns]
+    if np is None:
+        text = [None if all(isinstance(v, float) for v in col) else ["%s" % v for v in col]
+                for col in columns]
+    else:
+        text = [None if col.dtype.kind == "f" else ["%s" % v for v in col.tolist()]
+                for col in columns]
     if any("\0" in v for cells in text if cells is not None for v in cells):
         raise ValueError("a text field holds a NUL character")
     seps = [b","] * (len(columns) - 1) + [b"\r\n"]
@@ -234,6 +263,12 @@ def write_rows(path, header, columns):
     with open(path, "w", newline="") as fh:
         encoding = fh.encoding
         fh.buffer.write((",".join(header) + "\r\n").encode(encoding))
+        if np is None:
+            cells = [["%.17e" % v for v in col] if strs is None else strs
+                     for col, strs in zip(columns, text)]
+            rows = "".join(",".join(row) + "\r\n" for row in zip(*cells))
+            fh.buffer.write(rows.encode(encoding))
+            return
         for j, cells in enumerate(text):
             if cells is not None:  # each cell and its separator, NUL-padded to whole words
                 cells = [v.encode(encoding) + seps[j] for v in cells]

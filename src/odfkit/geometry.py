@@ -58,8 +58,9 @@ class BeamGeometry(Record):
             theta = np.ravel(theta)
             outside = theta[~((0.0 <= theta) & (theta < math.pi))]
             theta = outside[0] if outside.size else 0.0  # the first angle outside, if any
-        if not 0.0 <= theta < math.pi:
-            raise ValueError(f"theta_odf must be in [0, pi), got {theta}")
+        if not 0.0 <= theta < math.pi:  # CLI angles are degrees: name both units
+            raise ValueError(f"theta_odf must be in [0, 180) deg, got {math.degrees(theta):g} "
+                             f"deg ({theta} rad)")
         if self.tilt_error < 0:
             raise ValueError(f"tilt_error must be >= 0, got {self.tilt_error}")
         if self.laser_wavelength <= 0:

@@ -240,12 +240,28 @@ def test_simulate_precession_on_resonance_is_one_line_error(capsys, tmp_path):
     assert err == "error: precession needs a nonzero detuning mu - omega_com\n"
 
 
-@pytest.mark.parametrize("command", ["curves", "ratio-scan"])
-def test_grid_outside_angle_range_is_one_line_error(capsys, tmp_path, command):
-    code, out, err = run(capsys, command, "--out", str(tmp_path), "--grid", "0:200:50")
-    assert code == 1
-    assert out == ""
-    assert err == "error: theta_odf must be in [0, pi), got 3.20570678937734\n"
+@pytest.mark.parametrize("argv,got", [
+    pytest.param("curves --grid 0:200:50", "183.673 deg (3.20570678937734 rad)", id="curves"),
+    pytest.param("ratio-scan --grid 0:200:50", "183.673 deg (3.20570678937734 rad)",
+                 id="ratio-scan"),
+    pytest.param("ratio-scan --grid 170:200:4", "180 deg (3.141592653589793 rad)",
+                 id="ratio-scan-pi"),
+    pytest.param("curves --grid=-5:10:3", "-5 deg (-0.08726646259971647 rad)",
+                 id="curves-negative"),
+    pytest.param("ratio-scan --grid=-5:10:3", "-5 deg (-0.08726646259971647 rad)",
+                 id="ratio-scan-negative"),
+    pytest.param("geom --theta 190", "190 deg (3.3161255787892263 rad)", id="geom"),
+])
+def test_grid_outside_angle_range_is_one_line_error(capsys, monkeypatch, tmp_path, argv, got):
+    # the angles are given in degrees, so the message names them in degrees too; a table
+    # in floats and in arrays (_SMALL_TABLE 0) names the same first angle
+    argv = argv.split() + ([] if argv.startswith("geom") else ["--out", str(tmp_path)])
+    for limit in (cli._SMALL_TABLE, 0):
+        monkeypatch.setattr(cli, "_SMALL_TABLE", limit)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: theta_odf must be in [0, 180) deg, got {got}\n"
 
 
 def test_ratio_scan_cold_ratio(capsys, tmp_path):
@@ -315,6 +331,101 @@ def test_ratio_scan_default_grid_is_the_mounts_window(capsys, tmp_path, mount, g
         assert code == 0, err
     assert ((tmp_path / "default" / "ratio_scan.csv").read_bytes()
             == (tmp_path / "given" / "ratio_scan.csv").read_bytes())
+
+
+# -- tables in floats and in arrays -------------------------------------------------
+
+# the table commands on grids of 1, 2, 3 and 49 points, reversed and of zero width, and
+# on their default grids
+TABLE_GRIDS = [[], ["--grid", "14:28:1"], ["--grid", "14:28:2"], ["--grid", "12:36:3"],
+               ["--grid", "12.79:32.27:49"], ["--grid", "36:12:49"], ["--grid", "20:20:3"],
+               ["--grid", "20:20:1"]]
+TABLE_ARGV = [["ratio-scan"], ["reproduce", "fig1de"], ["curves"], ["curves", "--nbar", "0"],
+              ["curves", "--nbar", "2.5,0,100"]]
+# on resonance Jbar is NaN; the widened mount widens ratio-scan's default grid
+HOT_WIDE_RESONANT = {"thermal": {"n_bar": 10.7}, "drive": {"mu_hz": 1.1e6},
+                     "mount": {"theta_max_deg": 50, "linear_travel_m": 0.03}}
+
+
+def _table_run(capsys, monkeypatch, tmp_path, limit, argv):
+    """Exit code, stdout, stderr, CSV bytes and manifest less timestamp, at _SMALL_TABLE limit."""
+    monkeypatch.setattr(cli, "_SMALL_TABLE", limit)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    name = "ratio_scan" if argv[0] == "ratio-scan" else "curves"
+    files = [tmp_path / f"{name}.csv", tmp_path / f"{name}.manifest.json"]
+    written = [path.read_bytes() if path.exists() else None for path in files]
+    for path in files:
+        path.unlink(missing_ok=True)
+    if written[1] is not None:
+        manifest = json.loads(written[1])
+        del manifest["timestamp"]
+        written[1] = manifest
+    return code, out, err, *written
+
+
+@pytest.mark.parametrize("config", [{}, HOT_WIDE_RESONANT], ids=["default", "hot-wide-resonant"])
+@pytest.mark.parametrize("grid", TABLE_GRIDS, ids=lambda g: g[-1] if g else "default")
+@pytest.mark.parametrize("argv", TABLE_ARGV, ids=" ".join)
+def test_table_in_floats_writes_the_bytes_of_the_array_path(capsys, monkeypatch, tmp_path,
+                                                             argv, grid, config):
+    # _SMALL_TABLE 0 sends every table through arrays
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    argv = [*argv, *grid, "--config", str(cfg)]
+    in_floats = _table_run(capsys, monkeypatch, tmp_path / "out", cli._SMALL_TABLE, argv)
+    in_arrays = _table_run(capsys, monkeypatch, tmp_path / "out", 0, argv)
+    assert in_floats[0] == 0, in_floats[2]
+    assert in_floats == in_arrays
+
+
+def test_small_table_in_a_fresh_process_writes_the_bytes_of_the_array_path(capsys, monkeypatch,
+                                                                           tmp_path):
+    # in a process without numpy, csvio writes the rows with Python's %, not the block kernel
+    for argv in TABLE_ARGV:
+        in_arrays = _table_run(capsys, monkeypatch, tmp_path, 0, argv)
+        _child(["-m", "odfkit.cli", *argv, "--out", str(tmp_path)])
+        name = "ratio_scan" if argv[0] == "ratio-scan" else "curves"
+        assert (tmp_path / f"{name}.csv").read_bytes() == in_arrays[3], argv
+
+
+# n_bar 1e308 overflows the thermal extent, delta_ac 1e300 Hz Jbar, a 5e-324 m wavelength
+# delta_k, and a 5e-324 /s Gamma the ratio; fig1de has its own n_bar list
+OUT_OF_RANGE = [(["ratio-scan"], {"thermal": {"n_bar": 1e308}}),
+                (["ratio-scan"], {"drive": {"delta_ac_hz": 1e20, "gamma_per_s": 5e-324}}),
+                (["curves", "--nbar", "0.1,1e308"], {}),
+                *((argv, config) for argv in (["ratio-scan"], ["curves"], ["reproduce", "fig1de"])
+                  for config in ({"drive": {"delta_ac_hz": 1e300}},
+                                 {"beams": {"laser_wavelength_m": 5e-324}}))]
+
+
+@pytest.mark.parametrize("argv,config", OUT_OF_RANGE,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else json.dumps(v))
+def test_table_out_of_range_is_one_line_error_on_both_paths(capsys, monkeypatch, tmp_path,
+                                                            argv, config):
+    # a value that leaves the floats: np.errstate raises in arrays, core._checked in floats
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    for limit in (cli._SMALL_TABLE, 0):
+        code, out, err, *written = _table_run(capsys, monkeypatch, tmp_path, limit,
+                                              [*argv, "--config", str(cfg)])
+        assert (code, out, written) == (1, "", [None, None]), limit
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert err.endswith(": an input is out of the range the model computes in\n")
+
+
+# derandomized: the same inputs on every run, so tier-1 stays deterministic
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(start=st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324, 12.0]),
+       width=st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 24.0]),
+       n=st.integers(1, 5000))
+@example(start=12.0, width=0.0, n=49)  # zero width: a zero step
+@example(start=0.0, width=1e-310, n=4999)  # a step that underflows to zero
+@example(start=-0.0, width=-0.0, n=1)
+def test_float_grid_is_np_linspace_bit_for_bit(start, width, n):
+    stop = start + width
+    expected = np.linspace(start, stop, n)
+    got = np.array(cli._linspace(start, stop, n))
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("key", ["gamma_raman_per_s", "gamma_elastic_per_s"])
@@ -529,6 +640,8 @@ def test_fit_malformed_csv_is_one_line_error(capsys, tmp_path, text):
     assert out == ""
     assert err.startswith("error:") and "data.csv" in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+    if text == "abscissa,p_up,sigma\r\n1,0.5,0.1\r\n2,0.5\r\n":  # ragged: no loadtxt hint
+        assert err == f"error: {path}: the number of columns changed from 3 to 2 at row 2\n"
 
 
 CSV_TEXT = st.text("0123456789+-.,eEnaif_# \"\r\n", max_size=200)
@@ -1217,6 +1330,27 @@ def test_benchmark_traced_names_are_wrapped(name):
         assert obj.__module__ == f"odfkit.{layer}", (attr, obj.__module__)
 
 
+@pytest.mark.parametrize("argv", [["ratio-scan"], ["curves"], ["reproduce", "fig1de"],
+                                  ["ratio-scan", "--grid", "12:36:3"]], ids=" ".join)
+def test_table_under_the_benchmark_tracer_writes_the_untraced_bytes(capsys, tmp_path, argv):
+    # the tracer rebinds cli's public functions to wrappers; argparse still holds the
+    # originals, so the float path must not tell the commands apart by their module names
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "untraced"))
+    assert code == 0, err
+    tracer = TRACING.Tracer()
+    patches = TRACING.install(tracer)
+    try:
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "traced"))
+    finally:
+        TRACING.uninstall(patches)
+    assert code == 0, err
+    name = "ratio_scan.csv" if argv[0] == "ratio-scan" else "curves.csv"
+    table = (tmp_path / "traced" / name).read_bytes()
+    assert table == (tmp_path / "untraced" / name).read_bytes()
+    # one force_magnitude call a row: the traced run took the float path too
+    assert tracer.stats["interactions.force_magnitude"][0] == table.count(b"\r\n") - 1
+
+
 def test_benchmark_reads_the_coupling_through_cli(tmp_path):
     # perfbench's checks take the coupling from cli.load_config and cli.force_magnitude
     cfg = tmp_path / "config.json"
@@ -1306,12 +1440,25 @@ DRAWS = ["_stream_v1", "csvio", "manifest", "simulate"]
 FITS = ["csvio", "fitting"]
 
 
+# a ratio-scan one row above the largest table evaluated in floats: it takes arrays
+ARRAY_RATIO_SCAN = f"ratio-scan --grid 12:36:{cli._SMALL_TABLE + 1}"
+# the invocations below that compute in floats and load no numpy: the design commands
+# and the small tables
+IN_FLOATS = {"geom", "optimize-angle", "curves --grid 1:40:3", "curves",
+             "ratio-scan --grid 12:36:3", "ratio-scan", "reproduce fig1de --grid 1:40:3",
+             "reproduce fig1de"}
+
+
 @pytest.mark.parametrize("argv,loads", [
     ("geom", []),
     ("optimize-angle", ["manifest"]),
     ("curves --grid 1:40:3", WRITES),
+    ("curves", WRITES),
     ("ratio-scan --grid 12:36:3", WRITES),
+    ("ratio-scan", WRITES),
+    (ARRAY_RATIO_SCAN, WRITES),
     ("reproduce fig1de --grid 1:40:3", WRITES),
+    ("reproduce fig1de", WRITES),
     ("simulate thermometry --grid 1.099e6:1.101e6:3", DRAWS),
     ("simulate precession --grid 0:90:3", DRAWS),
     ("simulate gamma --grid 1e-3:4e-3:3", DRAWS),
@@ -1325,7 +1472,7 @@ FITS = ["csvio", "fitting"]
     ("reproduce fig4c --shots 50", ["_stream_v1", "csvio", "fitting", "manifest", "simulate"]),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_each_command_loads_only_the_modules_it_calls(tmp_path, argv, loads):
-    argv = argv.split()
+    spec, argv = argv, argv.split()
     if argv[0] == "fit":
         assert main(["simulate", argv[1], "--out", str(tmp_path)]) == 0
         argv = [*argv, "--data", str(tmp_path / f"{argv[1]}.csv")]
@@ -1335,8 +1482,8 @@ def test_each_command_loads_only_the_modules_it_calls(tmp_path, argv, loads):
         _child(["-c", MODULES_PROBE, *argv]).stdout)
     assert code == 0
     assert modules == sorted(f"odfkit.{m}" for m in ["cli", *CLI_BASE, *loads])
-    # the design commands compute in math; every other command takes arrays
-    assert numpy_loaded is (argv[0] not in ("geom", "optimize-angle"))
+    # the design commands and small tables compute in floats; every other command takes arrays
+    assert numpy_loaded is (spec not in IN_FLOATS)
     assert not ma_loaded  # np.unique imports numpy.ma, at ~15 ms and 1.4 MB a call
 
 
@@ -1347,7 +1494,7 @@ def test_cli_import_leaves_blas_thread_setting_as_found(env, left, tmp_path):
     # children inherit none of it
     probe = ("import contextlib, io, os, sys; from odfkit.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
-             "    code = main(['ratio-scan', '--grid', '12:36:3', '--out', sys.argv[1]])\n"
+             f"    code = main({ARRAY_RATIO_SCAN.split()!r} + ['--out', sys.argv[1]])\n"
              "print(code, os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)")
     assert _child(["-c", probe, str(tmp_path)], **env).stdout.split() == ["0", str(left), "True"]
 
@@ -1380,12 +1527,12 @@ def test_main_in_process_leaves_the_collector_as_found(capsys, tmp_path, enabled
 
 # a library process that has not loaded numpy: main(argv) loads it, and leaves the
 # collector, here switched off, as it was
-COLLECTOR_PROBE = """
+COLLECTOR_PROBE = f"""
 import contextlib, gc, io, json, sys
 from odfkit.cli import main
 gc.disable()
 with contextlib.redirect_stdout(io.StringIO()):
-    code = main(["ratio-scan", "--grid", "12:36:3", "--out", sys.argv[1]])
+    code = main({ARRAY_RATIO_SCAN.split()!r} + ["--out", sys.argv[1]])
 print(json.dumps([code, "numpy" in sys.modules, gc.isenabled(), gc.get_freeze_count()]))
 """
 
