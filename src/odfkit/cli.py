@@ -604,7 +604,26 @@ def main(argv=None) -> int:
     return code
 
 
+def _joined(argv):
+    """argv with each `--flag -value` pair joined as `--flag=-value`.
+
+    Every odfkit flag but -h takes one value, and no flag looks like a number, so
+    a token starting with a single - after a `--flag` is its value; argparse would
+    read -2e-3 or -180:180:5 as a flag.  A value such as `--jitter` stays a flag.
+    """
+    out = []
+    for token in argv:
+        last = out[-1] if out else ""
+        if (token.startswith("-") and not token.startswith("--") and last.startswith("--")
+                and len(last) > 2 and "=" not in last and last != "--help"):
+            out[-1] = f"{last}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def _run(argv) -> int:
+    argv = _joined(argv)
     flag = argv[1] if len(argv) > 1 and argv[0] in _GROUPS else ""
     if flag.startswith("-") and flag not in ("-h", "--help"):
         name = _GROUPS[argv[0]][0]

@@ -6,8 +6,11 @@ substream derived from (seed, point index), so datasets are reproducible
 byte-for-byte and independent of evaluation order.  The stability generators
 return a `Series` and model the slow angular drift and the differential
 beam-path fluctuation of the in-bore optics, the latter always rescaled to
-TARGET_RMS.  Both containers live in `csvio`.  Shots, seed and run parameters
-are plain arguments without defaults: the CLI's flags own those.
+TARGET_RMS.  The path noise's low-pass gives the bits of a loop over the
+samples in order; a long series runs it as vectorized chains, each checked
+against the loop's value at its start (`_one_pole_lowpass`).  Both containers
+live in `csvio`.  Shots, seed and run parameters are plain arguments without
+defaults: the CLI's flags own those.
 """
 
 from __future__ import annotations
@@ -134,18 +137,75 @@ def simulate_angle_drift(duration: float, dt: float, linear_rate: float, rms_jit
     return Series(t=t, value=drift, meta=meta)
 
 
-def _one_pole_lowpass(x, a):
-    """y[i] = (1 - a) x[i] + a y[i-1] with y[-1] = 0, in input order.
+# The low-pass runs as chains of L = ceil(CHAIN_DECAY / -ln a) steps, so that a start
+# value's error decays by e^-13 over a chain.  13 is the smallest CHAIN_DECAY at which
+# no 600k-sample walk (20-40 seeds at 0.5, 3, 10 and 100 Hz) needed a fallback block;
+# at 12 one walk at 0.5 Hz and one at 3 Hz did.  On a 2-vCPU Xeon with numpy 2.4,
+# chains pay ~2.7 us a step and the loop ~0.09 us a sample, so the two cost the same
+# at ~32 blocks, at 10, 100 and 1000 Hz alike.  CHAIN_MIN_BLOCKS is twice that:
+# fig5's 20k samples at 100 Hz (9 blocks) take the loop.
+CHAIN_DECAY = 13.0
+CHAIN_MIN_BLOCKS = 64
 
-    One list comprehension per block of 2048 samples, with y carried across blocks;
-    each step is (b x[i]) + a y, in that order, so y is bit-equal to a loop's.
+
+def _run_lowpass(out, x, a, lo, hi, y):
+    """The loop: out[lo:hi] = y[lo:hi], given y = y[lo - 1].
+
+    One list comprehension per 2048 samples, each step (b x[i]) + a y in that order.
     """
     b = 1.0 - a
-    out = np.empty(len(x))
-    y = 0.0
-    step = 2048  # values per list
-    for s in range(0, len(x), step):
-        out[s:s + step] = [y := u + a * y for u in (b * x[s:s + step]).tolist()]
+    for s in range(lo, hi, 2048):
+        e = min(s + 2048, hi)
+        out[s:e] = [y := u + a * y for u in (b * x[s:e]).tolist()]
+
+
+def _one_pole_lowpass(x, a):
+    """y[i] = (1 - a) x[i] + a y[i-1] with y[-1] = 0, bit-equal to a loop in input order.
+
+    For 0 < a < 1 and at least CHAIN_MIN_BLOCKS blocks of L samples, block k is
+    one of B chains that run in lockstep, two ufunc calls a step over B values.
+    Chain k starts from its own estimate of y[kL - 1]: a warm-up over block k - 1
+    from the estimate of y[(k - 1)L - 1], itself a matrix-vector product and a
+    carry over the blocks.  A chain is a function of its start value, so when
+    that start has the bits of the true y[kL - 1] every value of the block is the
+    loop's.  Walking k upward, each start is compared with the final y[kL - 1]
+    as uint64 (so -0.0, 0.0 and NaNs are told apart), and a block that fails is
+    recomputed by the loop, as are the tail and every other input.  The result
+    is a new array; x is left as it was.
+    """
+    n = len(x)
+    out = np.empty(n)
+    size = math.ceil(CHAIN_DECAY / -math.log(a)) if 0.0 < a < 1.0 else n + 1
+    blocks = n // size
+    if blocks < CHAIN_MIN_BLOCKS:
+        _run_lowpass(out, x, a, 0, n, 0.0)
+        return out
+    with np.errstate(all="ignore"):  # the loop's float steps raise on no value either
+        np.multiply(x, 1.0 - a, out=out)  # u, the loop's b x[i]
+        u = out[:blocks * size].reshape(blocks, size)
+        decay = a ** size
+        e = 0.0
+        estimate = [e := decay * e + s for s in (u @ a ** np.arange(size - 1, -1, -1.0)).tolist()]
+        start = np.zeros(blocks)  # chain 0 starts from y[-1] = 0.0, chain 1's warm-up too
+        start[2:] = estimate[:-2]
+        warm = start[1:]
+        for col in u[:-1].T:  # warm-up: chain k runs block k - 1 in start[k]
+            np.multiply(a, warm, out=warm)
+            np.add(col, warm, out=warm)
+        prev, scaled = start, np.empty(blocks)
+        for col in u.T:  # main pass: chain k runs block k, in place over u
+            np.multiply(a, prev, out=scaled)
+            np.add(col, scaled, out=col)
+            prev = col
+    ends = out[size - 1:(blocks - 1) * size:size].view(np.uint64)  # y[kL - 1], k >= 1
+    starts = warm.view(np.uint64)
+    done = 0
+    for k in (np.flatnonzero(ends != starts) + 1).tolist():
+        while done < k < blocks and starts[k - 1] != ends[k - 1]:
+            _run_lowpass(out, x, a, k * size, (k + 1) * size, float(out[k * size - 1]))
+            k += 1
+        done = max(done, k)
+    _run_lowpass(out, x, a, blocks * size, n, float(out[blocks * size - 1]))
     return out
 
 

@@ -517,6 +517,32 @@ def test_negative_grid_start_takes_equals_form(capsys, tmp_path):
     assert data[0, 0] == pytest.approx(-math.pi)
 
 
+@pytest.mark.parametrize("argv,flag,value,name", [
+    (["simulate", "drift", "--duration", "600"], "--rate", "-2e-3", "drift"),
+    (["simulate", "precession"], "--grid", "-180:180:5", "precession"),
+], ids=["rate-exponent", "grid"])
+def test_negative_flag_value_reads_as_its_equals_form(capsys, tmp_path, argv, flag, value, name):
+    # a value after a --flag that starts with a single - is the flag's value
+    for form, args in (("apart", [flag, value]), ("equals", [f"{flag}={value}"])):
+        assert run(capsys, *argv, *args, "--out", str(tmp_path / form))[0] == 0
+    assert ((tmp_path / "apart" / f"{name}.csv").read_bytes()
+            == (tmp_path / "equals" / f"{name}.csv").read_bytes())
+
+
+def test_negative_theta_in_exponent_form_is_the_angle_error(capsys):
+    code, out, err = run(capsys, "geom", "--theta", "-1e0")
+    assert (code, out) == (1, "")
+    assert err == "error: theta_odf must be in [0, 180) deg, got -1 deg (-0.017453292519943295 rad)\n"
+
+
+def test_flag_after_a_flag_is_still_a_missing_value(capsys, tmp_path):
+    code, out, err = run(capsys, "simulate", "drift", "--rate", "--jitter", "1e-4",
+                         "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert "argument --rate: expected one argument" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_pathnoise_with_no_samples_is_one_line_error(capfd, tmp_path):
     code, out, err = run(capfd, "simulate", "pathnoise", "--sample-rate", "1e-9",
                          "--duration", "1", "--out", str(tmp_path / "out"))

@@ -23,7 +23,7 @@ from odfkit.simulate import (
     simulate_precession,
     simulate_thermometry,
 )
-from odfkit import _stream_v1
+from odfkit import _stream_v1, simulate
 from odfkit.simulate import _one_pole_lowpass, _sample_scans
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -529,13 +529,105 @@ def test_lowpass_matches_loop_oracle(n):
     assert np.array_equal(walk, before)  # a new array; the input is left as it was
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_lowpass_matches_scipy_lfilter(seed):
+@pytest.mark.parametrize("seed,n", [*((seed, 20_000) for seed in range(5)), (5, 600_000)],
+                         ids=[*map(str, range(5)), "600k"])
+def test_lowpass_matches_scipy_lfilter(seed, n):
     signal = pytest.importorskip("scipy.signal")
-    walk = np.cumsum(np.random.default_rng(seed).standard_normal(20_000))
+    walk = np.cumsum(np.random.default_rng(seed).standard_normal(n))
     a = math.exp(-2.0 * math.pi * 0.1 / 100.0)
     expected = signal.lfilter([1.0 - a], [1.0, -a], walk)
     assert np.array_equal(_one_pole_lowpass(walk, a), expected)
+
+
+def _coefficient(rate):
+    return math.exp(-2.0 * math.pi * SLOW_CUTOFF / rate)
+
+
+def _chain_size(a):
+    return math.ceil(simulate.CHAIN_DECAY / -math.log(a))
+
+
+def _loop_spans(monkeypatch):
+    """The (lo, hi) of each loop run that _one_pole_lowpass makes, in order."""
+    spans, loop = [], simulate._run_lowpass
+
+    def run(out, x, a, lo, hi, y):
+        spans.append((lo, hi))
+        loop(out, x, a, lo, hi, y)
+    monkeypatch.setattr(simulate, "_run_lowpass", run)
+    return spans
+
+
+def _check_lowpass(x, a):
+    """_one_pole_lowpass(x, a) has the oracle's bits, and x is left as it was."""
+    before = x.copy()
+    got = _one_pole_lowpass(x, a)
+    assert got.tobytes() == oracles.one_pole_lowpass(x, a).tobytes()
+    assert x.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("rate", [0.5, 3.0, 100.0, 1000.0])
+def test_lowpass_chains_start_at_the_block_threshold(monkeypatch, rate, offset):
+    # CHAIN_MIN_BLOCKS blocks of L samples and more run as chains, one sample fewer as the loop
+    a = _coefficient(rate)
+    n = simulate.CHAIN_MIN_BLOCKS * _chain_size(a) + offset
+    spans = _loop_spans(monkeypatch)
+    _check_lowpass(np.cumsum(np.random.default_rng(n).standard_normal(n)), a)
+    assert (spans[0] != (0, n)) == (offset >= 0)
+
+
+@pytest.mark.parametrize("n", [600_000, 600_001, 200 * 2070 - 1, 200 * 2070, 200 * 2070 + 1])
+def test_lowpass_chains_match_loop_oracle_on_long_walks(monkeypatch, n):
+    # at 100 Hz a chain is 2070 samples; on these walks every chain start is exact,
+    # so the loop runs only the tail after the last whole block
+    a = _coefficient(100.0)
+    size = _chain_size(a)
+    assert size == 2070
+    spans = _loop_spans(monkeypatch)
+    _check_lowpass(np.cumsum(np.random.default_rng(n).standard_normal(n)), a)
+    assert spans == [(n // size * size, n)]
+
+
+@pytest.mark.parametrize("a", [0.0, 5e-324, 1.0 - 1e-12, 1.0])
+def test_lowpass_edge_coefficients_match_loop_oracle(monkeypatch, a):
+    # 5e-324 gives chains one sample long; 0 and 1 have no chain length and take the loop,
+    # as does 1 - 1e-12, whose chains would be 1.3e13 samples
+    n = 100_000
+    spans = _loop_spans(monkeypatch)
+    _check_lowpass(np.cumsum(np.random.default_rng(7).standard_normal(n)), a)
+    assert (spans[0] != (0, n)) == (a == 5e-324)
+
+
+@pytest.mark.parametrize("decay", [0.5, 2.0])
+@pytest.mark.parametrize("rate", [3.0, 100.0, 1000.0])
+def test_lowpass_failed_chains_are_recomputed_by_the_loop(monkeypatch, rate, decay):
+    # chains too short for every start to converge: some blocks fail their check
+    monkeypatch.setattr(simulate, "CHAIN_DECAY", decay)
+    monkeypatch.setattr(simulate, "CHAIN_MIN_BLOCKS", 2)
+    spans = _loop_spans(monkeypatch)
+    _check_lowpass(np.cumsum(np.random.default_rng(3).standard_normal(60_001)), _coefficient(rate))
+    assert len(spans) > 1  # a recomputed block, besides the tail
+
+
+@pytest.mark.parametrize("special", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("decay,min_blocks", [(13.0, 64), (1.0, 2)])
+def test_lowpass_signed_zeros_and_a_nonfinite_value_keep_the_loop_bits(monkeypatch, special,
+                                                                        decay, min_blocks):
+    # at 0.5 Hz y underflows inside a run of zeros: to -0.0 after the run of -1, which a
+    # -0.0 input keeps and an estimate's +0.0 does not; past the non-finite value every
+    # y is inf or NaN
+    monkeypatch.setattr(simulate, "CHAIN_DECAY", decay)
+    monkeypatch.setattr(simulate, "CHAIN_MIN_BLOCKS", min_blocks)
+    x = np.cumsum(np.random.default_rng(11).standard_normal(60_000))
+    x[9_000:10_000] = -1.0
+    x[10_000:14_000] = -0.0
+    x[14_000:18_000] = 0.0
+    x[20_000:20_500] = -0.0
+    x[30_000:30_700:2] = 0.0
+    x[40_000] = special
+    for rate in (0.5, 100.0):
+        _check_lowpass(x, _coefficient(rate))
 
 
 def test_path_noise_validation():
